@@ -20,6 +20,7 @@ def _openblas_threads() -> int | None:
                        "openblas_get_num_threads"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
                 return int(fn())
     return None
 

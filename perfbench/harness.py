@@ -1,23 +1,31 @@
 """Drive one workload through vaerec's public functions and CLI commands.
 
 One process, one closed-loop client: each operation starts after the
-previous one has returned. A run has three parts.
+previous one has returned. A run has two parts.
 
 1. Set-up, timed and repeated: write the seeded ratings log, ``prepare`` it,
    and save a reference checkpoint per model kind from a fixed seed.
-2. Training: one ``train()`` call per model kind on a fixed slice of the
-   prepared split, with a fixed number of epochs. An epoch is timed from one
-   epoch callback to the next (the first from the call itself), so it holds
-   the training pass, per-epoch validation and the best-epoch snapshot.
-3. Serving rounds until ``--seconds`` have passed since training began (at
-   least ``min_rounds``): ``prepare``, ``eval`` of each checkpoint on the
-   test fold, and a fixed list of ``recommend`` requests. Every round does
-   the same work, so every round must print the same bytes.
+2. The measured part, until ``--seconds`` have passed and at least
+   ``MIN_ROUNDS`` serving rounds have run. One ``train()`` call per model
+   kind runs on a fixed slice of the prepared split for a fixed number of
+   epochs. An epoch is timed from the return of one epoch callback to the
+   next callback, so it holds the training pass, per-epoch validation and
+   the best-epoch snapshot; the first epoch, which also builds the model,
+   is not a sample. A serving round is ``prepare``, ``eval`` of each
+   checkpoint on the test fold, and a fixed list of ``recommend`` requests.
+   Its steps run in epoch callbacks, one a second of training, and back to
+   back after training. A last, short ``train()`` call per kind ends the
+   run, so that training and serving samples both spread over the whole
+   run. Every round does the same work, so every round must print the same
+   bytes.
 
-In each serving round an operation quicker than ``MIN_ROUND_SECONDS``
-repeats, so that its median rests on as many samples as a slow one's.
+Epochs, ``prepare``, ``eval`` and each ``recommend`` request report their
+quickest sample. A shared virtual machine flips between a fast and a slower
+state several times a second, in proportions that drift from minute to
+minute: the quickest of many short samples spread over the run moves with
+the program, a long sample's time moves with the machine.
 
-A traced run replaces 2 and 3 by a smaller fixed plan whose every step runs
+A traced run replaces part 2 by a smaller fixed plan whose every step runs
 once untraced and once under the tracer; it reports per-layer figures and
 the difference in wall time.
 """
@@ -49,10 +57,22 @@ from perfbench.workloads import Workload, generate_log
 
 SETUP_REPEATS = 3
 MODEL_SEEDS = {"svae": 101, "mvae": 102, "rvae": 103}
+# the split's seed; with the workloads' fixed size profiles it puts users of
+# the same sizes in each fold for every workload seed
+SPLIT_SEED = 0
+# a test fold of a twentieth of the users keeps each eval, and so its
+# quickest run, short; the validation fold keeps the protocol's tenth
+SPLIT_FRACTIONS = "0.85,0.1,0.05"
 TOP_N = 10
-# p95 is reported only with at least ten samples beyond it
-MIN_REQUESTS = 200
-# per serving round, a quick operation repeats until it has run this long
+# serving rounds in a run, at least; each repeats every recommend request
+MIN_ROUNDS = 4
+# epochs per model kind in the training block at the end of a run
+LATE_EPOCHS = 2
+# seconds of training between two serving steps in the first block
+TRAINING_SLICE = 1.0
+# recommend requests in the traced plan
+TRACE_REQUESTS = 20
+# in a serving step, a quick operation repeats until it has run this long
 MIN_ROUND_SECONDS = 0.3
 MAX_REPEATS = 5
 
@@ -134,8 +154,9 @@ def split_digest(split_dir: str) -> str:
     return h.hexdigest()
 
 
-def _prepare_argv(wl: Workload, seed: int, log: str, out: str) -> list[str]:
-    return ["prepare", log, "--out", out, "--delimiter", wl.delimiter, "--seed", str(seed)]
+def _prepare_argv(wl: Workload, log: str, out: str) -> list[str]:
+    return ["prepare", log, "--out", out, "--delimiter", wl.delimiter,
+            "--fractions", SPLIT_FRACTIONS, "--seed", str(SPLIT_SEED)]
 
 
 def model_config(wl: Workload, **overrides) -> ModelConfig:
@@ -147,7 +168,7 @@ def setup(wl: Workload, seed: int, work: str) -> State:
     log = os.path.join(work, "ratings.log")
     split_dir = os.path.join(work, "split")
     generate_log(wl, seed, log)
-    _quiet(_prepare_argv(wl, seed, log, split_dir))
+    _quiet(_prepare_argv(wl, log, split_dir))
     split, _ = dp.load_split(split_dir)
     checkpoints = {}
     for kind in MODEL_KINDS:
@@ -174,38 +195,44 @@ def setup(wl: Workload, seed: int, work: str) -> State:
 # operations; each returns its wall time and checks its own output
 
 
-def op_prepare(wl: Workload, seed: int, state: State, out: str) -> float:
+def op_prepare(wl: Workload, state: State, out: str) -> float:
     started = time.perf_counter()
-    _quiet(_prepare_argv(wl, seed, state.log, out))
+    _quiet(_prepare_argv(wl, state.log, out))
     elapsed = time.perf_counter() - started
     _check(split_digest(out) == state.split_digest,
            "prepare wrote a split that differs from the set-up split")
     return elapsed
 
 
-def op_train(wl: Workload, state: State, kind: str, epochs: int, work: str):
+def op_train(wl: Workload, state: State, kind: str, epochs: int, work: str, between=None):
     """One train() call, then a checkpoint of the selected epoch as ``vaerec
-    train`` writes it; returns (epoch seconds, best validation NDCG@100)."""
-    marks = []
+    train`` writes it; returns (epoch seconds, the selected model).
+
+    ``between``, if given, runs in each epoch callback and is not timed: an
+    epoch runs from one callback's return to the next callback. The first
+    epoch, which also builds the model, is not returned."""
+    entered, left = [], []
     losses = []
 
     def on_epoch(stats):
-        marks.append(time.perf_counter())
+        entered.append(time.perf_counter())
         losses.append((stats.train_loss, stats.val_ndcg100))
+        if between is not None:
+            between()
+        left.append(time.perf_counter())
 
     config = model_config(wl, epochs=epochs, seed=MODEL_SEEDS[kind])
-    started = time.perf_counter()
     model, curve = training.train(kind, state.train_split, config, callback=on_epoch)
     best = max(curve, key=lambda stats: stats.val_ndcg100)
     vocabulary = state.split.vocabulary
     checkpoint.save_checkpoint(os.path.join(work, f"trained-{kind}"), model,
                                vocabulary.raw_ids(), vocabulary.digest(),
                                epoch=best.epoch, validation_score=best.val_ndcg100)
-    _check(len(marks) == epochs, f"{kind}: {len(marks)} epoch callbacks, expected {epochs}")
+    _check(len(entered) == epochs, f"{kind}: {len(entered)} epoch callbacks, expected {epochs}")
     _check(all(math.isfinite(loss) for loss, _ in losses), f"{kind}: non-finite training loss")
     _check(all(0.0 <= v <= 1.0 for _, v in losses), f"{kind}: validation NDCG out of [0, 1]")
-    epoch_s = [b - a for a, b in zip([started] + marks, marks)]
-    return epoch_s, best.val_ndcg100
+    epoch_s = [end - start for start, end in zip(left, entered[1:])]
+    return epoch_s, model
 
 
 def op_eval(state: State, kind: str, expected: dict) -> float:
@@ -264,11 +291,11 @@ def self_peak_rss_mb() -> float:
         return vm_hwm_mb(fh.read())
 
 
-def prepare_peak_rss_mb(wl: Workload, seed: int, state: State, root: str, out: str) -> float:
+def prepare_peak_rss_mb(wl: Workload, state: State, root: str, out: str) -> float:
     """Peak RSS of one ``vaerec prepare`` on the workload's log, run in a
     child interpreter because a process cannot reset its own peak."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    argv = [sys.executable, "-c", _PEAK_PROBE] + _prepare_argv(wl, seed, state.log, out)
+    argv = [sys.executable, "-c", _PEAK_PROBE] + _prepare_argv(wl, state.log, out)
     with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True) as child:
         try:
@@ -282,9 +309,9 @@ def prepare_peak_rss_mb(wl: Workload, seed: int, state: State, root: str, out: s
     return vm_hwm_mb(status)
 
 
-def popularity_ndcg100(split: dp.DatasetSplit) -> float:
-    ranker = PopularityRanker(split.train, split.n_items)
-    return evaluate(ranker.rank, split.validation, n_values=(100,)).metrics["NDCG@100"]
+def validation_ndcg100(rank, state: State) -> float:
+    """NDCG@100 on the whole validation fold; train() validates on a slice."""
+    return evaluate(rank, state.split.validation, n_values=(100,)).metrics["NDCG@100"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +322,76 @@ def _p95(values: list) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[94]
 
 
+class Serving:
+    """A serving round run one step at a time, so that its steps can fill the
+    gaps between training epochs as well as the rest of the run. A quick
+    operation repeats within its step, so it has as many samples as a slow
+    one."""
+
+    def __init__(self, wl: Workload, state: State, work: str, tally: Tally):
+        reports: dict = {}
+        answers: dict = {}
+        prepare_out = os.path.join(work, "prepare-out")
+        self.steps = [[("prepare_s", "prepare",
+                        functools.partial(op_prepare, wl, state, prepare_out))]]
+        self.steps += [[(f"{kind}.eval_s", f"eval {kind}",
+                         functools.partial(op_eval, state, kind, reports))]
+                       for kind in MODEL_KINDS]
+        self.steps.append([(f"recommend_ms.{index}", f"recommend {index}",
+                            functools.partial(op_recommend, state, index, answers))
+                           for index in range(len(state.requests))])
+        self.tally = tally
+        self.rounds = 0
+        self._next = 0
+        self._done = time.perf_counter()
+
+    def after_epoch(self) -> None:
+        """A step, if ``TRAINING_SLICE`` seconds have passed since the last."""
+        if time.perf_counter() - self._done >= TRAINING_SLICE:
+            self.step()
+
+    def step(self) -> None:
+        if self._next == 0:
+            gc.collect()
+        for name, label, operation in self.steps[self._next]:
+            if name.startswith("recommend_ms"):
+                self.tally.sample(name, label, operation, scale=1000.0)
+                continue
+            spent, repeats = 0.0, 0
+            while repeats < MAX_REPEATS and (repeats == 0 or spent < MIN_ROUND_SECONDS):
+                spent += self.tally.sample(name, label, operation)
+                repeats += 1
+        self._next = (self._next + 1) % len(self.steps)
+        self.rounds += self._next == 0
+        self._done = time.perf_counter()
+
+
+def train_block(wl: Workload, state: State, work: str, tally: Tally, serving,
+                epochs: dict, first: bool) -> None:
+    """One train() call per model kind, with a step of ``serving`` (if any) in
+    an epoch callback once per ``TRAINING_SLICE`` of training. The first
+    block also gives ``val_ndcg100``, the selected svae's NDCG@100 on the
+    whole validation fold, and its quality check."""
+    for kind in MODEL_KINDS:
+        gc.collect()
+        result = tally.run(f"train {kind}", functools.partial(
+            op_train, wl, state, kind, epochs[kind], work,
+            between=serving.after_epoch if serving else None))
+        if result is None:
+            continue
+        epoch_s, model = result
+        for value in epoch_s:
+            tally.add(f"{kind}.epoch_s", value)
+        if kind == "svae" and first:
+            ndcg = validation_ndcg100(model.rank, state)
+            tally.add("val_ndcg100", ndcg)
+            if wl.quality_gate:
+                popularity = PopularityRanker(state.train_split.train, state.split.n_items)
+                pop = validation_ndcg100(popularity.rank, state)
+                tally.run("svae above popularity", lambda: _check(
+                    ndcg > pop, f"svae val NDCG@100 {ndcg:.4f} <= popularity {pop:.4f}"))
+
+
 def timed_run(wl: Workload, seed: int, seconds: float, root: str, work: str):
     """End-to-end metrics, untraced. Returns (metrics, tally)."""
     tally = Tally()
@@ -303,78 +400,55 @@ def timed_run(wl: Workload, seed: int, seconds: float, root: str, work: str):
         state = setup(wl, seed, work)
         tally.add("setup_s", time.perf_counter() - started)
     deadline = time.perf_counter() + seconds
+    serving = Serving(wl, state, work, tally)
 
-    for kind in MODEL_KINDS:
-        gc.collect()
-        result = tally.run(f"train {kind}", functools.partial(
-            op_train, wl, state, kind, wl.epochs[kind], work))
-        if result is None:
-            continue
-        epoch_s, best = result
-        for value in epoch_s:
-            tally.add(f"{kind}.epoch_s", value)
-        if kind == "svae":
-            tally.add("val_ndcg100", best)
-            if wl.quality_gate:
-                pop = popularity_ndcg100(state.train_split)
-                tally.run("svae above popularity", lambda: _check(
-                    best > pop, f"svae val NDCG@100 {best:.4f} <= popularity {pop:.4f}"))
-
-    reports: dict = {}
-    answers: dict = {}
-    prepare_out = os.path.join(work, "prepare-out")
-    serving = [("prepare_s", "prepare",
-                functools.partial(op_prepare, wl, seed, state, prepare_out))]
-    serving += [(f"{kind}.eval_s", f"eval {kind}",
-                 functools.partial(op_eval, state, kind, reports)) for kind in MODEL_KINDS]
-    rounds = 0
-    while rounds < wl.min_rounds or time.perf_counter() < deadline \
-            or len(tally.samples.get("recommend_ms", ())) < MIN_REQUESTS:
-        gc.collect()
-        for name, label, operation in serving:
-            # a quick operation repeats, so it has as many samples as a slow one
-            spent, repeats = 0.0, 0
-            while repeats < MAX_REPEATS and (repeats == 0 or spent < MIN_ROUND_SECONDS):
-                spent += tally.sample(name, label, operation)
-                repeats += 1
-        for index in range(len(state.requests)):
-            tally.sample("recommend_ms", f"recommend {index}",
-                         functools.partial(op_recommend, state, index, answers), scale=1000.0)
-        rounds += 1
+    train_block(wl, state, work, tally, serving, wl.epochs, first=True)
+    # counts rounds, not samples, so a run whose requests fail still ends
+    while serving.rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+        serving.step()
+    # a short second block, so that each kind's epochs span the whole run
+    train_block(wl, state, work, tally, None, dict.fromkeys(MODEL_KINDS, LATE_EPOCHS),
+                first=False)
 
     tally.sample("prepare_peak_rss_mb", "prepare peak rss", functools.partial(
-        prepare_peak_rss_mb, wl, seed, state, root, os.path.join(work, "prepare-child")))
+        prepare_peak_rss_mb, wl, state, root, os.path.join(work, "prepare-child")))
 
     summary = tally.summary
     metrics = {
         "setup_s": (summary("setup_s"), "s"),
-        "prepare_s": (summary("prepare_s"), "s"),
+        "prepare_s": (summary("prepare_s", min), "s"),
         "prepare_peak_rss_mb": (summary("prepare_peak_rss_mb"), "MiB"),
     }
     for kind in MODEL_KINDS:
-        metrics[f"{kind}.epoch_s"] = (summary(f"{kind}.epoch_s"), "s")
+        metrics[f"{kind}.epoch_s"] = (summary(f"{kind}.epoch_s", min), "s")
     for kind in MODEL_KINDS:
-        metrics[f"{kind}.eval_s"] = (summary(f"{kind}.eval_s"), "s")
-    metrics["recommend_p50_ms"] = (summary("recommend_ms"), "ms")
-    metrics["recommend_p95_ms"] = (summary("recommend_ms", _p95), "ms")
+        metrics[f"{kind}.eval_s"] = (summary(f"{kind}.eval_s", min), "s")
+    # a request's latency is its quickest repeat; the percentiles are over
+    # the distinct requests, those that ever succeeded
+    latency = [min(times) for name, times in tally.samples.items()
+               if name.startswith("recommend_ms.")]
+    if not latency:
+        raise NoSamples("no successful sample of recommend_ms")
+    metrics["recommend_p50_ms"] = (statistics.median(latency), "ms")
+    metrics["recommend_p95_ms"] = (_p95(latency), "ms")
     metrics["val_ndcg100"] = (summary("val_ndcg100"), "ratio")
     metrics["peak_rss_mb"] = (self_peak_rss_mb(), "MiB")
     return metrics, tally
 
 
-def trace_steps(wl: Workload, seed: int, state: State, work: str) -> list:
+def trace_steps(wl: Workload, state: State, work: str) -> list:
     """The fixed plan of a traced run, as (run id, operation) pairs."""
     reports: dict = {}
     answers: dict = {}
     steps = [(f"train-{kind}", functools.partial(op_train, wl, state, kind,
                                                   wl.trace_epochs[kind], work))
              for kind in MODEL_KINDS]
-    steps.append(("prepare", functools.partial(op_prepare, wl, seed, state,
+    steps.append(("prepare", functools.partial(op_prepare, wl, state,
                                                os.path.join(work, "prepare-out"))))
     steps += [(f"eval-{kind}", functools.partial(op_eval, state, kind, reports))
               for kind in MODEL_KINDS]
     steps += [(f"recommend-{index}", functools.partial(op_recommend, state, index, answers))
-              for index in range(wl.trace_requests)]
+              for index in range(TRACE_REQUESTS)]
     return steps
 
 
@@ -388,7 +462,7 @@ def traced_run(wl: Workload, seed: int, work: str):
     state = setup(wl, seed, work)
     tracer = Tracer()
     wall = {False: 0.0, True: 0.0}
-    for number, (run, operation) in enumerate(trace_steps(wl, seed, state, work)):
+    for number, (run, operation) in enumerate(trace_steps(wl, state, work)):
         for traced in ((False, True) if number % 2 == 0 else (True, False)):
             started = time.perf_counter()
             if traced:

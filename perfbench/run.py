@@ -1,6 +1,6 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload svae-long --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload svae-long --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the program is imported from its
 ``src/`` directory. The last line of standard output is one JSON object with

@@ -37,11 +37,17 @@ TINY = dataclasses.replace(
     WORKLOADS["svae-long"],
     log_args=dict(n_users=60, n_items=30, median_length=10, max_length=25, sigma=0.5),
     train_users=8, val_users=6,
-    epochs={"svae": 2, "mvae": 2, "rvae": 1},
+    epochs={"svae": 2, "mvae": 2, "rvae": 2},
     trace_epochs={"svae": 1, "mvae": 1, "rvae": 1},
-    requests_per_round=harness.MIN_REQUESTS, trace_requests=3,
-    quality_gate=False, min_rounds=1,
+    requests_per_round=12,
+    quality_gate=False,
 )
+
+
+@pytest.fixture(autouse=True)
+def few_rounds(monkeypatch):
+    monkeypatch.setattr(harness, "MIN_ROUNDS", 1)
+    monkeypatch.setattr(harness, "TRACE_REQUESTS", 3)
 
 
 def _benchmark_json() -> dict:
@@ -57,20 +63,49 @@ def test_workloads_match_benchmark_json():
     assert [w["name"] for w in _benchmark_json()["workloads"]] == list(WORKLOADS)
 
 
-def test_same_seed_same_log(tmp_path):
+def test_same_seed_same_log_same_size_for_every_seed(tmp_path):
     paths = [str(tmp_path / name) for name in ("a", "b", "c")]
     for path, seed in zip(paths, (4, 4, 5)):
         generate_log(WORKLOADS["prepare-serve"], seed, path)
     blobs = [open(p, "rb").read() for p in paths]
     assert blobs[0] == blobs[1]
     assert blobs[0] != blobs[2]
+    # another seed draws other ratings, in the same amount
+    assert blobs[0].count(b"\n") == blobs[2].count(b"\n")
 
 
 def test_timed_run_reports_every_end_to_end_metric(tmp_path):
     metrics, tally = harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
-    assert tally.failed == 0 and tally.attempted > harness.MIN_REQUESTS
+    assert tally.failed == 0 and tally.attempted > TINY.requests_per_round
     assert {name: unit for name, (_, unit) in metrics.items()} == _units("end_to_end")
     assert all(value > 0 for value, _ in metrics.values())
+
+
+def test_failing_requests_end_the_run(tmp_path, monkeypatch):
+    def refuse(state, index, expected):
+        raise harness.CheckFailed(f"request {index} refused")
+
+    monkeypatch.setattr(harness, "op_recommend", refuse)
+    with pytest.raises(harness.NoSamples, match="recommend_ms"):
+        harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
+
+
+def test_a_failing_request_counts_against_attempts(tmp_path, monkeypatch):
+    answer = harness.op_recommend
+
+    def first_refused(state, index, expected):
+        if index == 0:
+            raise harness.CheckFailed("request 0 refused")
+        return answer(state, index, expected)
+
+    monkeypatch.setattr(harness, "op_recommend", first_refused)
+    metrics, tally = harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
+    # one refusal in each round, and the other requests answered
+    assert tally.failed >= 1
+    assert "recommend_ms.0" not in tally.samples
+    for index in range(1, TINY.requests_per_round):
+        assert len(tally.samples[f"recommend_ms.{index}"]) == tally.failed
+    assert metrics["recommend_p95_ms"][0] > 0
 
 
 def test_traced_counters_repeat_exactly(tmp_path):
@@ -83,7 +118,7 @@ def test_traced_counters_repeat_exactly(tmp_path):
     for name in EXACT_COUNTERS:
         assert runs[0][name][0] == runs[1][name][0], name
     # today recommend scores the history twice
-    assert runs[0]["models.scores_calls"][0] > 2 * TINY.trace_requests
+    assert runs[0]["models.scores_calls"][0] > 2 * harness.TRACE_REQUESTS
 
 
 def test_spans_nest_and_self_time_excludes_children():

@@ -16,6 +16,7 @@ and in the model configuration, which moves the cost between layers:
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,11 @@ import numpy as np
 
 # ML-1M star-rating shares for 1..5; ratings above 3 survive binarization.
 ML1M_RATING_SHARES = (0.056, 0.108, 0.261, 0.349, 0.226)
+# Fixes the order of the per-user size profiles and of the catalog's
+# popularity. The seed draws what each user rates, not how much, nor which
+# items are popular: every seed gives the same amount of work, so the spread
+# between seeds is the program's, not the inputs'.
+PROFILE_SEED = 0x1E57
 
 
 @dataclass(frozen=True)
@@ -34,11 +40,9 @@ class Workload:
     config: dict  # ModelConfig overrides shared by the three model kinds
     train_users: int  # training slice of the prepared split
     val_users: int  # validation slice used by per-epoch validation
-    epochs: dict  # epochs of the measured train() call, per model kind
+    epochs: dict  # epochs of the measured train() call, per model kind (at least 2)
     trace_epochs: dict  # epochs in the traced plan, per model kind
     requests_per_round: int  # recommend requests per serving round
-    min_rounds: int  # serving rounds in a run, at least
-    trace_requests: int  # recommend requests in the traced plan
     quality_gate: bool = False  # svae must beat popularity on validation
 
 
@@ -46,14 +50,26 @@ def _timestamps(rng: np.random.Generator, n: int) -> np.ndarray:
     return 956703932 + np.cumsum(rng.integers(1, 4000, size=n))
 
 
+def _profile(values: np.ndarray) -> np.ndarray:
+    """``values`` in an order fixed by PROFILE_SEED, whatever the seed."""
+    return np.random.default_rng(PROFILE_SEED).permutation(values)
+
+
+def lognormal_profile(n: int, median: float, sigma: float) -> np.ndarray:
+    """The log-normal's values at n evenly spaced quantiles: the sizes that n
+    draws would have on average, with no draw-to-draw spread."""
+    normal = statistics.NormalDist()
+    z = np.array([normal.inv_cdf((i + 0.5) / n) for i in range(n)])
+    return _profile(median * np.exp(sigma * z))
+
+
 def successor_walks(rng, n_users, n_items, median_length, max_length, sigma, min_length=10):
-    """Walks i -> i+1 (mod n_items), every rating kept, with log-normal
-    lengths: the median is ``median_length`` and the tail is clipped at
-    ``max_length``."""
+    """Walks i -> i+1 (mod n_items) from a random start, every rating kept,
+    with log-normal lengths: the median is ``median_length`` and the tail is
+    clipped at ``max_length``."""
+    lengths = np.clip(np.round(lognormal_profile(n_users, median_length, sigma)),
+                      min_length, max_length).astype(np.int64)
     rows = []
-    lengths = np.clip(
-        np.round(rng.lognormal(np.log(median_length), sigma, n_users)), min_length, max_length
-    ).astype(np.int64)
     for user, length in enumerate(lengths):
         items = (int(rng.integers(n_items)) + np.arange(length)) % n_items
         rows.append((user, items, rng.integers(4, 6, size=length), _timestamps(rng, length)))
@@ -62,15 +78,16 @@ def successor_walks(rng, n_users, n_items, median_length, max_length, sigma, min
 
 def short_histories(rng, n_users, n_items, min_kept, max_kept, zipf, head,
                     dropped_share=0.1):
-    """Bags of ``min_kept``..``max_kept`` kept items per user, drawn with
-    popularity 1 / (rank + head) ** zipf, plus a few low ratings that
-    binarization drops. The last users each rate one ``max_kept`` block of a
-    shuffled catalog, so every item is in the prepared vocabulary."""
-    pop = 1.0 / (np.arange(1, n_items + 1) + head) ** zipf
-    pop = pop[rng.permutation(n_items)]
+    """Bags of ``min_kept``..``max_kept`` kept items per user (evenly spread),
+    drawn with popularity 1 / (rank + head) ** zipf, plus a tenth as many low
+    ratings that binarization drops. The last users each rate one
+    ``max_kept`` block of a shuffled catalog, so every item is in the
+    prepared vocabulary."""
+    pop = _profile(1.0 / (np.arange(1, n_items + 1) + head) ** zipf)
     pop /= pop.sum()
     sweep = rng.permutation(n_items)
     n_sweep = -(-n_items // max_kept)
+    kept_sizes = _profile(min_kept + np.arange(n_users) * (max_kept - min_kept + 1) // n_users)
     rows = []
     for user in range(n_users):
         if user >= n_users - n_sweep:
@@ -79,8 +96,8 @@ def short_histories(rng, n_users, n_items, min_kept, max_kept, zipf, head,
             rows.append((user, block, rng.integers(4, 6, size=len(block)),
                          _timestamps(rng, len(block))))
             continue
-        kept = int(rng.integers(min_kept, max_kept + 1))
-        dropped = int(rng.binomial(kept, dropped_share))
+        kept = int(kept_sizes[user])
+        dropped = int(round(kept * dropped_share))
         items = rng.choice(n_items, size=kept + dropped, replace=False, p=pop)
         ratings = np.concatenate([rng.integers(4, 6, size=kept), rng.integers(1, 4, size=dropped)])
         order = rng.permutation(kept + dropped)
@@ -88,19 +105,26 @@ def short_histories(rng, n_users, n_items, min_kept, max_kept, zipf, head,
     return rows
 
 
+def _star_counts(count: int) -> np.ndarray:
+    """Split ``count`` ratings over 1..5 stars in the ML-1M shares, by
+    largest remainder."""
+    exact = count * np.asarray(ML1M_RATING_SHARES)
+    stars = np.floor(exact).astype(np.int64)
+    stars[np.argsort(stars - exact, kind="stable")[: count - stars.sum()]] += 1
+    return stars
+
+
 def ml1m_like(rng, n_users, n_items, median_count, max_count, zipf):
     """ML-1M-shaped log: at least 20 ratings per user with a log-normal
     tail, Zipf item popularity, and the ML-1M star distribution."""
-    pop = 1.0 / np.arange(1, n_items + 1) ** zipf
-    pop = pop[rng.permutation(n_items)]
+    pop = _profile(1.0 / np.arange(1, n_items + 1) ** zipf)
     pop /= pop.sum()
-    counts = np.clip(
-        np.round(20 + rng.lognormal(np.log(median_count - 20), 0.9, n_users)), 20, max_count
-    ).astype(np.int64)
+    counts = np.clip(np.round(20 + lognormal_profile(n_users, median_count - 20, 0.9)),
+                     20, max_count).astype(np.int64)
     rows = []
     for user, count in enumerate(counts):
         items = rng.choice(n_items, size=count, replace=False, p=pop)
-        ratings = rng.choice(5, size=count, p=ML1M_RATING_SHARES) + 1
+        ratings = rng.permutation(np.repeat(np.arange(1, 6), _star_counts(int(count))))
         rows.append((user, items, ratings, _timestamps(rng, count)))
     return rows
 
@@ -135,14 +159,14 @@ WORKLOADS = {
                           sigma=0.7),
             delimiter=",",
             # the acceptance suite's scaled widths; the faster optimizer
-            # settings let five epochs clear the popularity baseline
+            # settings let fourteen short epochs clear the popularity baseline
             config=dict(latent_dim=16, item_embedding_dim=32, gru_hidden=32,
                         encoder_widths=(32,), decoder_widths=(32,),
                         learning_rate=3e-2, kl_weight=0.1),
-            train_users=100, val_users=120,
-            epochs={"svae": 5, "mvae": 10, "rvae": 4},
+            train_users=24, val_users=20,
+            epochs={"svae": 14, "mvae": 20, "rvae": 6},
             trace_epochs={"svae": 2, "mvae": 2, "rvae": 2},
-            requests_per_round=100, min_rounds=4, trace_requests=20,
+            requests_per_round=100,
             quality_gate=True,
         ),
         Workload(
@@ -152,27 +176,29 @@ WORKLOADS = {
             log_args=dict(n_users=1000, n_items=3000, min_kept=5, max_kept=20,
                           zipf=1.4, head=10),
             delimiter=",",
-            config={},
-            train_users=40, val_users=100,
-            epochs={"svae": 3, "mvae": 10, "rvae": 2},
+            # reference architecture; a faster learning rate takes svae past
+            # its initial ranking within a few epochs, so validation is steady
+            config=dict(learning_rate=1e-2),
+            train_users=12, val_users=20,
+            epochs={"svae": 9, "mvae": 20, "rvae": 6},
             trace_epochs={"svae": 2, "mvae": 2, "rvae": 2},
-            requests_per_round=50, min_rounds=4, trace_requests=20,
+            requests_per_round=50,
         ),
         Workload(
             name="prepare-serve",
             log=ml1m_like,
-            # about one user in ten sits at the cap, so the requests that
-            # set recommend_p95 have much the same length from seed to seed
+            # about 67k rows against ML-1M's 1M: at full size one prepare
+            # takes ~5 s and one svae eval ~10 s, which a run cannot repeat
             log_args=dict(n_users=600, n_items=2000, median_count=90, max_count=250,
                           zipf=1.2),
             delimiter="::",
             # reference architecture; a faster learning rate takes svae past
-            # its initial ranking within three epochs, so validation is steady
+            # its initial ranking within a few epochs, so validation is steady
             config=dict(learning_rate=1e-2),
-            train_users=16, val_users=60,
-            epochs={"svae": 3, "mvae": 6, "rvae": 3},
+            train_users=8, val_users=20,
+            epochs={"svae": 7, "mvae": 16, "rvae": 6},
             trace_epochs={"svae": 1, "mvae": 2, "rvae": 1},
-            requests_per_round=50, min_rounds=4, trace_requests=20,
+            requests_per_round=40,
         ),
     )
 }
