@@ -3,27 +3,26 @@
 One process, one closed-loop client: each operation starts after the
 previous one has returned. A run has two parts.
 
-1. Set-up, timed and repeated: write the seeded ratings log, ``prepare`` it,
-   and save a reference checkpoint per model kind from a fixed seed.
-2. The measured part, until ``--seconds`` have passed and at least
-   ``MIN_ROUNDS`` serving rounds have run. One ``train()`` call per model
-   kind runs on a fixed slice of the prepared split for a fixed number of
-   epochs. An epoch is timed from the return of one epoch callback to the
-   next callback, so it holds the training pass, per-epoch validation and
-   the best-epoch snapshot; the first epoch, which also builds the model,
-   is not a sample. A serving round is ``prepare``, ``eval`` of each
-   checkpoint on the test fold, and a fixed list of ``recommend`` requests.
-   Its steps run in epoch callbacks, one a second of training, and back to
-   back after training. A last, short ``train()`` call per kind ends the
-   run, so that training and serving samples both spread over the whole
-   run. Every round does the same work, so every round must print the same
-   bytes.
+1. Set-up, timed: write the seeded ratings log, ``prepare`` it, and save a
+   reference checkpoint per model kind from a fixed seed. It repeats, into
+   a directory of its own, every other round of part 2.
+2. The measured part: rounds, until ``--seconds`` have passed and at least
+   ``MIN_ROUNDS`` rounds have run. A round runs every measured operation
+   once: a ``ROUND_EPOCHS``-epoch ``train()`` call per model kind on a fixed
+   slice of the prepared split, ``prepare``, ``eval`` of each checkpoint on
+   the test fold, and a fixed list of ``recommend`` requests. An epoch is
+   timed from the return of one epoch callback to the next, so it holds the
+   training pass, per-epoch validation and the best-epoch snapshot; the
+   first epoch, which also builds the model, is not a sample. Every round
+   does the same work, so every round must give the same bytes and losses.
 
-Epochs, ``prepare``, ``eval`` and each ``recommend`` request report their
-quickest sample. A shared virtual machine flips between a fast and a slower
-state several times a second, in proportions that drift from minute to
-minute: the quickest of many short samples spread over the run moves with
-the program, a long sample's time moves with the machine.
+Each timing is the median of its samples, one a round (for ``recommend``,
+one a request); ``recommend_p95_ms`` is the 95th percentile of the request
+samples. The samples spread over the whole run and over every CPU the
+process may use: successive rounds run on successive CPUs.
+
+After the rounds an untimed ``train()`` of svae gives ``val_ndcg100`` and,
+on ``svae-long``, the check against the popularity ranker.
 
 A traced run replaces part 2 by a smaller fixed plan whose every step runs
 once untraced and once under the tracer; it reports per-layer figures and
@@ -53,28 +52,22 @@ from vaerec.models import MODEL_KINDS, ModelConfig, build_model
 from vaerec.models import checkpoint, training
 
 from perfbench.tracing import Tracer
-from perfbench.workloads import Workload, generate_log
+from perfbench.workloads import DELIMITER, Workload, generate_log
 
-SETUP_REPEATS = 3
 MODEL_SEEDS = {"svae": 101, "mvae": 102, "rvae": 103}
 # the split's seed; with the workloads' fixed size profiles it puts users of
 # the same sizes in each fold for every workload seed
 SPLIT_SEED = 0
-# a test fold of a twentieth of the users keeps each eval, and so its
-# quickest run, short; the validation fold keeps the protocol's tenth
-SPLIT_FRACTIONS = "0.85,0.1,0.05"
+# a large validation fold steadies val_ndcg100 from seed to seed; a small
+# test fold keeps each eval, and so each round, short
+SPLIT_FRACTIONS = "0.6,0.38,0.02"
 TOP_N = 10
-# serving rounds in a run, at least; each repeats every recommend request
+# rounds in a run, at least; each runs every measured operation once
 MIN_ROUNDS = 4
-# epochs per model kind in the training block at the end of a run
-LATE_EPOCHS = 2
-# seconds of training between two serving steps in the first block
-TRAINING_SLICE = 1.0
-# recommend requests in the traced plan
-TRACE_REQUESTS = 20
-# in a serving step, a quick operation repeats until it has run this long
-MIN_ROUND_SECONDS = 0.3
-MAX_REPEATS = 5
+# epochs of each round's train() call; all but the first are samples
+ROUND_EPOCHS = 2
+# epochs per model kind in the traced plan
+TRACE_EPOCHS = 2
 
 
 class CheckFailed(AssertionError):
@@ -124,12 +117,11 @@ class Tally:
     def add(self, name: str, value: float) -> None:
         self.samples.setdefault(name, []).append(value)
 
-    def sample(self, name: str, label: str, fn, scale: float = 1.0) -> float:
-        """Run a timed operation and keep its time as a sample of ``name``."""
+    def sample(self, name: str, label: str, fn, scale: float = 1.0) -> None:
+        """Run an operation and keep what it returns as a sample of ``name``."""
         value = self.run(label, fn)
         if value is not None:
             self.add(name, value * scale)
-        return value or 0.0
 
     def summary(self, name: str, reduce=statistics.median) -> float:
         if not self.samples.get(name):
@@ -154,8 +146,8 @@ def split_digest(split_dir: str) -> str:
     return h.hexdigest()
 
 
-def _prepare_argv(wl: Workload, log: str, out: str) -> list[str]:
-    return ["prepare", log, "--out", out, "--delimiter", wl.delimiter,
+def _prepare_argv(log: str, out: str) -> list[str]:
+    return ["prepare", log, "--out", out, "--delimiter", DELIMITER,
             "--fractions", SPLIT_FRACTIONS, "--seed", str(SPLIT_SEED)]
 
 
@@ -168,7 +160,7 @@ def setup(wl: Workload, seed: int, work: str) -> State:
     log = os.path.join(work, "ratings.log")
     split_dir = os.path.join(work, "split")
     generate_log(wl, seed, log)
-    _quiet(_prepare_argv(wl, log, split_dir))
+    _quiet(_prepare_argv(log, split_dir))
     split, _ = dp.load_split(split_dir)
     checkpoints = {}
     for kind in MODEL_KINDS:
@@ -181,11 +173,13 @@ def setup(wl: Workload, seed: int, work: str) -> State:
     train_split = dp.DatasetSplit(split.train[: wl.train_users],
                                   split.validation[: wl.val_users], [],
                                   split.vocabulary, split.fold_ratio)
-    # one request from the middle of each of n equal fold-in-length strata,
-    # so the requests' lengths, and p95 with them, follow the test fold
-    test = sorted(split.test, key=lambda u: (len(u.fold_in), u.user_index))
+    # one request from the middle of each of n equal fold-in-length strata of
+    # the held-out users, so the requests' lengths, and p95 with them,
+    # follow theirs; the test fold alone is too small
+    held_out = sorted(split.validation + split.test,
+                      key=lambda u: (len(u.fold_in), u.user_index))
     n = wl.requests_per_round
-    picks = [test[(2 * r + 1) * len(test) // (2 * n)] for r in range(n)]
+    picks = [held_out[(2 * r + 1) * len(held_out) // (2 * n)] for r in range(n)]
     requests = [",".join(split.vocabulary.to_raw(i) for i in user.fold_in) for user in picks]
     return State(log, split_dir, split, train_split, checkpoints, requests,
                  split_digest(split_dir))
@@ -197,28 +191,27 @@ def setup(wl: Workload, seed: int, work: str) -> State:
 
 def op_prepare(wl: Workload, state: State, out: str) -> float:
     started = time.perf_counter()
-    _quiet(_prepare_argv(wl, state.log, out))
+    _quiet(_prepare_argv(state.log, out))
     elapsed = time.perf_counter() - started
     _check(split_digest(out) == state.split_digest,
            "prepare wrote a split that differs from the set-up split")
     return elapsed
 
 
-def op_train(wl: Workload, state: State, kind: str, epochs: int, work: str, between=None):
+def op_train(wl: Workload, state: State, kind: str, epochs: int, work: str,
+             expected: dict | None = None):
     """One train() call, then a checkpoint of the selected epoch as ``vaerec
     train`` writes it; returns (epoch seconds, the selected model).
 
-    ``between``, if given, runs in each epoch callback and is not timed: an
-    epoch runs from one callback's return to the next callback. The first
-    epoch, which also builds the model, is not returned."""
+    An epoch runs from one callback's return to the next callback. The first
+    epoch, which also builds the model, is not returned. With ``expected``,
+    the epochs' losses must repeat those of the first call of this kind."""
     entered, left = [], []
     losses = []
 
     def on_epoch(stats):
         entered.append(time.perf_counter())
         losses.append((stats.train_loss, stats.val_ndcg100))
-        if between is not None:
-            between()
         left.append(time.perf_counter())
 
     config = model_config(wl, epochs=epochs, seed=MODEL_SEEDS[kind])
@@ -231,6 +224,9 @@ def op_train(wl: Workload, state: State, kind: str, epochs: int, work: str, betw
     _check(len(entered) == epochs, f"{kind}: {len(entered)} epoch callbacks, expected {epochs}")
     _check(all(math.isfinite(loss) for loss, _ in losses), f"{kind}: non-finite training loss")
     _check(all(0.0 <= v <= 1.0 for _, v in losses), f"{kind}: validation NDCG out of [0, 1]")
+    if expected is not None:
+        _check(losses == expected.setdefault(kind, losses),
+               f"{kind}: losses differ from the first round's")
     epoch_s = [end - start for start, end in zip(left, entered[1:])]
     return epoch_s, model
 
@@ -295,7 +291,7 @@ def prepare_peak_rss_mb(wl: Workload, state: State, root: str, out: str) -> floa
     """Peak RSS of one ``vaerec prepare`` on the workload's log, run in a
     child interpreter because a process cannot reset its own peak."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    argv = [sys.executable, "-c", _PEAK_PROBE] + _prepare_argv(wl, state.log, out)
+    argv = [sys.executable, "-c", _PEAK_PROBE] + _prepare_argv(state.log, out)
     with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True) as child:
         try:
@@ -322,115 +318,120 @@ def _p95(values: list) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[94]
 
 
-class Serving:
-    """A serving round run one step at a time, so that its steps can fill the
-    gaps between training epochs as well as the rest of the run. A quick
-    operation repeats within its step, so it has as many samples as a slow
-    one."""
+def round_operations(wl: Workload, state: State, work: str, tally: Tally) -> list:
+    """The operations of one round. Each counts its attempt and records its
+    samples in ``tally``. A garbage collection runs before each operation
+    but the requests, which run back to back after one: an operation then
+    pays for the collections its own allocations cause, at the same points
+    in every round and every run, and not for those of the operation before
+    it. Without this, one ~30 ms full collection fell inside or outside
+    rvae's timed epoch depending on the run."""
+    losses: dict = {}
+    reports: dict = {}
+    answers: dict = {}
 
-    def __init__(self, wl: Workload, state: State, work: str, tally: Tally):
-        reports: dict = {}
-        answers: dict = {}
-        prepare_out = os.path.join(work, "prepare-out")
-        self.steps = [[("prepare_s", "prepare",
-                        functools.partial(op_prepare, wl, state, prepare_out))]]
-        self.steps += [[(f"{kind}.eval_s", f"eval {kind}",
-                         functools.partial(op_eval, state, kind, reports))]
-                       for kind in MODEL_KINDS]
-        self.steps.append([(f"recommend_ms.{index}", f"recommend {index}",
-                            functools.partial(op_recommend, state, index, answers))
-                           for index in range(len(state.requests))])
-        self.tally = tally
-        self.rounds = 0
-        self._next = 0
-        self._done = time.perf_counter()
-
-    def after_epoch(self) -> None:
-        """A step, if ``TRAINING_SLICE`` seconds have passed since the last."""
-        if time.perf_counter() - self._done >= TRAINING_SLICE:
-            self.step()
-
-    def step(self) -> None:
-        if self._next == 0:
-            gc.collect()
-        for name, label, operation in self.steps[self._next]:
-            if name.startswith("recommend_ms"):
-                self.tally.sample(name, label, operation, scale=1000.0)
-                continue
-            spent, repeats = 0.0, 0
-            while repeats < MAX_REPEATS and (repeats == 0 or spent < MIN_ROUND_SECONDS):
-                spent += self.tally.sample(name, label, operation)
-                repeats += 1
-        self._next = (self._next + 1) % len(self.steps)
-        self.rounds += self._next == 0
-        self._done = time.perf_counter()
-
-
-def train_block(wl: Workload, state: State, work: str, tally: Tally, serving,
-                epochs: dict, first: bool) -> None:
-    """One train() call per model kind, with a step of ``serving`` (if any) in
-    an epoch callback once per ``TRAINING_SLICE`` of training. The first
-    block also gives ``val_ndcg100``, the selected svae's NDCG@100 on the
-    whole validation fold, and its quality check."""
-    for kind in MODEL_KINDS:
-        gc.collect()
-        result = tally.run(f"train {kind}", functools.partial(
-            op_train, wl, state, kind, epochs[kind], work,
-            between=serving.after_epoch if serving else None))
-        if result is None:
-            continue
-        epoch_s, model = result
+    def train(kind):
+        epoch_s, _ = op_train(wl, state, kind, ROUND_EPOCHS, work, losses)
         for value in epoch_s:
             tally.add(f"{kind}.epoch_s", value)
-        if kind == "svae" and first:
-            ndcg = validation_ndcg100(model.rank, state)
-            tally.add("val_ndcg100", ndcg)
-            if wl.quality_gate:
-                popularity = PopularityRanker(state.train_split.train, state.split.n_items)
-                pop = validation_ndcg100(popularity.rank, state)
-                tally.run("svae above popularity", lambda: _check(
-                    ndcg > pop, f"svae val NDCG@100 {ndcg:.4f} <= popularity {pop:.4f}"))
+
+    partial = functools.partial
+    operations = [partial(tally.run, f"train {kind}", partial(train, kind))
+                  for kind in MODEL_KINDS]
+    operations.append(partial(tally.sample, "prepare_s", "prepare", partial(
+        op_prepare, wl, state, os.path.join(work, "prepare-out"))))
+    operations += [partial(tally.sample, f"{kind}.eval_s", f"eval {kind}", partial(
+        op_eval, state, kind, reports)) for kind in MODEL_KINDS]
+    operations = [step for operation in operations for step in (gc.collect, operation)]
+    operations.append(gc.collect)
+    operations += [partial(tally.sample, "recommend_ms", f"recommend {index}",
+                           partial(op_recommend, state, index, answers), scale=1000.0)
+                   for index in range(len(state.requests))]
+    return operations
+
+
+def op_setup(wl: Workload, seed: int, work: str, state: State) -> float:
+    """Set up again into ``work``; it must give the same split and requests."""
+    started = time.perf_counter()
+    again = setup(wl, seed, work)
+    elapsed = time.perf_counter() - started
+    _check(again.split_digest == state.split_digest and again.requests == state.requests,
+           "set-up gave another split")
+    return elapsed
+
+
+def _pin(cpus: list, round_number: int) -> None:
+    """Run the next round on the next usable CPU."""
+    if len(cpus) > 1:
+        os.sched_setaffinity(0, {cpus[round_number % len(cpus)]})
+
+
+def quality(wl: Workload, state: State, tally: Tally) -> None:
+    """``val_ndcg100``: the NDCG@100, on the whole validation fold, of the
+    svae that a ``wl.quality_epochs``-epoch train() on the first
+    ``wl.quality_users`` training users selects; on workloads with
+    ``quality_gate`` it must beat the popularity ranker fitted to the same
+    users."""
+    split = state.split
+    train_split = dp.DatasetSplit(split.train[: wl.quality_users],
+                                  split.validation[: wl.val_users], [],
+                                  split.vocabulary, split.fold_ratio)
+    config = model_config(wl, epochs=wl.quality_epochs, seed=MODEL_SEEDS["svae"])
+    model, curve = training.train("svae", train_split, config)
+    _check(all(math.isfinite(stats.train_loss) for stats in curve),
+           "svae: non-finite training loss")
+    ndcg = validation_ndcg100(model.rank, state)
+    tally.add("val_ndcg100", ndcg)
+    if wl.quality_gate:
+        popularity = PopularityRanker(train_split.train, split.n_items)
+        pop = validation_ndcg100(popularity.rank, state)
+        _check(ndcg > pop, f"svae val NDCG@100 {ndcg:.4f} <= popularity {pop:.4f}")
 
 
 def timed_run(wl: Workload, seed: int, seconds: float, root: str, work: str):
     """End-to-end metrics, untraced. Returns (metrics, tally)."""
     tally = Tally()
-    for _ in range(SETUP_REPEATS):
-        started = time.perf_counter()
-        state = setup(wl, seed, work)
-        tally.add("setup_s", time.perf_counter() - started)
+    started = time.perf_counter()
+    state = setup(wl, seed, work)
+    tally.add("setup_s", time.perf_counter() - started)
+
+    operations = round_operations(wl, state, work, tally)
+    # set-up repeats every other round, into a directory of its own, so that
+    # its median spans the run as the other samples do
+    repeat_setup = functools.partial(tally.sample, "setup_s", "setup", functools.partial(
+        op_setup, wl, seed, os.path.join(work, "setup-repeat"), state))
+    cpus = sorted(os.sched_getaffinity(0))
     deadline = time.perf_counter() + seconds
-    serving = Serving(wl, state, work, tally)
+    rounds = 0
+    try:
+        # counts rounds, not samples, so a run whose operations fail still ends
+        while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+            _pin(cpus, rounds)
+            for operation in operations:
+                operation()
+            if rounds % 2 == 0:
+                gc.collect()
+                repeat_setup()
+            rounds += 1
+    finally:
+        os.sched_setaffinity(0, cpus)
 
-    train_block(wl, state, work, tally, serving, wl.epochs, first=True)
-    # counts rounds, not samples, so a run whose requests fail still ends
-    while serving.rounds < MIN_ROUNDS or time.perf_counter() < deadline:
-        serving.step()
-    # a short second block, so that each kind's epochs span the whole run
-    train_block(wl, state, work, tally, None, dict.fromkeys(MODEL_KINDS, LATE_EPOCHS),
-                first=False)
-
+    tally.run("quality", functools.partial(quality, wl, state, tally))
     tally.sample("prepare_peak_rss_mb", "prepare peak rss", functools.partial(
         prepare_peak_rss_mb, wl, state, root, os.path.join(work, "prepare-child")))
 
     summary = tally.summary
     metrics = {
         "setup_s": (summary("setup_s"), "s"),
-        "prepare_s": (summary("prepare_s", min), "s"),
+        "prepare_s": (summary("prepare_s"), "s"),
         "prepare_peak_rss_mb": (summary("prepare_peak_rss_mb"), "MiB"),
     }
     for kind in MODEL_KINDS:
-        metrics[f"{kind}.epoch_s"] = (summary(f"{kind}.epoch_s", min), "s")
+        metrics[f"{kind}.epoch_s"] = (summary(f"{kind}.epoch_s"), "s")
     for kind in MODEL_KINDS:
-        metrics[f"{kind}.eval_s"] = (summary(f"{kind}.eval_s", min), "s")
-    # a request's latency is its quickest repeat; the percentiles are over
-    # the distinct requests, those that ever succeeded
-    latency = [min(times) for name, times in tally.samples.items()
-               if name.startswith("recommend_ms.")]
-    if not latency:
-        raise NoSamples("no successful sample of recommend_ms")
-    metrics["recommend_p50_ms"] = (statistics.median(latency), "ms")
-    metrics["recommend_p95_ms"] = (_p95(latency), "ms")
+        metrics[f"{kind}.eval_s"] = (summary(f"{kind}.eval_s"), "s")
+    metrics["recommend_p50_ms"] = (summary("recommend_ms"), "ms")
+    metrics["recommend_p95_ms"] = (summary("recommend_ms", _p95), "ms")
     metrics["val_ndcg100"] = (summary("val_ndcg100"), "ratio")
     metrics["peak_rss_mb"] = (self_peak_rss_mb(), "MiB")
     return metrics, tally
@@ -441,14 +442,14 @@ def trace_steps(wl: Workload, state: State, work: str) -> list:
     reports: dict = {}
     answers: dict = {}
     steps = [(f"train-{kind}", functools.partial(op_train, wl, state, kind,
-                                                  wl.trace_epochs[kind], work))
+                                                  TRACE_EPOCHS, work))
              for kind in MODEL_KINDS]
     steps.append(("prepare", functools.partial(op_prepare, wl, state,
                                                os.path.join(work, "prepare-out"))))
     steps += [(f"eval-{kind}", functools.partial(op_eval, state, kind, reports))
               for kind in MODEL_KINDS]
     steps += [(f"recommend-{index}", functools.partial(op_recommend, state, index, answers))
-              for index in range(TRACE_REQUESTS)]
+              for index in range(len(state.requests))]
     return steps
 
 

@@ -1,6 +1,6 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload svae-long --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload svae-long --seed 1 --seconds 55 --trace 0
 
 Run from the root of a source checkout; the program is imported from its
 ``src/`` directory. The last line of standard output is one JSON object with
@@ -26,6 +26,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Freeing a block this large raises glibc's mmap threshold to its size (32
+# MiB at most, on 64-bit) and its trim threshold to twice that, as a long run
+# that frees a large array does sooner or later. The benchmark does so before
+# anything is measured: without it, whether arrays of 0.1-31 MiB came from
+# freshly mapped pages (some 6000 page faults per rvae epoch on svae-long,
+# 12000 per svae epoch on catalog-wide) hung on which blocks a run happened to
+# free first, and rvae.epoch_s on svae-long flipped between two levels 1.3x
+# apart from run to run.
+ALLOCATOR_WARM_UP_BYTES = 31 << 20
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -39,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no vaerec sources under {os.path.join(ROOT, 'src')}", file=sys.stderr)
         return 2
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+    bytearray(ALLOCATOR_WARM_UP_BYTES)  # freed at once
 
     from perfbench import environment, harness
     from perfbench.workloads import WORKLOADS

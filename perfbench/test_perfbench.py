@@ -37,8 +37,7 @@ TINY = dataclasses.replace(
     WORKLOADS["svae-long"],
     log_args=dict(n_users=60, n_items=30, median_length=10, max_length=25, sigma=0.5),
     train_users=8, val_users=6,
-    epochs={"svae": 2, "mvae": 2, "rvae": 2},
-    trace_epochs={"svae": 1, "mvae": 1, "rvae": 1},
+    quality_users=8, quality_epochs=1,
     requests_per_round=12,
     quality_gate=False,
 )
@@ -47,7 +46,7 @@ TINY = dataclasses.replace(
 @pytest.fixture(autouse=True)
 def few_rounds(monkeypatch):
     monkeypatch.setattr(harness, "MIN_ROUNDS", 1)
-    monkeypatch.setattr(harness, "TRACE_REQUESTS", 3)
+    monkeypatch.setattr(harness, "TRACE_EPOCHS", 1)
 
 
 def _benchmark_json() -> dict:
@@ -66,7 +65,7 @@ def test_workloads_match_benchmark_json():
 def test_same_seed_same_log_same_size_for_every_seed(tmp_path):
     paths = [str(tmp_path / name) for name in ("a", "b", "c")]
     for path, seed in zip(paths, (4, 4, 5)):
-        generate_log(WORKLOADS["prepare-serve"], seed, path)
+        generate_log(WORKLOADS["catalog-wide"], seed, path)
     blobs = [open(p, "rb").read() for p in paths]
     assert blobs[0] == blobs[1]
     assert blobs[0] != blobs[2]
@@ -102,10 +101,45 @@ def test_a_failing_request_counts_against_attempts(tmp_path, monkeypatch):
     metrics, tally = harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
     # one refusal in each round, and the other requests answered
     assert tally.failed >= 1
-    assert "recommend_ms.0" not in tally.samples
-    for index in range(1, TINY.requests_per_round):
-        assert len(tally.samples[f"recommend_ms.{index}"]) == tally.failed
+    assert len(tally.samples["recommend_ms"]) == tally.failed * (TINY.requests_per_round - 1)
     assert metrics["recommend_p95_ms"][0] > 0
+
+
+def test_every_round_samples_every_operation(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "MIN_ROUNDS", 3)
+    metrics, tally = harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
+    assert tally.failed == 0
+    # one sample a round; each round's train() gives ROUND_EPOCHS - 1 epochs
+    for name in ("prepare_s", "svae.eval_s", "mvae.eval_s", "rvae.eval_s"):
+        assert len(tally.samples[name]) == 3, name
+    assert len(tally.samples["recommend_ms"]) == 3 * TINY.requests_per_round
+    # the first set-up, and one every other round
+    assert len(tally.samples["setup_s"]) == 3
+    for kind in ("svae", "mvae", "rvae"):
+        assert len(tally.samples[f"{kind}.epoch_s"]) == 3 * (harness.ROUND_EPOCHS - 1)
+
+
+def test_losses_that_change_between_rounds_fail(tmp_path, monkeypatch):
+    train = harness.training.train
+    calls = []
+
+    def drifting(kind, split, config, callback=None):
+        def shifted(stats):
+            if kind == "mvae":
+                stats = harness.training.EpochStats(
+                    stats.epoch, stats.train_loss + len(calls), stats.val_ndcg100,
+                    stats.seconds)
+            callback(stats)
+
+        calls.append(kind)
+        return train(kind, split, config, callback=shifted if callback else None)
+
+    monkeypatch.setattr(harness.training, "train", drifting)
+    monkeypatch.setattr(harness, "MIN_ROUNDS", 3)
+    metrics, tally = harness.timed_run(TINY, 3, 0.0, ROOT, str(tmp_path))
+    # every mvae round after the first differs from the first
+    assert tally.failed == 2
+    assert "mvae.epoch_s" in tally.samples
 
 
 def test_traced_counters_repeat_exactly(tmp_path):
@@ -118,7 +152,7 @@ def test_traced_counters_repeat_exactly(tmp_path):
     for name in EXACT_COUNTERS:
         assert runs[0][name][0] == runs[1][name][0], name
     # today recommend scores the history twice
-    assert runs[0]["models.scores_calls"][0] > 2 * harness.TRACE_REQUESTS
+    assert runs[0]["models.scores_calls"][0] > 2 * TINY.requests_per_round
 
 
 def test_spans_nest_and_self_time_excludes_children():

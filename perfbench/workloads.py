@@ -10,8 +10,6 @@ and in the model configuration, which moves the cost between layers:
 - ``catalog-wide``: short histories over a 3000-item catalog at the
   reference configuration, so time goes to the catalog projection, the
   embedding scatter and Adam over ~1.5M parameters.
-- ``prepare-serve``: an ML-1M-shaped log, so time goes to the data
-  pipeline and to forward-only scoring, ranking and checkpoint loading.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-# ML-1M star-rating shares for 1..5; ratings above 3 survive binarization.
-ML1M_RATING_SHARES = (0.056, 0.108, 0.261, 0.349, 0.226)
+# the field separator of the written logs, passed to ``prepare``
+DELIMITER = ","
 # Fixes the order of the per-user size profiles and of the catalog's
 # popularity. The seed draws what each user rates, not how much, nor which
 # items are popular: every seed gives the same amount of work, so the spread
@@ -36,13 +34,12 @@ class Workload:
     name: str
     log: Callable  # generator of (user, items, ratings, timestamps) rows
     log_args: dict
-    delimiter: str
     config: dict  # ModelConfig overrides shared by the three model kinds
-    train_users: int  # training slice of the prepared split
+    train_users: int  # training slice of each round's train() calls
     val_users: int  # validation slice used by per-epoch validation
-    epochs: dict  # epochs of the measured train() call, per model kind (at least 2)
-    trace_epochs: dict  # epochs in the traced plan, per model kind
-    requests_per_round: int  # recommend requests per serving round
+    quality_users: int  # training slice of the train() that gives val_ndcg100
+    quality_epochs: int  # epochs of that train()
+    requests_per_round: int  # recommend requests per round
     quality_gate: bool = False  # svae must beat popularity on validation
 
 
@@ -105,31 +102,7 @@ def short_histories(rng, n_users, n_items, min_kept, max_kept, zipf, head,
     return rows
 
 
-def _star_counts(count: int) -> np.ndarray:
-    """Split ``count`` ratings over 1..5 stars in the ML-1M shares, by
-    largest remainder."""
-    exact = count * np.asarray(ML1M_RATING_SHARES)
-    stars = np.floor(exact).astype(np.int64)
-    stars[np.argsort(stars - exact, kind="stable")[: count - stars.sum()]] += 1
-    return stars
-
-
-def ml1m_like(rng, n_users, n_items, median_count, max_count, zipf):
-    """ML-1M-shaped log: at least 20 ratings per user with a log-normal
-    tail, Zipf item popularity, and the ML-1M star distribution."""
-    pop = _profile(1.0 / np.arange(1, n_items + 1) ** zipf)
-    pop /= pop.sum()
-    counts = np.clip(np.round(20 + lognormal_profile(n_users, median_count - 20, 0.9)),
-                     20, max_count).astype(np.int64)
-    rows = []
-    for user, count in enumerate(counts):
-        items = rng.choice(n_items, size=count, replace=False, p=pop)
-        ratings = rng.permutation(np.repeat(np.arange(1, 6), _star_counts(int(count))))
-        rows.append((user, items, ratings, _timestamps(rng, count)))
-    return rows
-
-
-def write_log(path: str, rows, delimiter: str) -> None:
+def write_log(path: str, rows, delimiter: str = DELIMITER) -> None:
     """Write (user, item, rating, timestamp) lines. User ids are
     zero-padded, so the program's user order is generation order."""
     lines = []
@@ -144,7 +117,7 @@ def write_log(path: str, rows, delimiter: str) -> None:
 
 def generate_log(workload: Workload, seed: int, path: str) -> None:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-    write_log(path, workload.log(rng, **workload.log_args), workload.delimiter)
+    write_log(path, workload.log(rng, **workload.log_args))
 
 
 WORKLOADS = {
@@ -155,18 +128,16 @@ WORKLOADS = {
             log=successor_walks,
             # walks stay shorter than the catalog: rvae's negative sampler
             # never returns for a user who has consumed every item
-            log_args=dict(n_users=1200, n_items=200, median_length=60, max_length=190,
+            log_args=dict(n_users=600, n_items=200, median_length=60, max_length=190,
                           sigma=0.7),
-            delimiter=",",
             # the acceptance suite's scaled widths; the faster optimizer
-            # settings let fourteen short epochs clear the popularity baseline
+            # settings let a few short epochs clear the popularity baseline
             config=dict(latent_dim=16, item_embedding_dim=32, gru_hidden=32,
                         encoder_widths=(32,), decoder_widths=(32,),
                         learning_rate=3e-2, kl_weight=0.1),
-            train_users=24, val_users=20,
-            epochs={"svae": 14, "mvae": 20, "rvae": 6},
-            trace_epochs={"svae": 2, "mvae": 2, "rvae": 2},
-            requests_per_round=100,
+            train_users=8, val_users=8,
+            quality_users=8, quality_epochs=12,
+            requests_per_round=24,
             quality_gate=True,
         ),
         Workload(
@@ -175,30 +146,12 @@ WORKLOADS = {
             # a flat head keeps validation NDCG from hinging on one item
             log_args=dict(n_users=1000, n_items=3000, min_kept=5, max_kept=20,
                           zipf=1.4, head=10),
-            delimiter=",",
             # reference architecture; a faster learning rate takes svae past
             # its initial ranking within a few epochs, so validation is steady
             config=dict(learning_rate=1e-2),
-            train_users=12, val_users=20,
-            epochs={"svae": 9, "mvae": 20, "rvae": 6},
-            trace_epochs={"svae": 2, "mvae": 2, "rvae": 2},
-            requests_per_round=50,
-        ),
-        Workload(
-            name="prepare-serve",
-            log=ml1m_like,
-            # about 67k rows against ML-1M's 1M: at full size one prepare
-            # takes ~5 s and one svae eval ~10 s, which a run cannot repeat
-            log_args=dict(n_users=600, n_items=2000, median_count=90, max_count=250,
-                          zipf=1.2),
-            delimiter="::",
-            # reference architecture; a faster learning rate takes svae past
-            # its initial ranking within a few epochs, so validation is steady
-            config=dict(learning_rate=1e-2),
-            train_users=8, val_users=20,
-            epochs={"svae": 7, "mvae": 16, "rvae": 6},
-            trace_epochs={"svae": 1, "mvae": 2, "rvae": 1},
-            requests_per_round=40,
+            train_users=3, val_users=3,
+            quality_users=32, quality_epochs=1,
+            requests_per_round=12,
         ),
     )
 }
