@@ -239,13 +239,10 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split form avoids overflow warnings for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp(-|x|) never
+    # overflows, so no warnings for large |x|
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -418,6 +415,85 @@ def gru_cell(x: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
     u = sigmoid(add(add(matmul(x, p.w_update), matmul(h_prev, p.u_update)), p.b_update))
     c = tanh(add(add(matmul(x, p.w_cand), matmul(mul(r, h_prev), p.u_cand)), p.b_cand))
     return add(mul(u, h_prev), mul(one_minus(u), c))
+
+
+def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
+    """Run the GRU over the T rows of ``x_rows`` [T, d] from the state ``h0``
+    [1, H]; row t of the [T, H] result is the state after rows 0..t.
+
+    Computes what T chained ``gru_cell`` calls compute (to rounding) but
+    records one tape entry. The input projection of all rows, biases
+    included, is one matmul against the gate weights concatenated at call
+    time; a step adds ``h @ [U_r|U_u]``, one ``(r*h) @ U_c`` and elementwise
+    work. Backward is hand-written backprop through time: the reverse loop
+    carries only the hidden-state gradient and fills a [T, 3H] array of gate
+    pre-activation gradients, from which the weight, bias, input and ``h0``
+    gradients come in a few matmuls.
+    """
+    d, hid = p.w_reset.shape
+    x = x_rows.data
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"gru_sequence inputs {x_rows.shape} do not match W {p.w_reset.shape}")
+    if h0.shape != (1, hid):
+        raise ShapeError(f"gru_sequence h0 must be [1, {hid}], got {h0.shape}")
+    w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data], axis=1)
+    b = np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
+    u_gates = np.concatenate([p.u_reset.data, p.u_update.data], axis=1)
+    u_cand = p.u_cand.data
+    n_steps = x.shape[0]
+    pre = x @ w + b  # input part of every gate pre-activation, [T, 3H]
+    gates = np.empty((n_steps, 2 * hid))  # r | u per step
+    cand = np.empty((n_steps, hid))
+    reset_h = np.empty((n_steps, hid))  # r * h_prev, the input of U_c
+    states = np.empty((n_steps, hid))
+    h = h0.data[0]
+    for t in range(n_steps):
+        gates[t] = _sigmoid(pre[t, : 2 * hid] + h @ u_gates)
+        r, u = gates[t, :hid], gates[t, hid:]
+        np.multiply(r, h, out=reset_h[t])
+        np.tanh(pre[t, 2 * hid :] + reset_h[t] @ u_cand, out=cand[t])
+        np.add(u * h, (1.0 - u) * cand[t], out=states[t])
+        h = states[t]
+    out = Tensor(states)
+
+    def backward(g: np.ndarray) -> None:
+        r, u = gates[:, :hid], gates[:, hid:]
+        h_prev = np.concatenate([h0.data, states], axis=0)[:n_steps]
+        # per-step factors taking the state gradient to the update and
+        # candidate pre-activation gradients, and d(r*h) to the reset one
+        uc_factor = np.stack([(h_prev - cand) * u * (1.0 - u),
+                              (1.0 - u) * (1.0 - cand * cand)], axis=1)
+        r_factor = h_prev * r * (1.0 - r)
+        d_pre = np.empty((n_steps, 3 * hid))
+        d_pre3 = d_pre.reshape(n_steps, 3, hid)
+        u_gates_t, u_cand_t = u_gates.T, u_cand.T
+        dh = np.zeros(hid)
+        for t in range(n_steps - 1, -1, -1):
+            dh += g[t]
+            np.multiply(dh, uc_factor[t], out=d_pre3[t, 1:])
+            d_rh = d_pre3[t, 2] @ u_cand_t
+            np.multiply(d_rh, r_factor[t], out=d_pre3[t, 0])
+            dh = dh * u[t] + d_rh * r[t] + d_pre[t, : 2 * hid] @ u_gates_t
+        if x_rows.requires_grad:
+            x_rows.accumulate_grad(d_pre @ w.T)
+        if h0.requires_grad:
+            h0.accumulate_grad(dh[None, :])
+        d_w = x.T @ d_pre
+        d_b = d_pre.sum(axis=0)
+        d_u_gates = h_prev.T @ d_pre[:, : 2 * hid]
+        grads = [
+            (p.w_reset, d_w[:, :hid]), (p.w_update, d_w[:, hid : 2 * hid]),
+            (p.w_cand, d_w[:, 2 * hid :]),
+            (p.u_reset, d_u_gates[:, :hid]), (p.u_update, d_u_gates[:, hid:]),
+            (p.u_cand, reset_h.T @ d_pre[:, 2 * hid :]),
+            (p.b_reset, d_b[:hid]), (p.b_update, d_b[hid : 2 * hid]),
+            (p.b_cand, d_b[2 * hid :]),
+        ]
+        for param, grad in grads:
+            if param.requires_grad:
+                param.accumulate_grad(grad)
+
+    return _trace(out, (x_rows, h0, *vars(p).values()), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 
 from vaerec import data as dp
 from vaerec.evaluation import PopularityRanker, evaluate, ndcg_by_history_length
-from vaerec.models import MODEL_KINDS, ModelConfig
+from vaerec.models import MODEL_KINDS, ModelConfig, components
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.training import TrainingError, train
 
@@ -250,7 +250,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise CliError(f"unknown item ids: {', '.join(unknown)}")
     fold_in = [vocab.to_index(h) for h in history]
     scores = model.scores(fold_in)
-    ranked = model.rank(fold_in, set(fold_in))
+    ranked = components.rank_items(scores, set(fold_in))
     for item in ranked[: args.top_n]:
         print(f"{vocab.to_raw(int(item))}\t{scores[int(item)]:.6f}")
     return 0

@@ -80,17 +80,13 @@ class SequentialVAE:
         if consumed:
             looked = ad.embedding_lookup(self.item_embedding, consumed)
             return ad.concat_rows([self.start_embedding, looked])
-        return ad.slice_rows(self.start_embedding, 0, 1)
+        return self.start_embedding
 
-    def _hidden_states(self, consumed: Sequence[int]) -> list[Tensor]:
-        """GRU states h_1..h_{len(consumed)+1}; h_t saw consumed[: t-1]."""
-        inputs = self._input_rows(consumed)
-        h = Tensor(np.zeros((1, self.config.gru_hidden)))
-        states = []
-        for t in range(inputs.shape[0]):
-            h = ad.gru_cell(ad.slice_rows(inputs, t, t + 1), h, self.gru)
-            states.append(h)
-        return states
+    def _hidden_states(self, consumed: Sequence[int]) -> Tensor:
+        """GRU states h_1..h_{len(consumed)+1} as rows of one [T, H] tensor;
+        h_t saw consumed[: t-1]."""
+        h0 = Tensor(np.zeros((1, self.config.gru_hidden)))
+        return ad.gru_sequence(self._input_rows(consumed), h0, self.gru)
 
     def _encode_states(self, states: Tensor) -> GaussianParams:
         return self.head(self.encoder_stack(states))
@@ -102,7 +98,7 @@ class SequentialVAE:
         """One pass over a length-T sequence, yielding T per-step triples."""
         if len(items) == 0:
             raise ValueError("sequence must not be empty")
-        states = ad.concat_rows(self._hidden_states(list(items[:-1])))
+        states = self._hidden_states(list(items[:-1]))
         g = self._encode_states(states)
         z = reparameterize(g, noise)
         return StepOutputs(gaussian=g, z=z, log_pi=self.decode(z))
@@ -145,8 +141,8 @@ class SequentialVAE:
         posterior mean at that final state."""
         if len(fold_in) == 0:
             raise ValueError("fold-in must not be empty")
-        last_state = self._hidden_states(list(fold_in))[-1]
-        g = self._encode_states(last_state)
+        states = self._hidden_states(list(fold_in))
+        g = self._encode_states(Tensor(states.data[-1:]))
         log_pi = self.decode(g.mu)
         return log_pi.data[0]
 

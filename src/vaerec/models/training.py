@@ -81,15 +81,22 @@ def _mvae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
 
 def _rvae_triples(train: Sequence[UserSequence], n_items: int, rng) -> np.ndarray:
     """(user_row, preferred, negative) triples: one uniformly sampled
-    non-consumed item per positive per epoch."""
+    non-consumed item per positive per epoch.
+
+    A user who has consumed every item has no negative to draw; such users
+    are skipped before any draw, so the others' triples do not change."""
     triples = []
     for row, seq in enumerate(train):
         consumed = set(seq.items)
+        if len(consumed) >= n_items:
+            continue
         for i in seq.items:
             j = int(rng.integers(n_items))
             while j in consumed:
                 j = int(rng.integers(n_items))
             triples.append((row, i, j))
+    if not triples:
+        raise ValueError("rvae training needs a user who has not consumed every item")
     out = np.asarray(triples, dtype=np.int64)
     return out[rng.permutation(len(out))]
 

@@ -12,6 +12,7 @@ from vaerec.autodiff import (
     Tensor,
     gradient_check,
     gru_cell,
+    gru_sequence,
     linear,
     log_softmax,
 )
@@ -82,6 +83,99 @@ class TestGRUCell:
         p = make_gru_params(store, 2, 2)
         with pytest.raises(ShapeError):
             gru_cell(Tensor(np.zeros((1, 2))), Tensor(np.zeros((3, 2))), p)
+
+
+def composed_gru(x, h0, p):
+    """The oracle: chained ``gru_cell`` steps, stacked into [T, H]."""
+    h, states = h0, []
+    for t in range(x.shape[0]):
+        h = gru_cell(ad.slice_rows(x, t, t + 1), h, p)
+        states.append(h)
+    return ad.concat_rows(states)
+
+
+def run_with_grads(gru, store, x, h0, p, probe):
+    """Output of ``gru`` and the grads of sum(out * probe) for every tensor
+    in ``store``, plus the tape length."""
+    store.zero_grad()
+    with Tape() as tape:
+        out = gru(x, h0, p)
+        loss = ad.sum_all(ad.mul(out, probe))
+    tape.backward(loss, store)
+    grads = {name: t.grad.copy() for name, t in store.items()}
+    return out.data, grads, len(tape)
+
+
+class TestGRUSequence:
+    def make(self, steps, in_dim, hid, seed):
+        rng = np.random.default_rng(seed)
+        store = ParameterStore()
+        p = make_gru_params(store, in_dim, hid, rng=rng)
+        x = store.add("x", rng.normal(size=(steps, in_dim)))
+        h0 = store.add("h0", rng.normal(size=(1, hid)))
+        probe = Tensor(rng.normal(size=(steps, hid)))
+        return store, p, x, h0, probe
+
+    def test_zero_params_halve_state_each_step(self):
+        store = ParameterStore()
+        p = make_gru_params(store, 3, 4)
+        h0 = np.array([[0.2, -1.0, 3.0, 0.5]])
+        out = gru_sequence(Tensor(np.ones((3, 3))), Tensor(h0), p)
+        np.testing.assert_array_equal(out.data, h0 * np.array([[0.5], [0.25], [0.125]]))
+
+    def test_one_tape_record_per_sequence(self):
+        store, p, x, h0, probe = self.make(9, 3, 4, seed=0)
+        *_, records = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        # gru_sequence, mul, sum_all
+        assert records == 3
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    def test_gradient_check(self, steps):
+        store, p, x, h0, probe = self.make(steps, 3, 4, seed=steps)
+        err = gradient_check(
+            lambda: ad.sum_all(ad.mul(gru_sequence(x, h0, p), probe)), store, epsilon=1e-5
+        )
+        assert err < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(1, 12),
+        in_dim=st.integers(1, 6),
+        hid=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_composed_cell(self, steps, in_dim, hid, seed):
+        store, p, x, h0, probe = self.make(steps, in_dim, hid, seed)
+        out, grads, _ = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        want, want_grads, _ = run_with_grads(composed_gru, store, x, h0, p, probe)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_empty_sequence(self):
+        store, p, _, h0, _ = self.make(1, 3, 4, seed=0)
+        x = store.add("empty", np.zeros((0, 3)))
+        out, grads, _ = run_with_grads(gru_sequence, store, x, h0, p, Tensor(np.zeros((0, 4))))
+        assert out.shape == (0, 4)
+        assert all(not grad.any() for grad in grads.values())
+
+    def test_input_width_mismatch(self):
+        store = ParameterStore()
+        p = make_gru_params(store, 2, 3)
+        with pytest.raises(ShapeError, match="inputs"):
+            gru_sequence(Tensor(np.zeros((4, 5))), Tensor(np.zeros((1, 3))), p)
+
+    def test_state_width_mismatch(self):
+        store = ParameterStore()
+        p = make_gru_params(store, 2, 3)
+        with pytest.raises(ShapeError, match="h0"):
+            gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 5))), p)
+
+    def test_multi_row_h0_rejected(self):
+        store = ParameterStore()
+        p = make_gru_params(store, 2, 3)
+        with pytest.raises(ShapeError, match="h0"):
+            gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 3))), p)
 
 
 class TestLogSoftmax:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from vaerec.cli import main, read_config_file
+from vaerec.data import Vocabulary
+from vaerec.models import SequentialVAE
+from vaerec.models.checkpoint import load_checkpoint
 
 
 @pytest.fixture()
@@ -187,6 +190,39 @@ def test_recommend(tmp_path, ratings_file, capsys):
     )
     assert code == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_recommend_scores_history_once(tmp_path, ratings_file, capsys, monkeypatch):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    model, manifest = load_checkpoint(str(run / "checkpoint"))
+    vocab = Vocabulary(manifest["vocabulary"])
+    calls = []
+    scores = SequentialVAE.scores
+
+    def counting(self, fold_in):
+        calls.append(list(fold_in))
+        return scores(self, fold_in)
+
+    monkeypatch.setattr(SequentialVAE, "scores", counting)
+    for history in (["i0", "i1"], ["i3"], ["i5", "i2", "i9"]):
+        calls.clear()
+        capsys.readouterr()
+        code = run_cli(
+            "recommend", "--checkpoint", run / "checkpoint",
+            "--history", ",".join(history), "--top-n", 4,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        # same bytes as ranking the history through the model's own rank
+        fold_in = [vocab.to_index(h) for h in history]
+        want_scores = scores(model, fold_in)
+        want = "".join(
+            f"{vocab.to_raw(int(i))}\t{want_scores[int(i)]:.6f}\n"
+            for i in model.rank(fold_in, set(fold_in))[:4]
+        )
+        assert out == want
 
 
 def test_recommend_whole_catalog_excluded(tmp_path, ratings_file, capsys):

@@ -14,7 +14,7 @@ from vaerec.models.components import (
     reparameterize,
 )
 from vaerec.models.svae import next_k_targets
-from vaerec.models.training import TrainingError, train
+from vaerec.models.training import TrainingError, _rvae_triples, train
 from vaerec.synthetic import cycle_split
 
 
@@ -346,6 +346,18 @@ class TestSVAELoss:
         with pytest.raises(ValueError, match="mode"):
             model.loss([0, 1], np.zeros((2, 3)), beta=1.0, mode="nope")
 
+    def test_tape_length_does_not_grow_with_sequence(self):
+        cfg = toy_config()
+        model = build_model("svae", 8, cfg)
+        lengths = []
+        for steps in (2, 5, 40):
+            items = [t % 8 for t in range(steps)]
+            with Tape() as tape:
+                model.loss(items, np.zeros((steps, cfg.latent_dim)), beta=1.0,
+                           mode="next-k-multiset")
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1] == lengths[2]
+
     @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
     def test_gradients(self, mode):
         cfg = toy_config()
@@ -407,6 +419,30 @@ class TestTraining:
         _, curve_b = train(kind, split, cfg)
         assert [s.train_loss for s in curve_a] == [s.train_loss for s in curve_b]
         assert [s.val_ndcg100 for s in curve_a] == [s.val_ndcg100 for s in curve_b]
+
+    def test_rvae_sampler_skips_user_who_consumed_every_item(self):
+        # short histories over a wide catalog: nearly every draw is kept, so
+        # one stray draw would shift every later negative
+        split = cycle_split(n_items=40, n_train=12, n_val=2, n_test=2, length=5, seed=3)
+        others = list(split.train)
+        cut = len(others) // 2
+        everything = UserSequence(99, tuple(reversed(range(split.n_items))))
+        with_full = others[:cut] + [everything] + others[cut:]
+        for seed in range(3):
+            got = _rvae_triples(with_full, split.n_items, np.random.default_rng(seed))
+            want = _rvae_triples(others, split.n_items, np.random.default_rng(seed))
+            # rows past the inserted user shift by one
+            want[want[:, 0] >= cut, 0] += 1
+            np.testing.assert_array_equal(got, want)
+        # and training on such a split returns
+        split.train = with_full
+        _, curve = train("rvae", split, toy_config(epochs=1, batch_size=16))
+        assert np.isfinite(curve[0].train_loss)
+
+    def test_rvae_sampler_without_negatives_fails_clearly(self):
+        everything = UserSequence(0, tuple(range(5)))
+        with pytest.raises(ValueError, match="every item"):
+            _rvae_triples([everything], 5, np.random.default_rng(0))
 
     def test_divergence_reports_epoch(self):
         split = self.small_split()
