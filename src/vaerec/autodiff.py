@@ -12,6 +12,7 @@ a general-purpose autodiff system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -83,8 +84,9 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tapes must be exited in the reverse order of entry")
+        _TAPE_STACK.pop()
 
     def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, backward))
@@ -95,22 +97,21 @@ class Tape:
     def backward(self, loss: Tensor, params: "ParameterStore | None" = None) -> None:
         """Populate grads of everything reachable from ``loss``.
 
-        ``loss`` must be scalar. Parameters in ``params`` that are not
+        ``loss`` must be scalar. Parameters in ``params`` without a grad get
+        one in the store's gradient vector before the replay, so those not
         reachable from the loss end up with an explicit zero grad.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if loss.requires_grad and not any(out is loss for out, _ in self._records):
+            raise ValueError("loss tensor was not produced on this tape")
+        if params is not None:
+            params.attach_grads()
         if loss.requires_grad:
-            if not any(out is loss for out, _ in self._records):
-                raise ValueError("loss tensor was not produced on this tape")
             loss.grad = np.ones_like(loss.data)
             for out, rule in reversed(self._records):
                 if out.grad is not None:
                     rule(out.grad)
-        if params is not None:
-            for p in params.tensors():
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
 
 
 def _trace(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -500,26 +501,44 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
 # parameters and optimization
 
 
-class ParameterStore:
-    """Named trainable tensors plus Adam moment state.
+# Adam updates the arena in slices of this many values, so its temporaries
+# stay small (two 256 KiB buffers) whatever the model size.
+_ADAM_CHUNK = 1 << 15
 
-    Names are unique; the step counter is shared across all parameters and
-    increases by one per ``adam_step``.
+
+class ParameterStore:
+    """Named trainable tensors in one flat float64 arena, plus Adam state.
+
+    ``values`` holds every parameter in the order they were added, and each
+    parameter's ``data`` is a reshaped view into it. Gradients and both Adam
+    moments are vectors with the same layout, allocated on the first
+    backward or ``adam_step``, so a model that only predicts holds one
+    vector. Names are unique; the step counter is shared across all
+    parameters and increases by one per ``adam_step``.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._moment1: dict[str, np.ndarray] = {}
-        self._moment2: dict[str, np.ndarray] = {}
+        self._unset: set[str] = set()  # added by shape only; they start at zero
+        self._values = np.empty(0)
+        self._laid_out = 0  # parameters in the arena, a prefix of the added ones
+        self._grads: np.ndarray | None = None
+        self._grad_views: list[np.ndarray] = []
+        self._moment1: np.ndarray | None = None
+        self._moment2: np.ndarray | None = None
         self.step_count = 0
 
-    def add(self, name: str, values) -> Tensor:
+    def add(self, name: str, values=None, shape: tuple[int, ...] | None = None) -> Tensor:
+        """Add a parameter holding ``values``, or, given only ``shape``, one
+        that starts at zero without allocating anything of its own. The
+        latter reads as zero but is written only after ``lay_out``."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
+        if values is None:
+            values = np.broadcast_to(np.float64(0.0), shape)
+            self._unset.add(name)
         t = Tensor(values, requires_grad=True, name=name)
         self._params[name] = t
-        self._moment1[name] = np.zeros_like(t.data)
-        self._moment2[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -540,12 +559,69 @@ class ParameterStore:
     def tensors(self) -> Iterable[Tensor]:
         return self._params.values()
 
+    def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
+        """``(name, shape, offset)`` of each parameter within ``values``."""
+        out = []
+        offset = 0
+        for name, p in self._params.items():
+            out.append((name, p.shape, offset))
+            offset += p.data.size
+        return out
+
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
 
     def n_values(self) -> int:
         return sum(p.data.size for p in self._params.values())
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every parameter value in one contiguous vector (see ``layout``)."""
+        self.lay_out()
+        return self._values
+
+    def lay_out(self) -> None:
+        """Gather the parameters into the arena and rebind each one's
+        ``data`` to its view. ``values``, a backward pass and a step do this
+        on first use; parameters added later grow the arena (and the Adam
+        moments, from zero) the next time."""
+        if self._laid_out == len(self._params):
+            return
+        old = self._values
+        values = np.zeros(self.n_values())
+        values[: old.size] = old
+        for i, (name, shape, offset) in enumerate(self.layout()):
+            p = self._params[name]
+            view = values[offset : offset + p.data.size].reshape(shape)
+            if i >= self._laid_out and name not in self._unset:
+                view[...] = p.data
+            p.data = view
+        self._values = values
+        self._laid_out = len(self._params)
+        if self._moment1 is not None:
+            self._moment1 = np.pad(self._moment1, (0, values.size - old.size))
+            self._moment2 = np.pad(self._moment2, (0, values.size - old.size))
+        self._grads = None
+
+    def _grad_arena(self) -> list[np.ndarray]:
+        """Per-parameter views into the gradient vector, allocated once."""
+        values = self.values
+        if self._grads is None:
+            self._grads = np.zeros_like(values)
+            self._grad_views = [
+                self._grads[offset : offset + math.prod(shape)].reshape(shape)
+                for _, shape, offset in self.layout()
+            ]
+        return self._grad_views
+
+    def attach_grads(self) -> None:
+        """Give each parameter without a gradient a zeroed view into the
+        gradient vector; a backward pass then accumulates into it."""
+        for p, view in zip(self._params.values(), self._grad_arena()):
+            if p.grad is None:
+                view.fill(0.0)
+                p.grad = view
 
     def adam_step(
         self,
@@ -559,32 +635,53 @@ class ParameterStore:
 
         Weight decay is added to the raw gradient before the moment updates
         (plain additive decay, not the decoupled variant). Grads are cleared
-        after the step.
+        after the step. Each value sees the same operations in the same
+        order as a per-tensor update, so the result is bit-identical to it.
         """
         for name, p in self._params.items():
             if p.grad is None:
                 raise ValueError(f"adam_step before backward: no gradient for {name}")
+        views = self._grad_arena()
+        for p, view in zip(self._params.values(), views):
+            if p.grad is not view:
+                view[...] = p.grad
+        values, grads = self._values, self._grads
+        if self._moment1 is None:
+            self._moment1 = np.zeros_like(values)
+            self._moment2 = np.zeros_like(values)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
-        for name, p in self._params.items():
-            g = p.grad if weight_decay == 0.0 else p.grad + weight_decay * p.data
-            m = self._moment1[name]
-            v = self._moment2[name]
+        tmp_a = np.empty(min(_ADAM_CHUNK, values.size))
+        tmp_b = np.empty_like(tmp_a)
+        for lo in range(0, values.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, values.size)
+            x, g = values[lo:hi], grads[lo:hi]
+            m, v = self._moment1[lo:hi], self._moment2[lo:hi]
+            a, b = tmp_a[: hi - lo], tmp_b[: hi - lo]
+            if weight_decay != 0.0:
+                g += np.multiply(weight_decay, x, out=a)
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += np.multiply(1.0 - beta1, g, out=a)
             v *= beta2
-            v += (1.0 - beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            np.multiply(1.0 - beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            x -= np.divide(a, b, out=a)
+        for p in self._params.values():
             p.grad = None
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+    def snapshot(self) -> np.ndarray:
+        return self.values.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, values in snap.items():
-            self._params[name].data[...] = values
+    def restore(self, snap: np.ndarray) -> None:
+        self.values[...] = snap
 
 
 def gradient_check(

@@ -400,12 +400,15 @@ def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
         manifest = json.load(fh)
     raw_ids: list[str] = []
     with open(os.path.join(d, "vocabulary.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             raw, idx = line.split("\t")
-            assert int(idx) == len(raw_ids), "vocabulary file out of order"
+            if int(idx) != len(raw_ids):
+                raise ParseError(
+                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}"
+                )
             raw_ids.append(raw)
     vocab = Vocabulary(raw_ids)
     ratio = manifest["fold_ratio"]

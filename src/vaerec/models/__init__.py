@@ -1,3 +1,5 @@
+import numpy as np
+
 from vaerec.models.config import ModelConfig
 from vaerec.models.mvae import MultinomialVAE
 from vaerec.models.rvae import PairwiseRankingVAE
@@ -6,15 +8,19 @@ from vaerec.models.svae import SequentialVAE, next_k_targets
 MODEL_KINDS = ("mvae", "rvae", "svae")
 
 
-def build_model(kind: str, n_items: int, config: ModelConfig, n_users: int = 0):
-    """Construct an initialized model of the given kind."""
-    import numpy as np
-
-    rng = np.random.default_rng(config.seed)
+def build_model(kind: str, n_items: int, config: ModelConfig, n_users: int = 0,
+                init: bool = True):
+    """Construct a model of the given kind, its parameters drawn from
+    ``config.seed``. With ``init=False`` nothing is drawn: the parameters
+    are laid out at zero, for ``load_checkpoint`` to fill."""
+    rng = np.random.default_rng(config.seed) if init else None
     if kind == "mvae":
-        return MultinomialVAE(n_items, config, rng)
-    if kind == "rvae":
-        return PairwiseRankingVAE(n_items, n_users, config, rng)
-    if kind == "svae":
-        return SequentialVAE(n_items, config, rng)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        model = MultinomialVAE(n_items, config, rng)
+    elif kind == "rvae":
+        model = PairwiseRankingVAE(n_items, n_users, config, rng)
+    elif kind == "svae":
+        model = SequentialVAE(n_items, config, rng)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    model.store.lay_out()
+    return model

@@ -9,8 +9,11 @@ renamed, so an interrupted save leaves no partial checkpoint behind.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
+import sys
 
 import numpy as np
 
@@ -21,7 +24,7 @@ MANIFEST_SUFFIX = ".json"
 PARAMS_SUFFIX = ".params"
 
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
+def _atomic_write_bytes(path: str, blob) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -37,15 +40,10 @@ def save_checkpoint(
     validation_score: float | None,
 ) -> None:
     base = str(base_path)
-    tensors = []
-    chunks = []
-    offset = 0
-    for name, p in model.store.items():
-        flat = np.ascontiguousarray(p.data, dtype="<f8")
-        tensors.append({"name": name, "shape": list(p.shape), "offset": offset,
-                        "size": int(flat.size)})
-        chunks.append(flat.tobytes())
-        offset += flat.size
+    tensors = [
+        {"name": name, "shape": list(shape), "offset": offset, "size": math.prod(shape)}
+        for name, shape, offset in model.store.layout()
+    ]
     manifest = {
         "format": "vaerec-checkpoint-v1",
         "model": model.kind,
@@ -58,17 +56,66 @@ def save_checkpoint(
         "vocabulary_digest": vocabulary_digest,
         "tensors": tensors,
     }
-    # blob first: a manifest is the commit point, so a crash in between
-    # leaves at most an orphaned blob, never a loadable half-checkpoint
-    _atomic_write_bytes(base + PARAMS_SUFFIX, b"".join(chunks))
+    # the arena is the blob (no copy on a little-endian machine); it goes
+    # first: a manifest is the commit point, so a crash in between leaves at
+    # most an orphaned blob, never a loadable half-checkpoint
+    blob = np.ascontiguousarray(model.store.values, dtype="<f8")
+    _atomic_write_bytes(base + PARAMS_SUFFIX, memoryview(blob))
     _atomic_write_bytes(
         base + MANIFEST_SUFFIX,
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
     )
 
 
+def _check_tensors(entries, layout) -> None:
+    """The manifest must list exactly the model's tensors: same names,
+    order, shapes and contiguous offsets."""
+    if not isinstance(entries, list):
+        raise ValueError("checkpoint manifest has no tensor list")
+    for position, (entry, expected) in enumerate(itertools.zip_longest(entries, layout)):
+        if expected is None:
+            raise ValueError(f"checkpoint has unexpected tensor {entry.get('name')!r}")
+        name, shape, offset = expected
+        if entry is None:
+            raise ValueError(f"checkpoint is missing tensor {name!r}")
+        if entry.get("name") != name:
+            raise ValueError(
+                f"checkpoint tensor {position} is {entry.get('name')!r}, "
+                f"the model expects {name!r}"
+            )
+        if entry.get("shape") != list(shape) or entry.get("size") != math.prod(shape):
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {entry.get('shape')} and size "
+                f"{entry.get('size')}, the model expects {list(shape)}"
+            )
+        if entry.get("offset") != offset:
+            raise ValueError(
+                f"checkpoint tensor {name!r} starts at {entry.get('offset')}, expected {offset}"
+            )
+
+
+def _check_blob_size(n_bytes: int, layout) -> None:
+    """The blob must hold exactly the laid-out float64 values."""
+    for name, shape, offset in layout:
+        end = 8 * (offset + math.prod(shape))
+        if end > n_bytes:
+            raise ValueError(
+                f"checkpoint blob is truncated: {n_bytes} bytes, "
+                f"tensor {name!r} ends at byte {end}"
+            )
+    if n_bytes > end:
+        raise ValueError(
+            f"checkpoint blob has {n_bytes - end} bytes after its last tensor {name!r}"
+        )
+
+
 def load_checkpoint(base_path: str | os.PathLike):
-    """Rebuild the model with its saved parameters; returns (model, manifest)."""
+    """Rebuild the model with its saved parameters; returns (model, manifest).
+
+    Only the model's layout is built, with no random draws, and the blob is
+    read straight into its parameter arena. The manifest's tensor list must
+    match that layout exactly and the blob must be exactly as long as the
+    layout; otherwise ``ValueError`` names the offending tensor."""
     base = str(base_path)
     with open(base + MANIFEST_SUFFIX, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -76,13 +123,16 @@ def load_checkpoint(base_path: str | os.PathLike):
         raise ValueError(f"not a checkpoint manifest: {base + MANIFEST_SUFFIX}")
     config = ModelConfig.from_mapping(manifest["config"])
     model = build_model(
-        manifest["model"], manifest["n_items"], config, n_users=manifest["n_users"]
+        manifest["model"], manifest["n_items"], config, n_users=manifest["n_users"],
+        init=False,
     )
-    blob = np.fromfile(base + PARAMS_SUFFIX, dtype="<f8")
-    for entry in manifest["tensors"]:
-        p = model.store[entry["name"]]
-        values = blob[entry["offset"] : entry["offset"] + entry["size"]]
-        if values.size != p.data.size:
-            raise ValueError(f"checkpoint tensor {entry['name']} size mismatch")
-        p.data[...] = values.reshape(entry["shape"])
+    layout = model.store.layout()
+    _check_tensors(manifest["tensors"], layout)
+    values = model.store.values
+    with open(base + PARAMS_SUFFIX, "rb") as fh:
+        _check_blob_size(os.fstat(fh.fileno()).st_size, layout)
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError(f"checkpoint blob changed while being read: {base + PARAMS_SUFFIX}")
+    if sys.byteorder != "little":
+        values.byteswap(inplace=True)
     return model, manifest

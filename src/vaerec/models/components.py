@@ -2,8 +2,10 @@
 
 Initialization convention: dense weights are uniform(-a, a) with
 a = sqrt(6 / (fan_in + fan_out)), biases start at zero, and embedding tables
-are normal(0, 0.01). Hidden layers use tanh; the Gaussian heads and the
-catalog logits are left linear.
+are normal(0, 0.01). Values are drawn only when a model is built with an
+RNG; without one the parameters are laid out at zero, for a checkpoint load
+to fill. Hidden layers use tanh; the Gaussian heads and the catalog logits
+are left linear.
 """
 
 from __future__ import annotations
@@ -30,25 +32,38 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+def embedding_normal(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    return rng.normal(0.0, 0.01, size=(rows, dim))
+
+
+def add_drawn(store: ParameterStore, name: str, draw, rng: np.random.Generator | None,
+              *shape: int) -> Tensor:
+    """Add ``name`` holding ``draw(rng, *shape)``. Without an RNG nothing is
+    drawn: the parameter starts at zero, for a checkpoint load to fill."""
+    if rng is None:
+        return store.add(name, shape=shape)
+    return store.add(name, draw(rng, *shape))
+
+
 def add_dense(store: ParameterStore, name: str, fan_in: int, fan_out: int,
-              rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    w = store.add(f"{name}.w", glorot_uniform(rng, fan_in, fan_out))
-    b = store.add(f"{name}.b", np.zeros(fan_out))
+              rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+    w = add_drawn(store, f"{name}.w", glorot_uniform, rng, fan_in, fan_out)
+    b = store.add(f"{name}.b", shape=(fan_out,))
     return w, b
 
 
 def add_embedding(store: ParameterStore, name: str, rows: int, dim: int,
-                  rng: np.random.Generator) -> Tensor:
-    return store.add(name, rng.normal(0.0, 0.01, size=(rows, dim)))
+                  rng: np.random.Generator | None) -> Tensor:
+    return add_drawn(store, name, embedding_normal, rng, rows, dim)
 
 
 def add_gru(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
-            rng: np.random.Generator) -> GRUCellParams:
+            rng: np.random.Generator | None) -> GRUCellParams:
     def dense(gate: str, fan_in: int) -> Tensor:
-        return store.add(f"{prefix}.{gate}", glorot_uniform(rng, fan_in, hidden))
+        return add_drawn(store, f"{prefix}.{gate}", glorot_uniform, rng, fan_in, hidden)
 
     def bias(gate: str) -> Tensor:
-        return store.add(f"{prefix}.{gate}", np.zeros(hidden))
+        return store.add(f"{prefix}.{gate}", shape=(hidden,))
 
     return GRUCellParams(
         w_reset=dense("w_reset", in_dim),
@@ -68,7 +83,7 @@ class DenseStack:
     unless ``activate_last`` is set."""
 
     def __init__(self, store: ParameterStore, name: str, widths: Sequence[int],
-                 rng: np.random.Generator, activate_last: bool = True):
+                 rng: np.random.Generator | None, activate_last: bool = True):
         self.layers = [
             add_dense(store, f"{name}.{i}", widths[i], widths[i + 1], rng)
             for i in range(len(widths) - 1)
@@ -87,7 +102,7 @@ class GaussianHead:
     """Two linear heads emitting mu and log sigma from a shared feature."""
 
     def __init__(self, store: ParameterStore, name: str, in_dim: int, latent_dim: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.mu = add_dense(store, f"{name}.mu", in_dim, latent_dim, rng)
         self.log_sigma = add_dense(store, f"{name}.log_sigma", in_dim, latent_dim, rng)
 

@@ -28,7 +28,7 @@ from vaerec.models.config import ModelConfig
 class MultinomialVAE:
     kind = "mvae"
 
-    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None):
         self.n_items = n_items
         self.config = config
         self.store = ParameterStore()

@@ -36,7 +36,7 @@ class PairwiseRankingVAE:
     kind = "rvae"
 
     def __init__(self, n_items: int, n_users: int, config: ModelConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.n_items = n_items
         self.n_users = n_users
         self.config = config

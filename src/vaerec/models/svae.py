@@ -53,7 +53,7 @@ class StepOutputs:
 class SequentialVAE:
     kind = "svae"
 
-    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None):
         self.n_items = n_items
         self.config = config
         self.store = ParameterStore()

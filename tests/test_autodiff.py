@@ -354,6 +354,121 @@ class TestAdam:
             store.add("w", np.ones(1))
 
 
+def reference_adam(params, grads, m1, m2, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                   weight_decay=0.0):
+    """The per-tensor Adam update the arena's vector update replaced, kept
+    as its oracle: same operations, same order, one tensor at a time."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name] if weight_decay == 0.0 else grads[name] + weight_decay * p
+        m = m1[name]
+        v = m2[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+class TestParameterArena:
+    def make_store(self):
+        rng = np.random.default_rng(5)
+        store = ParameterStore()
+        # 36000 values: the vector update runs over more than one chunk
+        w = store.add("w", rng.normal(size=(180, 200)))
+        b = store.add("b", rng.normal(size=200))
+        store.add("unused", rng.normal(size=(3, 2)))
+        return store, w, b
+
+    def train_steps(self, store, w, b, steps, seed=6):
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            with Tape() as tape:
+                loss = ad.sum_all(ad.tanh(linear(Tensor(rng.normal(size=(4, 180))), w, b)))
+            tape.backward(loss, store)
+            yield {name: p.grad.copy() for name, p in store.items()}
+            store.adam_step(lr=1e-2, weight_decay=0.01)
+
+    def test_parameters_are_views_of_one_vector(self):
+        store, w, b = self.make_store()
+        assert store.values.shape == (store.n_values(),)
+        for name, shape, offset in store.layout():
+            view = store[name].data
+            assert view.shape == shape
+            assert np.shares_memory(view, store.values)
+            assert view.reshape(-1)[0] == store.values[offset]
+
+    def test_adam_matches_per_tensor_reference(self):
+        store, w, b = self.make_store()
+        params = {name: p.data.copy() for name, p in store.items()}
+        m1 = {name: np.zeros_like(p) for name, p in params.items()}
+        m2 = {name: np.zeros_like(p) for name, p in params.items()}
+        for t, grads in enumerate(self.train_steps(store, w, b, steps=5), start=1):
+            assert not grads["unused"].any()
+            reference_adam(params, grads, m1, m2, t, lr=1e-2, weight_decay=0.01)
+        for name, p in store.items():
+            assert p.data.tobytes() == params[name].tobytes(), name
+        # the zero-gradient parameter still moved, by weight decay alone
+        assert store["unused"].data.tobytes() != self.make_store()[0]["unused"].data.tobytes()
+
+    def test_snapshot_then_restore_gives_back_exact_bytes(self):
+        store, w, b = self.make_store()
+        steps = self.train_steps(store, w, b, steps=6)
+        for _ in range(2):
+            next(steps)
+        snap = store.snapshot()
+        saved = store.values.tobytes()
+        for _ in steps:
+            pass
+        assert store.values.tobytes() != saved
+        store.restore(snap)
+        assert store.values.tobytes() == saved
+        assert np.shares_memory(w.data, store.values)
+
+    def test_shape_only_parameter_starts_at_zero(self):
+        store = ParameterStore()
+        z = store.add("z", shape=(2, 3))
+        np.testing.assert_array_equal(z.data, np.zeros((2, 3)))
+        store.lay_out()
+        z.data[0, 1] = 4.0
+        assert store.values[1] == 4.0
+
+    def test_parameter_added_after_a_step_grows_the_arena(self):
+        store = ParameterStore()
+        w = store.add("w", np.ones(2))
+        w.grad = np.ones(2)
+        store.adam_step(lr=0.1)
+        moved = w.data.copy()
+        v = store.add("v", np.full(3, 2.0))
+        w.grad = np.ones(2)
+        v.grad = np.ones(3)
+        store.adam_step(lr=0.1)
+        np.testing.assert_array_equal(store.values[:2], w.data)
+        assert np.shares_memory(v.data, store.values)
+        # w kept its moments; v started from zero ones at the shared step 2
+        params = {"w": moved, "v": np.full(3, 2.0)}
+        m1 = {"w": np.full(2, 0.1), "v": np.zeros(3)}
+        m2 = {"w": np.full(2, 0.001), "v": np.zeros(3)}
+        reference_adam(params, {"w": np.ones(2), "v": np.ones(3)}, m1, m2, 2, lr=0.1)
+        assert w.data.tobytes() == params["w"].tobytes()
+        assert v.data.tobytes() == params["v"].tobytes()
+
+
+class TestTapeStack:
+    def test_exit_out_of_order_rejected(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        try:
+            with pytest.raises(RuntimeError, match="reverse order"):
+                outer.__exit__(None, None, None)
+        finally:
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+        assert ad._active_tape() is None
+
+
 class TestGradientCheck:
     def test_quadratic(self):
         store = ParameterStore()

@@ -288,6 +288,19 @@ class TestPipeline:
         assert loaded.test == split.test
         assert loaded.vocabulary.raw_ids() == split.vocabulary.raw_ids()
 
+    def test_vocabulary_out_of_order_names_line(self, tmp_path):
+        p = tmp_path / "ratings.csv"
+        synthetic_ratings(p, n_users=30, seed=7)
+        cfg = PipelineConfig(seed=3)
+        out = tmp_path / "split"
+        save_split(run_pipeline(p, cfg), out, cfg.to_dict(), cfg.seed)
+        vocab = out / "vocabulary.tsv"
+        lines = vocab.read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        vocab.write_text("".join(lines))
+        with pytest.raises(ParseError, match="line 2: vocabulary index 2 out of order"):
+            load_split(out)
+
     def test_manifest_counts(self, tmp_path):
         p = tmp_path / "ratings.csv"
         synthetic_ratings(p, n_users=30, seed=7)

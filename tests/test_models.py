@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,9 @@ from hypothesis import strategies as st
 from vaerec import autodiff as ad
 from vaerec.autodiff import Tape, Tensor, gradient_check
 from vaerec.data import DatasetSplit, UserSequence, Vocabulary, make_heldout
+from vaerec import models
 from vaerec.models import ModelConfig, build_model
+from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.components import (
     GaussianParams,
     kl_to_standard_normal,
@@ -472,10 +478,113 @@ class TestTraining:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
-class TestCheckpoint:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
+class TestSeededInitialisation:
+    # sha256 of the parameters in store order as little-endian float64, for
+    # build_model(kind, 6, toy_config(), n_users=3); they pin the draws that
+    # every same-seed training run and checkpoint start from
+    PINNED = {
+        "mvae": "6be9f155cc3922d9830de5f6f0606c9b3e138388b1184b3f7fe7090fc082c47d",
+        "rvae": "3d32a12bad74f6d2614644e1f9949fff516f416b99f225c0687c87c443567d23",
+        "svae": "a38dc2eae2954adc5652d8e50f3f762b1c2c0cd84678d3aedfa5bccc889f21d4",
+    }
 
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_parameters_match_pinned_digest(self, kind):
+        model = build_model(kind, 6, toy_config(), n_users=3)
+        h = hashlib.sha256()
+        for _, p in model.store.items():
+            h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.PINNED[kind]
+
+
+def save_model(base, model):
+    vocab = [f"i{i}" for i in range(model.n_items)]
+    save_checkpoint(base, model, vocab, "digest", epoch=0, validation_score=None)
+
+
+class TestCheckpoint:
+    def saved(self, tmp_path, kind="svae"):
+        model = build_model(kind, 6, toy_config(), n_users=3)
+        base = tmp_path / "model"
+        save_model(base, model)
+        return model, base
+
+    def edit_tensors(self, base, edit):
+        path = base.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        edit(manifest["tensors"])
+        path.write_text(json.dumps(manifest))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+        self.edit_tensors(base, lambda tensors: tensors.pop(3))
+        with pytest.raises(ValueError, match="gru.u_reset"):
+            load_checkpoint(base)
+
+    def test_missing_last_tensor_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+        self.edit_tensors(base, lambda tensors: tensors.pop())
+        with pytest.raises(ValueError, match="missing tensor 'decoder.out.0.b'"):
+            load_checkpoint(base)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+        extra = {"name": "stray", "shape": [1], "offset": 253, "size": 1}
+        self.edit_tensors(base, lambda tensors: tensors.append(extra))
+        with pytest.raises(ValueError, match="unexpected tensor 'stray'"):
+            load_checkpoint(base)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+
+        def transpose(tensors):
+            tensors[0]["shape"] = tensors[0]["shape"][::-1]
+
+        self.edit_tensors(base, transpose)
+        with pytest.raises(ValueError, match="'item_embedding' has shape"):
+            load_checkpoint(base)
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+        blob = base.with_suffix(".params")
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated.*'decoder.out.0.b'"):
+            load_checkpoint(base)
+
+    def test_oversized_blob_rejected(self, tmp_path):
+        _, base = self.saved(tmp_path)
+        blob = base.with_suffix(".params")
+        blob.write_bytes(blob.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="8 bytes after its last tensor 'decoder.out.0.b'"):
+            load_checkpoint(base)
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind):
+        model, base = self.saved(tmp_path, kind)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(models.np.random, "default_rng", no_draws)
+        loaded, _ = load_checkpoint(base)
+        assert loaded.store.values.tobytes() == model.store.values.tobytes()
+
+    def test_load_allocates_little_more_than_the_blob(self, tmp_path):
+        cfg = toy_config(encoder_widths=(64,), decoder_widths=(64,), latent_dim=16)
+        model = build_model("mvae", 3000, cfg)
+        base = tmp_path / "model"
+        save_model(base, model)
+        blob_bytes = base.with_suffix(".params").stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameters once; no random init, gradients or Adam moments
+        assert peak < 1.5 * blob_bytes
+
+    def test_roundtrip_bit_identical(self, tmp_path):
         split = cycle_split(n_items=8, n_train=10, n_val=3, n_test=3, length=6, seed=1)
         cfg = toy_config(epochs=1)
         model, curve = train("svae", split, cfg)
