@@ -677,8 +677,17 @@ class ParameterStore:
         for p in self._params.values():
             p.grad = None
 
-    def snapshot(self) -> np.ndarray:
-        return self.values.copy()
+    def snapshot(self, out: np.ndarray | None = None) -> np.ndarray:
+        """A copy of the arena, written into ``out`` when given (it must have
+        the arena's shape) so that repeated snapshots reuse one buffer."""
+        if out is None:
+            return self.values.copy()
+        if out.shape != self.values.shape:
+            raise ValueError(
+                f"snapshot buffer has shape {out.shape}, arena has {self.values.shape}"
+            )
+        np.copyto(out, self.values)
+        return out
 
     def restore(self, snap: np.ndarray) -> None:
         self.values[...] = snap

@@ -15,7 +15,12 @@ import os
 import sys
 
 from vaerec import data as dp
-from vaerec.evaluation import PopularityRanker, evaluate, ndcg_by_history_length
+from vaerec.evaluation import (
+    PopularityRanker,
+    batch_rank_fn,
+    evaluate,
+    ndcg_by_history_length,
+)
 from vaerec.models import MODEL_KINDS, ModelConfig, components
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.training import TrainingError, train
@@ -200,8 +205,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ranker = model
         model_name = manifest["model"]
         digest = config_digest(manifest["config"])
-    report = evaluate(ranker.rank, heldout, n_values=n_values,
-                      idcg_cap_at_n=args.idcg_cap)
+    rank_fn = batch_rank_fn(ranker, heldout)
+    report = evaluate(rank_fn, heldout, n_values=n_values, idcg_cap_at_n=args.idcg_cap)
     report.model = model_name
     report.config_digest = digest
     text = report.to_json()
@@ -224,7 +229,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "checkpoint": str(args.checkpoint) if args.checkpoint else None,
         })
     if args.by_history_length:
-        rows = ndcg_by_history_length(ranker.rank, heldout)
+        rows = ndcg_by_history_length(rank_fn, heldout)
         lines = ["low,high,users,ndcg100"]
         for row in rows:
             high = "" if row["high"] is None else row["high"]

@@ -20,10 +20,12 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """A malformed input row; carries the 1-based line number."""
+    """A malformed input row; carries the 1-based line number and, when
+    known, the file it was read from."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path: str | None = None):
+        where = f"{path}: line {line}" if path else f"line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
 
 
@@ -380,44 +382,76 @@ def save_split(split: DatasetSplit, out_dir: str | os.PathLike, config: dict, se
     )
 
 
-def _read_sequences(path: str) -> list[tuple[int, tuple[int, ...]]]:
+def _parse_int(text: str, field: str, line_no: int, path: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(line_no, f"bad {field} {text!r}", path) from None
+
+
+def _read_sequences(path: str, n_items: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``user<TAB>item,item,...`` lines; every item id must index the
+    ``n_items``-item vocabulary."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            user_s, items_s = line.split("\t")
-            items = tuple(int(x) for x in items_s.split(",")) if items_s else ()
-            out.append((int(user_s), items))
-    return out
-
-
-def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
-    """Read a split directory back; fold boundaries come from the manifest."""
-    d = str(split_dir)
-    with open(os.path.join(d, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    raw_ids: list[str] = []
-    with open(os.path.join(d, "vocabulary.tsv"), "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            raw, idx = line.split("\t")
-            if int(idx) != len(raw_ids):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(line_no, f"expected user<TAB>items, got {line!r}", path)
+            user_s, items_s = fields
+            user = _parse_int(user_s, "user index", line_no, path)
+            try:
+                items = tuple(map(int, items_s.split(","))) if items_s else ()
+            except ValueError:
+                raise ParseError(line_no, f"bad item list {items_s!r}", path) from None
+            if items and (min(items) < 0 or max(items) >= n_items):
+                bad = next(i for i in items if not 0 <= i < n_items)
+                raise ParseError(line_no, f"item id {bad} out of range [0, {n_items})", path)
+            out.append((user, items))
+    return out
+
+
+def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
+    """Read a split directory back; fold boundaries come from the manifest.
+
+    Malformed lines and item ids outside the vocabulary raise ParseError
+    naming the file and line."""
+    d = str(split_dir)
+    with open(os.path.join(d, "manifest.json"), "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    raw_ids: list[str] = []
+    vocab_path = os.path.join(d, "vocabulary.tsv")
+    with open(vocab_path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(line_no, f"expected raw id<TAB>index, got {line!r}",
+                                 vocab_path)
+            raw, idx_s = fields
+            idx = _parse_int(idx_s, "vocabulary index", line_no, vocab_path)
+            if idx != len(raw_ids):
                 raise ParseError(
-                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}"
+                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}",
+                    vocab_path,
                 )
             raw_ids.append(raw)
     vocab = Vocabulary(raw_ids)
     ratio = manifest["fold_ratio"]
-    train = [UserSequence(u, items) for u, items in _read_sequences(os.path.join(d, "train.tsv"))]
+    train = [
+        UserSequence(u, items)
+        for u, items in _read_sequences(os.path.join(d, "train.tsv"), len(vocab))
+    ]
     heldout = {}
     for name in ("validation", "test"):
         heldout[name] = [
             HeldoutUser(u, *fold_split(items, ratio))
-            for u, items in _read_sequences(os.path.join(d, f"{name}.tsv"))
+            for u, items in _read_sequences(os.path.join(d, f"{name}.tsv"), len(vocab))
         ]
     split = DatasetSplit(train, heldout["validation"], heldout["test"], vocab, ratio)
     return split, manifest

@@ -16,6 +16,7 @@ from typing import AbstractSet, Callable, Iterable, Sequence
 import numpy as np
 
 from vaerec.data import HeldoutUser, UserSequence
+from vaerec.models import components
 
 
 def ndcg_at_n(ranked: Sequence[int], relevant: AbstractSet[int], n: int,
@@ -65,17 +66,17 @@ class PopularityRanker:
             for item in seq.items:
                 counts[item] += 1.0
         self._counts = counts
-        self._order = np.argsort(-counts, kind="stable")
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
         return self._counts
 
+    def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
+        """[U, N] scores: the counts broadcast to every fold-in (a read-only
+        view, no copy)."""
+        return np.broadcast_to(self._counts, (len(fold_ins), self.n_items))
+
     def rank(self, fold_in: Sequence[int], exclude: AbstractSet[int]) -> np.ndarray:
-        if not exclude:
-            return self._order
-        mask = np.ones(self.n_items, dtype=bool)
-        mask[list(exclude)] = False
-        return self._order[mask[self._order]]
+        return components.rank_items(self._counts, exclude)
 
 
 @dataclass
@@ -133,6 +134,34 @@ def evaluate(
     count = len(users)
     metrics = {name: (sums[name] / count if count else 0.0) for name in names}
     return EvalReport(metrics=metrics, users=count, per_user=per_user)
+
+
+def batch_rank_fn(
+    ranker, heldout: Sequence[HeldoutUser]
+) -> Callable[[Sequence[int], AbstractSet[int]], np.ndarray]:
+    """A ``rank_fn`` for ``evaluate`` that ranks the users of ``heldout``
+    from one ``ranker.score_batch`` call over their fold-ins.
+
+    The batch is scored on the first call, so inside the evaluation that
+    uses it, and later calls (such as ``ndcg_by_history_length`` over the
+    same users) reuse those scores. Each call finds its row by the fold-in
+    and ranks it with ``rank_items``; a fold-in that is not in ``heldout``
+    raises ValueError.
+    """
+    fold_ins = list(dict.fromkeys(tuple(u.fold_in) for u in heldout))
+    rows = {fold_in: row for row, fold_in in enumerate(fold_ins)}
+    scores = None
+
+    def rank(fold_in: Sequence[int], exclude: AbstractSet[int]) -> np.ndarray:
+        nonlocal scores
+        row = rows.get(tuple(fold_in))
+        if row is None:
+            raise ValueError(f"fold-in {list(fold_in)} is not in the scored batch")
+        if scores is None:
+            scores = ranker.score_batch(fold_ins)
+        return components.rank_items(scores[row], exclude)
+
+    return rank
 
 
 HISTORY_BUCKETS = ((1, 10), (11, 20), (21, 40), (41, 80), (81, None))

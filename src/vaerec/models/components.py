@@ -161,6 +161,17 @@ def counts_matrix(target_rows: Sequence[Sequence[int]], n_items: int) -> np.ndar
     return out
 
 
+def score_rows(scores_fn, fold_ins: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
+    """``scores_fn(fold_in)`` for each fold-in, stacked into a [U, N] array.
+
+    Each row is scored alone: a multi-row matmul may round differently from
+    the one-row path, which would change rankings and reports."""
+    out = np.empty((len(fold_ins), n_items))
+    for row, fold_in in enumerate(fold_ins):
+        out[row] = scores_fn(fold_in)
+    return out
+
+
 def rank_items(scores: np.ndarray, exclude: frozenset[int] | set[int]) -> np.ndarray:
     """Descending-score ranking over the catalog, stable on ties (so equal
     scores order by item index), with excluded items removed."""

@@ -21,6 +21,7 @@ from vaerec.models.components import (
     kl_to_standard_normal,
     rank_items,
     reparameterize,
+    score_rows,
 )
 from vaerec.models.config import ModelConfig
 
@@ -74,6 +75,10 @@ class MultinomialVAE:
         g = self.encode(self.bag_vector(fold_in))
         log_pi = self.decode(g.mu)
         return log_pi.data[0]
+
+    def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
+        """[U, N] scores, one ``scores`` row per fold-in."""
+        return score_rows(self.scores, fold_ins, self.n_items)
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:
         return rank_items(self.scores(fold_in), exclude)

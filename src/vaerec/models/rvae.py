@@ -8,7 +8,10 @@ the positive sign, so training pushes its score up. Items sort directly by
 score at prediction time, which cannot produce rank inconsistencies.
 
 Users unseen at training time (all held-out users) go through a reserved
-embedding row, so the model still ranks for them.
+embedding row, so the model still ranks for them. That row ignores the
+fold-in: every held-out user gets the same scores, and so the same ranking
+up to the exclusion of their own fold-in items. ``score_batch`` therefore
+scores the catalog once per batch.
 """
 
 from __future__ import annotations
@@ -86,10 +89,16 @@ class PairwiseRankingVAE:
         return ad.scale(ad.add(nll, ad.scale(kl, beta)), 1.0 / n)
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
-        """Score every catalog item through the reserved-user row."""
+        """Score every catalog item through the reserved-user row; the
+        fold-in does not enter."""
         rows = [self.unseen_user_row] * self.n_items
         g = self.encode(rows, list(range(self.n_items)))
         return self.score(g.mu).data[:, 0]
+
+    def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
+        """[U, N] scores: the reserved-user row, computed once and broadcast
+        to every fold-in (a read-only view, no copy)."""
+        return np.broadcast_to(self.scores(()), (len(fold_ins), self.n_items))
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:
         return rank_items(self.scores(fold_in), exclude)

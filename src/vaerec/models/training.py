@@ -17,7 +17,7 @@ import numpy as np
 
 from vaerec.autodiff import Tape
 from vaerec.data import DatasetSplit, UserSequence
-from vaerec.evaluation import evaluate
+from vaerec.evaluation import batch_rank_fn, evaluate
 from vaerec.models import build_model
 from vaerec.models.config import ModelConfig
 
@@ -151,7 +151,8 @@ def train(
             train_loss = epoch_fn(model, split.train, rng, beta, config)
         except TrainingError as err:
             raise TrainingError(f"{kind} training diverged at epoch {epoch}: {err}") from None
-        report = evaluate(model.rank, split.validation, n_values=(100,))
+        report = evaluate(batch_rank_fn(model, split.validation), split.validation,
+                          n_values=(100,))
         val_score = report.metrics["NDCG@100"]
         stats = EpochStats(
             epoch=epoch,
@@ -164,7 +165,7 @@ def train(
             callback(stats)
         if val_score > best_score:
             best_score = val_score
-            best_params = model.store.snapshot()
+            best_params = model.store.snapshot(out=best_params)
     if best_params is not None:
         model.store.restore(best_params)
     return model, curve

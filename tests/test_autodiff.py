@@ -426,6 +426,20 @@ class TestParameterArena:
         assert store.values.tobytes() == saved
         assert np.shares_memory(w.data, store.values)
 
+    def test_snapshot_into_a_buffer_reuses_it(self):
+        store, w, b = self.make_store()
+        steps = self.train_steps(store, w, b, steps=3)
+        next(steps)
+        buffer = store.snapshot()
+        for _ in steps:
+            pass
+        assert buffer.tobytes() != store.values.tobytes()
+        assert store.snapshot(out=buffer) is buffer
+        assert buffer.tobytes() == store.values.tobytes()
+        assert not np.shares_memory(buffer, store.values)
+        with pytest.raises(ValueError, match="shape"):
+            store.snapshot(out=np.empty(store.n_values() - 1))
+
     def test_shape_only_parameter_starts_at_zero(self):
         store = ParameterStore()
         z = store.add("z", shape=(2, 3))

@@ -6,7 +6,7 @@ import pytest
 
 from vaerec.cli import main, read_config_file
 from vaerec.data import Vocabulary
-from vaerec.models import SequentialVAE
+from vaerec.models import PairwiseRankingVAE, SequentialVAE
 from vaerec.models.checkpoint import load_checkpoint
 
 
@@ -223,6 +223,30 @@ def test_recommend_scores_history_once(tmp_path, ratings_file, capsys, monkeypat
             for i in model.rank(fold_in, set(fold_in))[:4]
         )
         assert out == want
+
+
+def test_rvae_scores_catalog_once_per_epoch_and_per_eval(tmp_path, ratings_file, capsys,
+                                                         monkeypatch):
+    split = prepare(tmp_path, ratings_file)
+    calls = []
+    scores = PairwiseRankingVAE.scores
+
+    def counting(self, fold_in):
+        calls.append(list(fold_in))
+        return scores(self, fold_in)
+
+    monkeypatch.setattr(PairwiseRankingVAE, "scores", counting)
+    run = train_tiny(tmp_path, split, model="rvae", epochs=3)
+    assert len(calls) == 3
+    calls.clear()
+    capsys.readouterr()
+    code = run_cli(
+        "eval", "--checkpoint", run / "checkpoint", "--split-dir", split,
+        "--by-history-length", tmp_path / "by_length.csv",
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["users"] > 1
+    assert len(calls) == 1
 
 
 def test_recommend_whole_catalog_excluded(tmp_path, ratings_file, capsys):

@@ -301,6 +301,67 @@ class TestPipeline:
         with pytest.raises(ParseError, match="line 2: vocabulary index 2 out of order"):
             load_split(out)
 
+    def saved_split(self, tmp_path):
+        p = tmp_path / "ratings.csv"
+        synthetic_ratings(p, n_users=30, seed=7)
+        cfg = PipelineConfig(seed=3)
+        out = tmp_path / "split"
+        save_split(run_pipeline(p, cfg), out, cfg.to_dict(), cfg.seed)
+        return out
+
+    def edit_line(self, path, line_no, edit):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line_no - 1] = edit(lines[line_no - 1].rstrip("\n")) + "\n"
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace("\t", " "),
+        lambda line: line + "\textra",
+    ], ids=["no-tab", "two-tabs"])
+    def test_vocabulary_line_without_one_tab_names_file_and_line(self, tmp_path, edit):
+        out = self.saved_split(tmp_path)
+        self.edit_line(out / "vocabulary.tsv", 3, edit)
+        with pytest.raises(ParseError, match=r"vocabulary\.tsv: line 3: expected raw id"):
+            load_split(out)
+
+    def test_vocabulary_non_integer_index_names_file_and_line(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        self.edit_line(out / "vocabulary.tsv", 2, lambda line: line.split("\t")[0] + "\tone")
+        with pytest.raises(ParseError,
+                           match=r"vocabulary\.tsv: line 2: bad vocabulary index 'one'"):
+            load_split(out)
+
+    @pytest.mark.parametrize("name", ["train", "validation", "test"])
+    def test_malformed_user_field_names_file_and_line(self, tmp_path, name):
+        out = self.saved_split(tmp_path)
+        self.edit_line(out / f"{name}.tsv", 1, lambda line: "u" + line)
+        with pytest.raises(ParseError, match=rf"{name}\.tsv: line 1: bad user index"):
+            load_split(out)
+
+    @pytest.mark.parametrize("name", ["train", "validation", "test"])
+    def test_malformed_item_field_names_file_and_line(self, tmp_path, name):
+        out = self.saved_split(tmp_path)
+        self.edit_line(out / f"{name}.tsv", 1, lambda line: line + ",x7")
+        with pytest.raises(ParseError, match=rf"{name}\.tsv: line 1: bad item list"):
+            load_split(out)
+
+    def test_sequence_line_without_one_tab_names_file_and_line(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        self.edit_line(out / "train.tsv", 2, lambda line: line.replace("\t", ","))
+        with pytest.raises(ParseError, match=r"train\.tsv: line 2: expected user<TAB>items"):
+            load_split(out)
+
+    @pytest.mark.parametrize("bad", [-1, "n_items"])
+    @pytest.mark.parametrize("name", ["train", "validation", "test"])
+    def test_item_id_outside_vocabulary_names_file_and_line(self, tmp_path, name, bad):
+        out = self.saved_split(tmp_path)
+        n_items = len((out / "vocabulary.tsv").read_text().splitlines())
+        item = n_items if bad == "n_items" else bad
+        self.edit_line(out / f"{name}.tsv", 1, lambda line: line + f",{item}")
+        with pytest.raises(ParseError, match=rf"{name}\.tsv: line 1: item id {item} out of "
+                                             rf"range \[0, {n_items}\)"):
+            load_split(out)
+
     def test_manifest_counts(self, tmp_path):
         p = tmp_path / "ratings.csv"
         synthetic_ratings(p, n_users=30, seed=7)

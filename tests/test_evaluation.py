@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from vaerec.data import HeldoutUser, UserSequence
 from vaerec.evaluation import (
     PopularityRanker,
+    batch_rank_fn,
     evaluate,
     ndcg_at_n,
     ndcg_by_history_length,
     precision_at_n,
     recall_at_n,
 )
+from vaerec.models import ModelConfig, build_model
+from vaerec.synthetic import burst_split, cycle_split
 
 
 def brute_force_metrics(ranked, relevant, n):
@@ -220,3 +223,88 @@ class TestEvaluate:
         assert len(rows) == 5
         assert rows[0]["users"] == 1 and rows[1]["users"] == 1
         assert rows[2]["users"] == 0 and rows[2]["ndcg100"] is None
+
+
+SPLITS = {
+    "cycle": lambda: cycle_split(n_items=20, n_train=40, n_val=10, n_test=12, length=10,
+                                 seed=1),
+    "burst": lambda: burst_split(n_items=20, n_train=40, n_val=10, n_test=12,
+                                 blocks_per_user=4, seed=1),
+}
+
+
+def ranker_for(kind, split):
+    """The popularity baseline, or a model at random parameters of a scale
+    that makes its scores depend clearly on the fold-in."""
+    if kind == "pop":
+        return PopularityRanker(split.train, split.n_items)
+    config = ModelConfig(
+        latent_dim=3, item_embedding_dim=4, gru_hidden=4, encoder_widths=(5,),
+        decoder_widths=(5,), rvae_embedding_dim=4, rvae_encoder_widths=(5,), seed=5,
+    )
+    model = build_model(kind, split.n_items, config, n_users=len(split.train))
+    model.store.values[...] = np.random.default_rng(6).uniform(-1.0, 1.0, model.store.n_values())
+    return model
+
+
+class TestBatchedRanking:
+    @pytest.mark.parametrize("split_name", sorted(SPLITS))
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae", "pop"])
+    def test_matches_per_user_ranking(self, kind, split_name):
+        split = SPLITS[split_name]()
+        ranker = ranker_for(kind, split)
+        users = split.test
+        if split_name == "cycle":
+            # repeated fold-ins share one row of the batch
+            assert len({u.fold_in for u in users}) < len(users)
+        batched = batch_rank_fn(ranker, users)
+        want = evaluate(ranker.rank, users, n_values=(1, 5, 10, 100), keep_per_user=True)
+        got = evaluate(batched, users, n_values=(1, 5, 10, 100), keep_per_user=True)
+        assert got.to_json() == want.to_json()
+        assert got.per_user == want.per_user
+        if kind in ("mvae", "svae"):
+            rankings = {tuple(ranker.rank(list(u.fold_in), set())) for u in users}
+            assert len(rankings) > 1
+        # the same scores serve the history-length series
+        assert ndcg_by_history_length(batched, users) == ndcg_by_history_length(
+            ranker.rank, users)
+        for user in users:
+            exclude = set(user.fold_in)
+            np.testing.assert_array_equal(
+                batched(list(user.fold_in), exclude), ranker.rank(list(user.fold_in), exclude))
+
+    def test_scores_one_batch_on_first_use(self):
+        split = SPLITS["burst"]()
+        pop = PopularityRanker(split.train, split.n_items)
+        batches = []
+        score_batch = pop.score_batch
+
+        def counting(fold_ins):
+            batches.append(list(fold_ins))
+            return score_batch(fold_ins)
+
+        pop.score_batch = counting
+        rank_fn = batch_rank_fn(pop, split.test)
+        assert batches == []
+        evaluate(rank_fn, split.test)
+        ndcg_by_history_length(rank_fn, split.test)
+        assert batches == [[u.fold_in for u in split.test]]
+
+    def test_unknown_fold_in_rejected(self):
+        split = SPLITS["burst"]()
+        pop = PopularityRanker(split.train, split.n_items)
+        scored, other = split.test[:3], split.test[3]
+        assert other.fold_in not in {u.fold_in for u in scored}
+        rank_fn = batch_rank_fn(pop, scored)
+        with pytest.raises(ValueError, match="not in the scored batch"):
+            rank_fn(list(other.fold_in), set(other.fold_in))
+        with pytest.raises(ValueError, match="not in the scored batch"):
+            evaluate(rank_fn, split.test[:4])
+
+    def test_popularity_batch_is_a_read_only_broadcast(self):
+        pop = PopularityRanker([UserSequence(0, (2, 2, 0))], 4)
+        scores = pop.score_batch([(1,), (3,), (0, 1)])
+        assert scores.shape == (3, 4)
+        assert not scores.flags.writeable
+        assert np.shares_memory(scores, pop.scores(()))
+        np.testing.assert_array_equal(scores[2], [1.0, 0.0, 2.0, 0.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vaerec import autodiff as ad
 from vaerec.autodiff import Tape, Tensor, gradient_check
 from vaerec.data import DatasetSplit, UserSequence, Vocabulary, make_heldout
+from vaerec.evaluation import EvalReport
 from vaerec import models
 from vaerec.models import ModelConfig, build_model
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
@@ -20,6 +21,7 @@ from vaerec.models.components import (
     reparameterize,
 )
 from vaerec.models.svae import next_k_targets
+from vaerec.models import training
 from vaerec.models.training import TrainingError, _rvae_triples, train
 from vaerec.synthetic import cycle_split
 
@@ -262,6 +264,16 @@ class TestRVAE:
         )
         assert err < 1e-4
 
+    def test_score_batch_rows_equal_scores_of_each_fold_in(self):
+        model = build_model("rvae", 7, toy_config(), n_users=2)
+        randomize_params(model, seed=4)
+        fold_ins = [(0,), (6, 2, 3), (1, 1), (5,)]
+        scores = model.score_batch(fold_ins)
+        assert scores.shape == (4, 7)
+        assert not scores.flags.writeable
+        for row, fold_in in zip(scores, fold_ins):
+            assert row.tobytes() == model.scores(list(fold_in)).tobytes()
+
     def test_deterministic_ranking(self):
         model = build_model("rvae", 7, toy_config(), n_users=2)
         a = model.rank([1], {1})
@@ -425,6 +437,38 @@ class TestTraining:
         _, curve_b = train(kind, split, cfg)
         assert [s.train_loss for s in curve_a] == [s.train_loss for s in curve_b]
         assert [s.val_ndcg100 for s in curve_a] == [s.val_ndcg100 for s in curve_b]
+
+    def test_best_epoch_restored_from_one_reused_buffer(self, monkeypatch):
+        split = self.small_split()
+        # epoch 2 scores best, epoch 1 also improves, later epochs do not
+        scripted = iter([0.1, 0.4, 0.2, 0.3])
+        monkeypatch.setattr(
+            training, "evaluate",
+            lambda rank_fn, heldout, n_values: EvalReport({"NDCG@100": next(scripted)}, 4),
+        )
+        after_epoch = []
+        epoch_fn = training._EPOCH_FNS["mvae"]
+
+        def recording(model, *args):
+            loss = epoch_fn(model, *args)
+            after_epoch.append(model.store.values.copy())
+            return loss
+
+        monkeypatch.setitem(training._EPOCH_FNS, "mvae", recording)
+        buffers = []
+        snapshot = ad.ParameterStore.snapshot
+
+        def tracking(store, out=None):
+            buffers.append((out, snapshot(store, out=out)))
+            return buffers[-1][1]
+
+        monkeypatch.setattr(ad.ParameterStore, "snapshot", tracking)
+        model, curve = train("mvae", split, toy_config(epochs=4, batch_size=4))
+        assert [s.val_ndcg100 for s in curve] == [0.1, 0.4, 0.2, 0.3]
+        assert model.store.values.tobytes() == after_epoch[1].tobytes()
+        assert model.store.values.tobytes() != after_epoch[3].tobytes()
+        (first_out, first), (second_out, second) = buffers
+        assert first_out is None and second_out is first and second is first
 
     def test_rvae_sampler_skips_user_who_consumed_every_item(self):
         # short histories over a wide catalog: nearly every draw is kept, so
