@@ -175,32 +175,29 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-def _heldout_part(split: dp.DatasetSplit, which: str):
-    if which == "validation":
-        return split.validation
-    if which == "test":
-        return split.test
-    raise CliError(f"unknown split part {which!r}; expected validation or test")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    split, _ = dp.load_split(args.split_dir)
-    heldout = _heldout_part(split, args.split)
+    # checked before any file is opened, so the value never becomes a path
+    if args.split not in dp.HELDOUT_FOLDS:
+        raise CliError(f"unknown split part {args.split!r}; expected validation or test")
     n_values = _parse_int_list(args.n)
     if args.pop:
+        split, _ = dp.load_split(args.split_dir)
+        heldout = getattr(split, args.split)
+        vocabulary = split.vocabulary
         ranker = PopularityRanker(split.train, split.n_items)
         model_name = "pop"
         digest = config_digest({"model": "pop"})
     else:
         if not args.checkpoint:
             raise CliError("either --checkpoint or --pop is required")
+        heldout, vocabulary, _ = dp.load_heldout(args.split_dir, args.split)
         model, manifest = load_checkpoint(args.checkpoint)
-        if manifest["n_items"] != split.n_items:
+        if manifest["n_items"] != len(vocabulary):
             raise CliError(
                 f"catalog mismatch: checkpoint has {manifest['n_items']} items, "
-                f"split has {split.n_items}"
+                f"split has {len(vocabulary)}"
             )
-        if manifest["vocabulary_digest"] != split.vocabulary.digest():
+        if manifest["vocabulary_digest"] != vocabulary.digest():
             raise CliError("vocabulary digest mismatch between checkpoint and split")
         ranker = model
         model_name = manifest["model"]
@@ -225,7 +222,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "split": args.split,
             "n_values": list(n_values),
             "idcg_cap_at_n": bool(args.idcg_cap),
-            "vocabulary_digest": split.vocabulary.digest(),
+            "vocabulary_digest": vocabulary.digest(),
             "checkpoint": str(args.checkpoint) if args.checkpoint else None,
         })
     if args.by_history_length:
@@ -246,6 +243,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    if args.top_n < 1:
+        raise CliError(f"--top-n must be at least 1, got {args.top_n}")
     model, manifest = load_checkpoint(args.checkpoint)
     vocab = dp.Vocabulary(manifest["vocabulary"])
     history = [h for h in str(args.history).split(",") if h]

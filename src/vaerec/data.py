@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,6 +76,11 @@ class HeldoutUser:
         return frozenset(self.fold_out)
 
 
+def _vocabulary_text(raw_ids: Sequence[str]) -> str:
+    """The ``raw<TAB>index`` lines of ``vocabulary.tsv``."""
+    return "".join(f"{raw}\t{i}\n" for i, raw in enumerate(raw_ids))
+
+
 class Vocabulary:
     """Bijection between raw item ids and dense indices."""
 
@@ -82,6 +89,7 @@ class Vocabulary:
         self._index = {raw: i for i, raw in enumerate(self._raw)}
         if len(self._index) != len(self._raw):
             raise ValueError("duplicate raw ids in vocabulary")
+        self._digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -96,10 +104,10 @@ class Vocabulary:
         return list(self._raw)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for i, raw in enumerate(self._raw):
-            h.update(f"{raw}\t{i}\n".encode())
-        return h.hexdigest()
+        """sha256 of the vocabulary's ``vocabulary.tsv`` text, computed once."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(_vocabulary_text(self._raw).encode()).hexdigest()
+        return self._digest
 
 
 @dataclass
@@ -123,6 +131,11 @@ def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRec
     """Read a delimiter-separated (user, item, rating, timestamp) log.
 
     Malformed rows raise ParseError with the offending line number.
+
+    ``ingest``, ``binarize`` and ``build_sequences`` are the record-level
+    reference for the columnar ``run_pipeline``, which no longer calls them:
+    tests require both to write the same split directory and raise the same
+    errors.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -149,7 +162,8 @@ def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRec
 
 
 def binarize(records: Iterable[InteractionRecord], threshold: float = 3.0) -> list[ImplicitEvent]:
-    """Keep interactions rated strictly above ``threshold``."""
+    """Keep interactions rated strictly above ``threshold`` (record-level
+    reference; see ``ingest``)."""
     return [
         ImplicitEvent(r.user_id, r.item_id, r.timestamp)
         for r in records
@@ -164,6 +178,7 @@ def build_sequences(events: Iterable[ImplicitEvent]) -> tuple[list[UserSequence]
     raw item id); ties on timestamp break by the raw id lexicographically.
     Repeat (user, item) interactions keep the earliest occurrence only.
     User and item indices follow first appearance in that ordering.
+    Record-level reference for ``run_pipeline``; see ``ingest``.
     """
     ordered = sorted(events, key=lambda e: (e.user_id, e.timestamp, e.item_id))
     item_ids: list[str] = []
@@ -192,6 +207,142 @@ def build_sequences(events: Iterable[ImplicitEvent]) -> tuple[list[UserSequence]
         current_items.append(item_index[e.item_id])
     flush()
     return sequences, Vocabulary(item_ids)
+
+
+# ---------------------------------------------------------------------------
+# columnar ingest, as run_pipeline runs it
+
+# Characters of log text read per chunk. A chunk's rows exist as Python
+# strings only while it is parsed; what is kept across chunks is int64 codes
+# and timestamps, so the peak memory of a prepare grows with the kept rows
+# rather than with the text of the log.
+CHUNK_CHARS = 1 << 16
+
+_INT64_LIMIT = 2**63
+
+
+def _raise_first_bad_row(lines: Iterable[str], first_line: int, delimiter: str) -> None:
+    """Raise the ParseError ``ingest`` raises for the first malformed row of
+    ``lines``, whose first line is number ``first_line``. A timestamp too
+    large for int64 is malformed here too."""
+    for lineno, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 4:
+            raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
+        rating_s, ts_s = parts[2].strip(), parts[3].strip()
+        try:
+            float(rating_s)
+        except ValueError:
+            raise ParseError(lineno, f"bad rating {rating_s!r}") from None
+        try:
+            timestamp = int(ts_s)
+        except ValueError:
+            raise ParseError(lineno, f"bad timestamp {ts_s!r}") from None
+        if timestamp < 0:
+            raise ParseError(lineno, f"negative timestamp {timestamp}")
+        if timestamp >= _INT64_LIMIT:
+            raise ParseError(lineno, f"timestamp {timestamp} does not fit in int64")
+
+
+def _kept_rows(lines: list[str], delimiter: str,
+               threshold: float) -> tuple[list[str], list[str], list[int]]:
+    """Users, items and timestamps of the rows of ``lines`` rated strictly
+    above ``threshold``. Fields are stripped and converted as ``ingest``
+    does; any malformed row raises ValueError."""
+    rows = list(map(str.split, filter(None, map(str.strip, lines)), repeat(delimiter)))
+    if not rows:
+        return [], [], []
+    if set(map(len, rows)) != {4}:
+        raise ValueError("a row without 4 fields")
+    users, items, ratings, stamps = (list(map(str.strip, column)) for column in zip(*rows))
+    stamps = list(map(int, stamps))
+    if min(stamps) < 0 or max(stamps) >= _INT64_LIMIT:
+        raise ValueError("a timestamp outside int64's non-negative range")
+    keep = list(map(operator.gt, map(float, ratings), repeat(threshold)))
+    return list(compress(users, keep)), list(compress(items, keep)), list(compress(stamps, keep))
+
+
+def _encode(keys: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Each key's code in ``codes``; unseen keys take the next free codes."""
+    new = set(keys).difference(codes)
+    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    return np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
+
+
+def _str_ranks(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The keys of ``codes`` in Python ``str`` order, and the position in
+    that order of each code."""
+    ordered = sorted(codes)
+    rank = np.empty(len(ordered), np.int64)
+    rank[np.fromiter(map(codes.__getitem__, ordered), np.int64, len(ordered))] = np.arange(
+        len(ordered))
+    return ordered, rank
+
+
+def log_sequences(path: str | os.PathLike, delimiter: str = ",",
+                  threshold: float = 3.0) -> tuple[list[UserSequence], Vocabulary]:
+    """``build_sequences(binarize(ingest(path, delimiter), threshold))``,
+    computed on columns.
+
+    The log is read ``CHUNK_CHARS`` at a time. A chunk's rows are split and
+    converted by C-level maps with Python's ``float`` and ``int``, and only
+    the kept rows' user, item and timestamp columns survive it. If any row of
+    a chunk fails a check, or a chunk does not decode, the rows from that
+    chunk on are scanned one by one for the error ``ingest`` raises. User
+    and item ids are factorized in Python ``str``
+    order (not as numpy strings, which drop trailing NULs), the rows are
+    sorted stably by (user, timestamp, item), and each (user, item) pair's
+    first row is kept.
+    """
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    chunks = []
+    first_line = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        while True:
+            try:
+                lines = fh.readlines(CHUNK_CHARS)
+            except UnicodeDecodeError:
+                # the chunk decodes further ahead than ingest does: rescan
+                # the rows from this chunk on, decoding as ingest does
+                with open(path, "r", encoding="utf-8") as again:
+                    _raise_first_bad_row(islice(again, first_line - 1, None), first_line,
+                                         delimiter)
+                raise
+            if not lines:
+                break
+            try:
+                users, items, stamps = _kept_rows(lines, delimiter, threshold)
+            except ValueError:
+                _raise_first_bad_row(lines, first_line, delimiter)
+                raise
+            chunks.append((_encode(users, user_codes), _encode(items, item_codes),
+                           np.array(stamps, dtype=np.int64)))
+            first_line += len(lines)
+    if not user_codes:
+        raise ValueError("no interactions after binarization")
+    _, user_rank = _str_ranks(user_codes)
+    item_ids, item_rank = _str_ranks(item_codes)
+    users, items, stamps = (np.concatenate(column) for column in zip(*chunks))
+    users, items = user_rank[users], item_rank[items]
+    order = np.lexsort((items, stamps, users))
+    users, items = users[order], items[order]
+    first = np.unique(users * len(item_ids) + items, return_index=True)[1]
+    first.sort()
+    users, items = users[first], items[first]
+    # dense item indices follow first appearance (every item code occurs, so
+    # unique's values are 0..n-1); users are already in order
+    by_appearance = np.argsort(np.unique(items, return_index=True)[1])
+    index = np.empty(len(item_ids), np.int64)
+    index[by_appearance] = np.arange(len(by_appearance))
+    flat = index[items].tolist()
+    ends = np.cumsum(np.bincount(users, minlength=len(user_codes))).tolist()
+    sequences = [UserSequence(u, tuple(flat[start:end]))
+                 for u, (start, end) in enumerate(zip([0] + ends[:-1], ends))]
+    return sequences, Vocabulary([item_ids[k] for k in by_appearance.tolist()])
 
 
 def filter_min_history(sequences: Iterable[UserSequence], min_items: int = 5) -> list[UserSequence]:
@@ -315,13 +466,14 @@ def stratified_subsample(
 # on-disk split format
 
 
-SPLIT_FILES = ("train.tsv", "validation.tsv", "test.tsv")
+SPLIT_FORMAT = "vaerec-split-v1"
+FOLDS = ("train", "validation", "test")
+HELDOUT_FOLDS = ("validation", "test")
+SPLIT_FILES = tuple(f"{fold}.tsv" for fold in FOLDS)
 
 
 def _sequence_lines(seqs: Iterable[tuple[int, Sequence[int]]]) -> str:
-    lines = [
-        f"{user_index}\t{','.join(str(i) for i in items)}" for user_index, items in seqs
-    ]
+    lines = [f"{user_index}\t{','.join(map(str, items))}" for user_index, items in seqs]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -363,12 +515,10 @@ def save_split(split: DatasetSplit, out_dir: str | os.PathLike, config: dict, se
             os.path.join(out, name),
             _sequence_lines((u.user_index, u.fold_in + u.fold_out) for u in users),
         )
-    vocab_lines = "".join(
-        f"{raw}\t{i}\n" for i, raw in enumerate(split.vocabulary.raw_ids())
-    )
-    _write_atomic(os.path.join(out, "vocabulary.tsv"), vocab_lines)
+    _write_atomic(os.path.join(out, "vocabulary.tsv"),
+                  _vocabulary_text(split.vocabulary.raw_ids()))
     manifest = {
-        "format": "vaerec-split-v1",
+        "format": SPLIT_FORMAT,
         "seed": seed,
         "config": config,
         "fold_ratio": split.fold_ratio,
@@ -387,6 +537,39 @@ def _parse_int(text: str, field: str, line_no: int, path: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(line_no, f"bad {field} {text!r}", path) from None
+
+
+def _read_manifest(split_dir: str | os.PathLike) -> dict:
+    """The split's ``manifest.json``; it must hold a JSON object."""
+    path = os.path.join(str(split_dir), "manifest.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return manifest
+
+
+def _read_vocabulary(split_dir: str | os.PathLike) -> Vocabulary:
+    """``raw id<TAB>index`` lines, indices counting up from 0."""
+    path = os.path.join(str(split_dir), "vocabulary.tsv")
+    raw_ids: list[str] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(line_no, f"expected raw id<TAB>index, got {line!r}", path)
+            raw, idx_s = fields
+            idx = _parse_int(idx_s, "vocabulary index", line_no, path)
+            if idx != len(raw_ids):
+                raise ParseError(
+                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}",
+                    path,
+                )
+            raw_ids.append(raw)
+    return Vocabulary(raw_ids)
 
 
 def _read_sequences(path: str, n_items: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -414,47 +597,72 @@ def _read_sequences(path: str, n_items: int) -> list[tuple[int, tuple[int, ...]]
     return out
 
 
+def _check_manifest(split_dir: str, manifest: dict, vocab: Vocabulary, folds: dict) -> None:
+    """Compare the manifest with the vocabulary and the folds read (fold name
+    -> rows of ``_read_sequences``), the users and interactions totals only
+    when every fold was read, and require a numeric ``fold_ratio``."""
+    counts = manifest.get("counts")
+    counts = counts if isinstance(counts, dict) else {}
+    checks = [("format", manifest.get("format"), SPLIT_FORMAT),
+              ("counts.items", counts.get("items"), len(vocab))]
+    checks += [(f"counts.{fold}_users", counts.get(f"{fold}_users"), len(rows))
+               for fold, rows in folds.items()]
+    if len(folds) == len(FOLDS):
+        checks += [
+            ("counts.users", counts.get("users"), sum(map(len, folds.values()))),
+            ("counts.interactions", counts.get("interactions"),
+             sum(len(items) for rows in folds.values() for _, items in rows)),
+        ]
+    checks.append(("vocabulary_digest", manifest.get("vocabulary_digest"), vocab.digest()))
+    path = os.path.join(split_dir, "manifest.json")
+    for field, found, expected in checks:
+        if found != expected:
+            raise ValueError(f"{path}: {field} is {found!r}, but the split has {expected!r}")
+    ratio = manifest.get("fold_ratio")
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
+        raise ValueError(f"{path}: fold_ratio is {ratio!r}, expected a number")
+
+
+def _read_folds(split_dir: str | os.PathLike, folds: Sequence[str]):
+    """(manifest, vocabulary, fold name -> rows) of the named folds. Every
+    line is checked before the manifest is compared with what was read."""
+    d = str(split_dir)
+    manifest = _read_manifest(d)
+    vocab = _read_vocabulary(d)
+    rows = {fold: _read_sequences(os.path.join(d, f"{fold}.tsv"), len(vocab))
+            for fold in folds}
+    _check_manifest(d, manifest, vocab, rows)
+    return manifest, vocab, rows
+
+
+def _heldout_users(rows, ratio: float) -> list[HeldoutUser]:
+    return [HeldoutUser(u, *fold_split(items, ratio)) for u, items in rows]
+
+
 def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
     """Read a split directory back; fold boundaries come from the manifest.
 
     Malformed lines and item ids outside the vocabulary raise ParseError
-    naming the file and line."""
-    d = str(split_dir)
-    with open(os.path.join(d, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    raw_ids: list[str] = []
-    vocab_path = os.path.join(d, "vocabulary.tsv")
-    with open(vocab_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(line_no, f"expected raw id<TAB>index, got {line!r}",
-                                 vocab_path)
-            raw, idx_s = fields
-            idx = _parse_int(idx_s, "vocabulary index", line_no, vocab_path)
-            if idx != len(raw_ids):
-                raise ParseError(
-                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}",
-                    vocab_path,
-                )
-            raw_ids.append(raw)
-    vocab = Vocabulary(raw_ids)
+    naming the file and line; after those, a manifest whose format, counts
+    or vocabulary digest disagree with the files raises ValueError naming
+    ``manifest.json`` and the field."""
+    manifest, vocab, rows = _read_folds(split_dir, FOLDS)
     ratio = manifest["fold_ratio"]
-    train = [
-        UserSequence(u, items)
-        for u, items in _read_sequences(os.path.join(d, "train.tsv"), len(vocab))
-    ]
-    heldout = {}
-    for name in ("validation", "test"):
-        heldout[name] = [
-            HeldoutUser(u, *fold_split(items, ratio))
-            for u, items in _read_sequences(os.path.join(d, f"{name}.tsv"), len(vocab))
-        ]
-    split = DatasetSplit(train, heldout["validation"], heldout["test"], vocab, ratio)
+    train = [UserSequence(u, items) for u, items in rows["train"]]
+    split = DatasetSplit(train, _heldout_users(rows["validation"], ratio),
+                         _heldout_users(rows["test"], ratio), vocab, ratio)
     return split, manifest
+
+
+def load_heldout(split_dir: str | os.PathLike,
+                 fold: str) -> tuple[list[HeldoutUser], Vocabulary, dict]:
+    """One held-out fold of a split directory, with the vocabulary and the
+    manifest: reads ``manifest.json``, ``vocabulary.tsv`` and the fold's
+    file only, with ``load_split``'s checks on those."""
+    if fold not in HELDOUT_FOLDS:
+        raise ValueError(f"unknown held-out fold {fold!r}; expected validation or test")
+    manifest, vocab, rows = _read_folds(split_dir, (fold,))
+    return _heldout_users(rows[fold], manifest["fold_ratio"]), vocab, manifest
 
 
 def file_digest(path: str | os.PathLike) -> str:
@@ -492,12 +700,9 @@ class PipelineConfig:
 
 
 def run_pipeline(ratings_path: str | os.PathLike, cfg: PipelineConfig) -> DatasetSplit:
-    """ingest -> binarize -> sequences -> filter -> subsample -> split -> fold."""
-    records = ingest(ratings_path, cfg.delimiter)
-    events = binarize(records, cfg.binarize_threshold)
-    if not events:
-        raise ValueError("no interactions after binarization")
-    sequences, vocab = build_sequences(events)
+    """log_sequences (columnar ingest, binarize and sequences) -> filter ->
+    subsample -> split -> fold."""
+    sequences, vocab = log_sequences(ratings_path, cfg.delimiter, cfg.binarize_threshold)
     sequences = filter_min_history(sequences, cfg.min_history)
     if cfg.subsample_users is not None:
         sequences = stratified_subsample(

@@ -4,8 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from vaerec.cli import main, read_config_file
-from vaerec.data import Vocabulary
+from vaerec import data as dp
+from vaerec.cli import config_digest, main, read_config_file
+from vaerec.data import Vocabulary, load_split
+from vaerec.evaluation import (
+    PopularityRanker,
+    batch_rank_fn,
+    evaluate,
+    ndcg_by_history_length,
+)
 from vaerec.models import PairwiseRankingVAE, SequentialVAE
 from vaerec.models.checkpoint import load_checkpoint
 
@@ -272,3 +279,103 @@ def test_recommend_top1_single_line(tmp_path, ratings_file, capsys):
     )
     assert code == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_recommend_rejects_top_n_below_one(tmp_path, ratings_file, capsys, top_n):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    capsys.readouterr()
+    code = run_cli(
+        "recommend", "--checkpoint", run / "checkpoint", "--history", "i3", "--top-n", top_n,
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--top-n must be at least 1, got {top_n}" in captured.err
+
+
+def whole_split_eval(split_dir, fold, checkpoint=None):
+    """The report and history-length CSV of an evaluation that loads the
+    whole split, as `vaerec eval` did before it read one fold."""
+    split, _ = load_split(split_dir)
+    heldout = getattr(split, fold)
+    if checkpoint is None:
+        ranker = PopularityRanker(split.train, split.n_items)
+        name, digest = "pop", config_digest({"model": "pop"})
+    else:
+        ranker, manifest = load_checkpoint(str(checkpoint))
+        name, digest = manifest["model"], config_digest(manifest["config"])
+    rank_fn = batch_rank_fn(ranker, heldout)
+    report = evaluate(rank_fn, heldout, n_values=(1, 5, 10, 100))
+    report.model, report.config_digest = name, digest
+    lines = ["low,high,users,ndcg100"] + [
+        f"{row['low']},{'' if row['high'] is None else row['high']},{row['users']},"
+        f"{'' if row['ndcg100'] is None else repr(row['ndcg100'])}"
+        for row in ndcg_by_history_length(rank_fn, heldout)
+    ]
+    return report.to_json(), "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fold", ["validation", "test"])
+@pytest.mark.parametrize("kind", ["mvae", "rvae", "svae", "pop"])
+def test_eval_of_one_fold_matches_whole_split_eval(tmp_path, ratings_file, capsys, kind, fold):
+    split = prepare(tmp_path, ratings_file)
+    checkpoint = None if kind == "pop" else train_tiny(tmp_path, split, model=kind) / "checkpoint"
+    source = ["--pop"] if checkpoint is None else ["--checkpoint", checkpoint]
+    csv_path = tmp_path / "by_length.csv"
+    capsys.readouterr()
+    code = run_cli("eval", *source, "--split-dir", split, "--split", fold, "--n", "1,5,10,100",
+                   "--by-history-length", csv_path)
+    assert code == 0
+    assert (capsys.readouterr().out, csv_path.read_text()) == whole_split_eval(
+        split, fold, checkpoint)
+
+
+def test_eval_with_checkpoint_reads_only_the_scored_fold(tmp_path, ratings_file, capsys):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    argv = ["eval", "--checkpoint", run / "checkpoint", "--split-dir", split, "--split", "test"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    clean = capsys.readouterr().out
+    (split / "train.tsv").write_text("not a sequence line\n")
+    (split / "validation.tsv").write_text("0\t1,x\n")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == clean
+    assert run_cli("eval", "--pop", "--split-dir", split, "--split", "test") == 1
+    assert "train.tsv: line 1: expected user<TAB>items" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["pop", "checkpoint"])
+def test_eval_unknown_split_part_opens_no_file(tmp_path, ratings_file, capsys, monkeypatch,
+                                               source):
+    split = prepare(tmp_path, ratings_file)
+    (split / ".." / "x.tsv").write_text("0\t1,2\n")
+    argv = ["--pop"] if source == "pop" else ["--checkpoint", tmp_path / "missing"]
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    capsys.readouterr()
+    monkeypatch.setattr("builtins.open", recording_open)
+    code = run_cli("eval", *argv, "--split-dir", split, "--split", "../x")
+    monkeypatch.undo()
+    assert code == 1
+    assert opened == []
+    assert "unknown split part '../x'" in capsys.readouterr().err
+
+
+def test_eval_hashes_the_vocabulary_once(tmp_path, ratings_file, capsys, monkeypatch):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    calls = []
+    text = dp._vocabulary_text
+    monkeypatch.setattr(dp, "_vocabulary_text", lambda raw: calls.append(raw) or text(raw))
+    code = run_cli("eval", "--checkpoint", run / "checkpoint", "--split-dir", split,
+                   "--out", tmp_path / "report")
+    assert code == 0
+    assert len(calls) == 1

@@ -1,23 +1,33 @@
+import hashlib
 import json
 import os
+import pathlib
+import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaerec import data
 from vaerec.data import (
+    DatasetSplit,
     ImplicitEvent,
     InteractionRecord,
     ParseError,
     PipelineConfig,
     UserSequence,
+    Vocabulary,
     binarize,
     build_sequences,
     filter_min_history,
     fold_split,
     ingest,
+    load_heldout,
     load_split,
+    make_heldout,
     run_pipeline,
     save_split,
     split_users,
@@ -210,7 +220,7 @@ class TestSubsample:
         assert a == b
 
 
-def synthetic_ratings(path, n_users=40, seed=0):
+def synthetic_ratings(path, n_users=40, seed=0, delimiter=","):
     """Small ratings log with enough structure for pipeline tests."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -221,7 +231,7 @@ def synthetic_ratings(path, n_users=40, seed=0):
         for k, item in enumerate(items):
             rating = int(rng.integers(1, 6))
             rows.append((f"u{u}", f"m{item}", rating, t0 + k))
-    write_ratings(path, rows)
+    write_ratings(path, rows, delimiter)
 
 
 class TestPipeline:
@@ -373,3 +383,265 @@ class TestPipeline:
         counts = manifest["counts"]
         assert counts["users"] == len(split.train) + len(split.validation) + len(split.test)
         assert counts["items"] == split.n_items
+
+
+def split_dir_digest(path):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0" + (path / name).read_bytes())
+    return h.hexdigest()
+
+
+def reference_split(path, cfg):
+    """run_pipeline as the record-level stages compute it (no subsampling)."""
+    events = binarize(ingest(path, cfg.delimiter), cfg.binarize_threshold)
+    if not events:
+        raise ValueError("no interactions after binarization")
+    sequences, vocab = build_sequences(events)
+    sequences = filter_min_history(sequences, cfg.min_history)
+    train, val, test = split_users(sequences, cfg.fractions, cfg.seed)
+    return DatasetSplit(train, [make_heldout(s, cfg.fold_ratio) for s in val],
+                        [make_heldout(s, cfg.fold_ratio) for s in test], vocab, cfg.fold_ratio)
+
+
+def split_bytes_or_error(make_split, log, cfg, out):
+    """The split directory's files, or the error's type and message."""
+    try:
+        split = make_split(log, cfg)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    save_split(split, out, cfg.to_dict(), cfg.seed)
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+# ids mix ASCII, non-ASCII and NUL characters ("a" and "a\x00" must stay
+# apart); small pools give users several rows and repeat (user, item) pairs
+ids = st.text(alphabet="ab\x00é漢🙂 ", min_size=1, max_size=3).filter(lambda s: s.strip())
+users = st.sampled_from(["a", "a\x00", "é", "漢🙂", "b b"])
+items = st.one_of(st.sampled_from(["a", "a\x00", "\x00a", "é", "漢", "🙂", "b", "ab"]), ids)
+padding = st.sampled_from(["", " ", "\t", " \t "])
+good_row = st.tuples(
+    users, items,
+    st.sampled_from(["4", "5", " 4.5", "3", "3.0", "3.5", "1", "2.9999", "3.0000001", "nan"]),
+    st.integers(0, 4).map(str),
+)
+bad_row = st.one_of(
+    st.tuples(users, items, st.just("5")),
+    st.tuples(users, items, st.just("5"), st.just("1"), st.just("x")),
+    st.tuples(users, items, st.sampled_from(["x", "", "4..0", "five"]), st.just("1")),
+    st.tuples(users, items, st.just("4"), st.sampled_from(["1.5", "t", "", "0x3"])),
+    st.tuples(users, items, st.just("4"), st.integers(-3, -1).map(str)),
+)
+log_line = st.one_of(
+    st.tuples(good_row, st.lists(padding, min_size=5, max_size=5)),
+    st.sampled_from(["", "   ", "\t"]),
+)
+# two times in three a log has no bad row
+bad_rows = st.one_of(st.just([]), st.just([]),
+                     st.lists(st.tuples(st.integers(0, 60), bad_row), min_size=1, max_size=2))
+
+
+class TestColumnarPipeline:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        delimiter=st.sampled_from([",", "::"]),
+        lines=st.lists(log_line, min_size=10, max_size=60),
+        bad=bad_rows,
+        chunk_chars=st.sampled_from([1, 12, 80, data.CHUNK_CHARS]),
+        seed=st.integers(0, 3),
+    )
+    def test_same_split_and_errors_as_record_stages(self, delimiter, lines, bad, chunk_chars,
+                                                    seed):
+        text_lines = []
+        for line in lines:
+            if isinstance(line, str):
+                text_lines.append(line)
+                continue
+            fields, pads = line
+            text_lines.append(pads[0] + delimiter.join(
+                f"{field}{pad}" for field, pad in zip(fields, pads[1:])))
+        for position, fields in bad:
+            text_lines.insert(min(position, len(text_lines)), delimiter.join(fields))
+        cfg = PipelineConfig(delimiter=delimiter, min_history=2, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            log = os.path.join(tmp, "ratings.log")
+            with open(log, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in text_lines))
+            want = split_bytes_or_error(reference_split, log, cfg, pathlib.Path(tmp, "a"))
+            with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
+                got = split_bytes_or_error(run_pipeline, log, cfg, pathlib.Path(tmp, "b"))
+        assert got == want
+
+    def bad_row_around_chunk_boundary(self, tmp_path, offset):
+        """A log of good rows that fills two chunks, with a bad rating at
+        ``offset`` lines from the first line of the second chunk."""
+        rows = [f"u{k % 50},i{k},5,{k}\n" for k in range(2 * data.CHUNK_CHARS // 10)]
+        log = tmp_path / "ratings.csv"
+        log.write_text("".join(rows))
+        with open(log, encoding="utf-8") as fh:
+            boundary = len(fh.readlines(data.CHUNK_CHARS)) + 1
+        assert boundary < len(rows)
+        line = boundary + offset
+        rows[line - 1] = f"u1,i1,bad,{line}\n"
+        log.write_text("".join(rows))
+        return log, line
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bad_row_at_chunk_boundary_reports_its_line(self, tmp_path, offset):
+        log, line = self.bad_row_around_chunk_boundary(tmp_path, offset)
+        with pytest.raises(ParseError, match=rf"^line {line}: bad rating 'bad'$"):
+            run_pipeline(log, PipelineConfig())
+        with pytest.raises(ParseError, match=rf"^line {line}: bad rating 'bad'$"):
+            ingest(log)
+
+    @pytest.mark.parametrize("bad_row_at", [1, 1501])
+    def test_undecodable_bytes_raise_what_ingest_raises(self, tmp_path, bad_row_at):
+        # the bad byte is some 22 KB in: inside the first chunk, beyond the
+        # 8 KiB that ingest decodes ahead
+        rows = [f"u{k % 9},i{k},5,{k}\n".encode() for k in range(1500)]
+        rows.insert(bad_row_at - 1, b"u,i,x,1\n")
+        log = tmp_path / "ratings.csv"
+        log.write_bytes(b"".join(rows) + b"\xff,i,5,1\n")
+        outcomes = []
+        for read in (ingest, lambda path: run_pipeline(path, PipelineConfig())):
+            with pytest.raises(ValueError) as err:
+                read(log)
+            outcomes.append((err.type, str(err.value)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is (ParseError if bad_row_at == 1 else UnicodeDecodeError)
+
+    def test_timestamp_beyond_int64_names_its_line(self, tmp_path):
+        log = tmp_path / "ratings.csv"
+        rows = [("u", f"i{k}", 5, 2**63 - 1) for k in range(6)] + [("u", "j", 5, 2**63)]
+        write_ratings(log, rows)
+        with pytest.raises(ParseError, match=rf"^line 7: timestamp {2**63} does not fit in int64$"):
+            run_pipeline(log, PipelineConfig())
+
+    def test_largest_int64_timestamp_is_kept(self, tmp_path):
+        log = tmp_path / "ratings.csv"
+        write_ratings(log, [("u", f"i{k}", 5, 2**63 - 1 - k) for k in range(6)])
+        sequences, vocab = data.log_sequences(log)
+        assert [vocab.to_raw(i) for i in sequences[0].items] == [f"i{k}" for k in range(5, -1, -1)]
+
+    def test_ids_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        log = tmp_path / "ratings.csv"
+        write_ratings(log, [("u", "a\x00", 5, 1), ("u", "a", 5, 2), ("u\x00", "a", 5, 0)])
+        sequences, vocab = data.log_sequences(log)
+        assert vocab.raw_ids() == ["a\x00", "a"]
+        assert [s.items for s in sequences] == [(0, 1), (1,)]
+
+    # sha256 of the split directories the record-level pipeline wrote before
+    # prepare became columnar (file names and bytes in name order)
+    PINNED = {
+        "default": "aefac1bc3068325b300b4fb55a9e42c8cf2f4257f6af27073b832f8b99e4f2b0",
+        "colon-subsample": "073707d0beaa54067fc7fa6e1a3860cb3967f0bf81e2ab6b0ebd5a1049876777",
+    }
+
+    @pytest.mark.parametrize("name,delimiter,n_users,seed,cfg", [
+        ("default", ",", 60, 2, PipelineConfig(seed=4)),
+        ("colon-subsample", "::", 40, 5,
+         PipelineConfig(delimiter="::", seed=11, subsample_users=10)),
+    ])
+    def test_split_matches_pinned_digest(self, tmp_path, name, delimiter, n_users, seed, cfg):
+        log = tmp_path / "ratings.log"
+        synthetic_ratings(log, n_users=n_users, seed=seed, delimiter=delimiter)
+        out = tmp_path / name
+        save_split(run_pipeline(log, cfg), out, cfg.to_dict(), cfg.seed)
+        assert split_dir_digest(out) == self.PINNED[name]
+
+
+def edit_manifest(split_dir, edit):
+    path = split_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def bump_count(field):
+    return lambda manifest: manifest["counts"].update({field: manifest["counts"][field] + 1})
+
+
+MANIFEST_EDITS = {
+    "format": lambda manifest: manifest.update(format="vaerec-split-v0"),
+    "counts.items": bump_count("items"),
+    "counts.train_users": bump_count("train_users"),
+    "counts.validation_users": bump_count("validation_users"),
+    "counts.test_users": bump_count("test_users"),
+    "counts.users": bump_count("users"),
+    "counts.interactions": bump_count("interactions"),
+    "vocabulary_digest": lambda manifest: manifest.update(vocabulary_digest="0" * 64),
+}
+
+
+class TestSplitManifest:
+    saved_split = TestPipeline.saved_split
+    edit_line = TestPipeline.edit_line
+
+    @pytest.mark.parametrize("field", list(MANIFEST_EDITS))
+    def test_mismatch_names_manifest_and_field(self, tmp_path, field):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, MANIFEST_EDITS[field])
+        with pytest.raises(ValueError, match=rf"manifest\.json: {re.escape(field)} is "):
+            load_split(out)
+
+    def test_missing_counts_name_the_field(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, lambda manifest: manifest.pop("counts"))
+        with pytest.raises(ValueError, match=r"manifest\.json: counts\.items is None"):
+            load_split(out)
+
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.pop("fold_ratio"),
+        lambda manifest: manifest.update(fold_ratio="0.8"),
+        lambda manifest: manifest.update(fold_ratio=True),
+    ], ids=["missing", "string", "bool"])
+    def test_fold_ratio_must_be_a_number(self, tmp_path, edit):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, edit)
+        with pytest.raises(ValueError, match=r"manifest\.json: fold_ratio is .*, expected a num"):
+            load_split(out)
+
+    def test_manifest_must_be_a_json_object(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        (out / "manifest.json").write_text("[]\n")
+        with pytest.raises(ValueError, match=r"manifest\.json: expected a JSON object"):
+            load_split(out)
+
+    def test_line_errors_come_before_manifest_checks(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, MANIFEST_EDITS["format"])
+        self.edit_line(out / "test.tsv", 1, lambda line: "u" + line)
+        with pytest.raises(ParseError, match=r"test\.tsv: line 1: bad user index"):
+            load_split(out)
+
+    @pytest.mark.parametrize("fold", ["validation", "test"])
+    def test_heldout_fold_reads_only_its_files(self, tmp_path, fold):
+        out = self.saved_split(tmp_path)
+        split, manifest = load_split(out)
+        for other in set(data.FOLDS) - {fold}:
+            os.remove(out / f"{other}.tsv")
+        # the totals and the other folds' counts are not checked on one fold
+        edit_manifest(out, lambda m: m["counts"].update(users=0, interactions=0, train_users=0))
+        heldout, vocab, _ = load_heldout(out, fold)
+        assert heldout == getattr(split, fold)
+        assert vocab.raw_ids() == split.vocabulary.raw_ids()
+
+    @pytest.mark.parametrize("field", ["format", "counts.items", "counts.test_users",
+                                       "vocabulary_digest"])
+    def test_heldout_fold_checks_its_manifest_fields(self, tmp_path, field):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, MANIFEST_EDITS[field])
+        with pytest.raises(ValueError, match=rf"manifest\.json: {re.escape(field)} is "):
+            load_heldout(out, "test")
+
+    def test_unknown_heldout_fold(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown held-out fold 'train'"):
+            load_heldout(tmp_path, "train")
+
+    def test_vocabulary_digest_is_hashed_once(self, monkeypatch):
+        calls = []
+        text = data._vocabulary_text
+        monkeypatch.setattr(data, "_vocabulary_text", lambda raw: calls.append(raw) or text(raw))
+        vocab = Vocabulary(["x", "y\x00"])
+        assert vocab.digest() == vocab.digest() == hashlib.sha256(b"x\t0\ny\x00\t1\n").hexdigest()
+        assert len(calls) == 1
