@@ -18,9 +18,15 @@ import json
 import sys
 
 from vaerec.data import PipelineConfig, run_pipeline
-from vaerec.evaluation import PopularityRanker, evaluate
+from vaerec.evaluation import PopularityRanker, batch_rank_fn, evaluate
 from vaerec.models import ModelConfig
 from vaerec.models.training import train
+
+
+def ndcg100_on_test(ranker, split):
+    """NDCG@100 on the test fold, every user ranked from one batch of scores."""
+    rank_fn = batch_rank_fn(ranker, split.test)
+    return evaluate(rank_fn, split.test, n_values=(100,)).metrics["NDCG@100"]
 
 
 def run_ml1m(ratings_path, subsample_users=1000, epochs=8, seed=0,
@@ -47,14 +53,14 @@ def run_ml1m(ratings_path, subsample_users=1000, epochs=8, seed=0,
                     callback=lambda s: progress(
                         f"svae epoch {s.epoch}: loss={s.train_loss:.3f} "
                         f"val={s.val_ndcg100:.4f} ({s.seconds:.0f}s)"))
-    results["svae"] = evaluate(svae.rank, split.test, n_values=(100,)).metrics["NDCG@100"]
+    results["svae"] = ndcg100_on_test(svae, split)
     mvae, _ = train("mvae", split, config,
                     callback=lambda s: progress(
                         f"mvae epoch {s.epoch}: loss={s.train_loss:.3f} "
                         f"val={s.val_ndcg100:.4f}"))
-    results["mvae"] = evaluate(mvae.rank, split.test, n_values=(100,)).metrics["NDCG@100"]
+    results["mvae"] = ndcg100_on_test(mvae, split)
     pop = PopularityRanker(split.train, split.n_items)
-    results["pop"] = evaluate(pop.rank, split.test, n_values=(100,)).metrics["NDCG@100"]
+    results["pop"] = ndcg100_on_test(pop, split)
     return results
 
 

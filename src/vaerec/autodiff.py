@@ -419,74 +419,90 @@ def gru_cell(x: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
 
 
 def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
-    """Run the GRU over the T rows of ``x_rows`` [T, d] from the state ``h0``
-    [1, H]; row t of the [T, H] result is the state after rows 0..t.
+    """Run the GRU over T steps of B sequences at once: ``x_rows`` is
+    [T, B, d], ``h0`` is [B, H], and entry [t, b] of the [T, B, H] result is
+    row b's state after its steps 0..t. A 2-D ``x_rows`` [T, d] is one
+    sequence: ``h0`` must be [1, H] and the result is [T, H].
 
     Computes what T chained ``gru_cell`` calls compute (to rounding) but
-    records one tape entry. The input projection of all rows, biases
-    included, is one matmul against the gate weights concatenated at call
-    time; a step adds ``h @ [U_r|U_u]``, one ``(r*h) @ U_c`` and elementwise
-    work. Backward is hand-written backprop through time: the reverse loop
-    carries only the hidden-state gradient and fills a [T, 3H] array of gate
-    pre-activation gradients, from which the weight, bias, input and ``h0``
-    gradients come in a few matmuls.
+    records one tape entry. The recurrence is causal, so sequences of
+    different lengths can share a call right-padded: a row's state at its
+    last real step does not depend on the padding after it. The input
+    projection of all T * B rows, biases included, is one matmul against
+    the gate weights concatenated at call time; a step adds
+    ``h @ [U_r|U_u]``, one ``(r*h) @ U_c`` and elementwise work, with
+    ``h`` a [B, H] matrix (with B = 1 this rounds exactly as the one-row
+    product does). Backward is hand-written backprop through time: the
+    reverse loop carries only the [B, H] state gradient and fills a
+    [T, B, 3H] array of gate pre-activation gradients, from which the
+    weight, bias, input and ``h0`` gradients come in a few matmuls.
     """
     d, hid = p.w_reset.shape
     x = x_rows.data
-    if x.ndim != 2 or x.shape[1] != d:
+    if x.ndim not in (2, 3) or x.shape[-1] != d:
         raise ShapeError(f"gru_sequence inputs {x_rows.shape} do not match W {p.w_reset.shape}")
-    if h0.shape != (1, hid):
-        raise ShapeError(f"gru_sequence h0 must be [1, {hid}], got {h0.shape}")
+    x3 = x if x.ndim == 3 else x[:, None, :]
+    n_steps, n_rows = x3.shape[:2]
+    if h0.shape != (n_rows, hid):
+        raise ShapeError(f"gru_sequence h0 must be [{n_rows}, {hid}], got {h0.shape}")
     w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data], axis=1)
     b = np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     u_gates = np.concatenate([p.u_reset.data, p.u_update.data], axis=1)
     u_cand = p.u_cand.data
-    n_steps = x.shape[0]
-    pre = x @ w + b  # input part of every gate pre-activation, [T, 3H]
-    gates = np.empty((n_steps, 2 * hid))  # r | u per step
-    cand = np.empty((n_steps, hid))
-    reset_h = np.empty((n_steps, hid))  # r * h_prev, the input of U_c
-    states = np.empty((n_steps, hid))
-    h = h0.data[0]
+    x_flat = x3.reshape(n_steps * n_rows, d)
+    # input part of every gate pre-activation, [T, B, 3H]
+    pre = (x_flat @ w + b).reshape(n_steps, n_rows, 3 * hid)
+    gates = np.empty((n_steps, n_rows, 2 * hid))  # r | u per step
+    cand = np.empty((n_steps, n_rows, hid))
+    reset_h = np.empty((n_steps, n_rows, hid))  # r * h_prev, the input of U_c
+    states = np.empty((n_steps, n_rows, hid))
+    # per-gate views, so that each step indexes only its first axis
+    pre_gates, pre_cand = pre[..., : 2 * hid], pre[..., 2 * hid :]
+    r_all, u_all = gates[..., :hid], gates[..., hid:]
+    h = h0.data
     for t in range(n_steps):
-        gates[t] = _sigmoid(pre[t, : 2 * hid] + h @ u_gates)
-        r, u = gates[t, :hid], gates[t, hid:]
+        gates[t] = _sigmoid(pre_gates[t] + h @ u_gates)
+        r, u = r_all[t], u_all[t]
         np.multiply(r, h, out=reset_h[t])
-        np.tanh(pre[t, 2 * hid :] + reset_h[t] @ u_cand, out=cand[t])
+        np.tanh(pre_cand[t] + reset_h[t] @ u_cand, out=cand[t])
         np.add(u * h, (1.0 - u) * cand[t], out=states[t])
         h = states[t]
-    out = Tensor(states)
+    out = Tensor(states if x.ndim == 3 else states.reshape(n_steps, hid))
 
     def backward(g: np.ndarray) -> None:
-        r, u = gates[:, :hid], gates[:, hid:]
-        h_prev = np.concatenate([h0.data, states], axis=0)[:n_steps]
+        g = g.reshape(n_steps, n_rows, hid)
+        r, u = gates[..., :hid], gates[..., hid:]
+        h_prev = np.concatenate([h0.data[None], states], axis=0)[:n_steps]
         # per-step factors taking the state gradient to the update and
         # candidate pre-activation gradients, and d(r*h) to the reset one
         uc_factor = np.stack([(h_prev - cand) * u * (1.0 - u),
-                              (1.0 - u) * (1.0 - cand * cand)], axis=1)
+                              (1.0 - u) * (1.0 - cand * cand)], axis=2)
         r_factor = h_prev * r * (1.0 - r)
-        d_pre = np.empty((n_steps, 3 * hid))
-        d_pre3 = d_pre.reshape(n_steps, 3, hid)
+        d_pre = np.empty((n_steps, n_rows, 3 * hid))
+        d_pre4 = d_pre.reshape(n_steps, n_rows, 3, hid)
+        d_reset, d_uc, d_cand = d_pre4[:, :, 0], d_pre4[:, :, 1:], d_pre4[:, :, 2]
+        d_gates = d_pre[..., : 2 * hid]
         u_gates_t, u_cand_t = u_gates.T, u_cand.T
-        dh = np.zeros(hid)
+        dh = np.zeros((n_rows, hid))
         for t in range(n_steps - 1, -1, -1):
             dh += g[t]
-            np.multiply(dh, uc_factor[t], out=d_pre3[t, 1:])
-            d_rh = d_pre3[t, 2] @ u_cand_t
-            np.multiply(d_rh, r_factor[t], out=d_pre3[t, 0])
-            dh = dh * u[t] + d_rh * r[t] + d_pre[t, : 2 * hid] @ u_gates_t
+            np.multiply(dh[:, None], uc_factor[t], out=d_uc[t])
+            d_rh = d_cand[t] @ u_cand_t
+            np.multiply(d_rh, r_factor[t], out=d_reset[t])
+            dh = dh * u[t] + d_rh * r[t] + d_gates[t] @ u_gates_t
+        d_pre = d_pre.reshape(n_steps * n_rows, 3 * hid)
         if x_rows.requires_grad:
-            x_rows.accumulate_grad(d_pre @ w.T)
+            x_rows.accumulate_grad((d_pre @ w.T).reshape(x.shape))
         if h0.requires_grad:
-            h0.accumulate_grad(dh[None, :])
-        d_w = x.T @ d_pre
+            h0.accumulate_grad(dh)
+        d_w = x_flat.T @ d_pre
         d_b = d_pre.sum(axis=0)
-        d_u_gates = h_prev.T @ d_pre[:, : 2 * hid]
+        d_u_gates = h_prev.reshape(-1, hid).T @ d_pre[:, : 2 * hid]
         grads = [
             (p.w_reset, d_w[:, :hid]), (p.w_update, d_w[:, hid : 2 * hid]),
             (p.w_cand, d_w[:, 2 * hid :]),
             (p.u_reset, d_u_gates[:, :hid]), (p.u_update, d_u_gates[:, hid:]),
-            (p.u_cand, reset_h.T @ d_pre[:, 2 * hid :]),
+            (p.u_cand, reset_h.reshape(-1, hid).T @ d_pre[:, 2 * hid :]),
             (p.b_reset, d_b[:hid]), (p.b_update, d_b[hid : 2 * hid]),
             (p.b_cand, d_b[2 * hid :]),
         ]

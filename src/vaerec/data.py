@@ -130,7 +130,9 @@ class DatasetSplit:
 def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRecord]:
     """Read a delimiter-separated (user, item, rating, timestamp) log.
 
-    Malformed rows raise ParseError with the offending line number.
+    Malformed rows raise ParseError with the offending line number; an item
+    id holding a tab or line break is malformed, since it could not be
+    written to ``vocabulary.tsv``.
 
     ``ingest``, ``binarize`` and ``build_sequences`` are the record-level
     reference for the columnar ``run_pipeline``, which no longer calls them:
@@ -147,6 +149,7 @@ def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRec
             if len(parts) != 4:
                 raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
             user, item, rating_s, ts_s = (p.strip() for p in parts)
+            _check_item_id(item, lineno)
             try:
                 rating = float(rating_s)
             except ValueError:
@@ -220,6 +223,18 @@ CHUNK_CHARS = 1 << 16
 
 _INT64_LIMIT = 2**63
 
+# an item id holding one of these would break its ``vocabulary.tsv`` line
+_VOCABULARY_BREAKS = ("\t", "\n", "\r")
+
+
+def _breaks_vocabulary(text: str) -> bool:
+    return any(c in text for c in _VOCABULARY_BREAKS)
+
+
+def _check_item_id(item: str, lineno: int) -> None:
+    if _breaks_vocabulary(item):
+        raise ParseError(lineno, f"item id {item!r} contains a tab or line break")
+
 
 def _raise_first_bad_row(lines: Iterable[str], first_line: int, delimiter: str) -> None:
     """Raise the ParseError ``ingest`` raises for the first malformed row of
@@ -232,6 +247,7 @@ def _raise_first_bad_row(lines: Iterable[str], first_line: int, delimiter: str) 
         parts = line.split(delimiter)
         if len(parts) != 4:
             raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
+        _check_item_id(parts[1].strip(), lineno)
         rating_s, ts_s = parts[2].strip(), parts[3].strip()
         try:
             float(rating_s)
@@ -251,13 +267,16 @@ def _kept_rows(lines: list[str], delimiter: str,
                threshold: float) -> tuple[list[str], list[str], list[int]]:
     """Users, items and timestamps of the rows of ``lines`` rated strictly
     above ``threshold``. Fields are stripped and converted as ``ingest``
-    does; any malformed row raises ValueError."""
+    does; any malformed row, including one whose item id ``ingest`` rejects,
+    raises ValueError."""
     rows = list(map(str.split, filter(None, map(str.strip, lines)), repeat(delimiter)))
     if not rows:
         return [], [], []
     if set(map(len, rows)) != {4}:
         raise ValueError("a row without 4 fields")
     users, items, ratings, stamps = (list(map(str.strip, column)) for column in zip(*rows))
+    if _breaks_vocabulary("".join(items)):
+        raise ValueError("an item id with a tab or line break")
     stamps = list(map(int, stamps))
     if min(stamps) < 0 or max(stamps) >= _INT64_LIMIT:
         raise ValueError("a timestamp outside int64's non-negative range")

@@ -11,8 +11,9 @@ MODEL_KINDS = ("mvae", "rvae", "svae")
 def build_model(kind: str, n_items: int, config: ModelConfig, n_users: int = 0,
                 init: bool = True):
     """Construct a model of the given kind, its parameters drawn from
-    ``config.seed``. With ``init=False`` nothing is drawn: the parameters
-    are laid out at zero, for ``load_checkpoint`` to fill."""
+    ``config.seed``. With ``init=False`` nothing is drawn or allocated: the
+    parameters read as zero until the arena is first used, so that
+    ``load_checkpoint`` can check a blob's size before allocating for it."""
     rng = np.random.default_rng(config.seed) if init else None
     if kind == "mvae":
         model = MultinomialVAE(n_items, config, rng)
@@ -22,5 +23,6 @@ def build_model(kind: str, n_items: int, config: ModelConfig, n_users: int = 0,
         model = SequentialVAE(n_items, config, rng)
     else:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    model.store.lay_out()
+    if init:
+        model.store.lay_out()
     return model

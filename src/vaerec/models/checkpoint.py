@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from vaerec.models import build_model
+from vaerec.models import MODEL_KINDS, build_model
 from vaerec.models.config import ModelConfig
 
 MANIFEST_SUFFIX = ".json"
@@ -67,11 +67,39 @@ def save_checkpoint(
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _check_manifest(manifest) -> None:
+    """Every field that loading and serving read must be present with its
+    type; otherwise ``ValueError`` names the field."""
+    n_items = manifest.get("n_items")
+    checks = [
+        ("model", lambda v: v in MODEL_KINDS, f"one of {MODEL_KINDS}"),
+        ("n_items", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+        ("n_users", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+        ("config", lambda v: isinstance(v, dict), "an object"),
+        ("tensors", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+         "a list of objects"),
+        ("vocabulary", lambda v: _is_str_list(v) and len(v) == n_items,
+         f"a list of n_items = {n_items!r:.20} strings"),
+        ("vocabulary_digest", lambda v: isinstance(v, str), "a string"),
+    ]
+    for field, ok, expected in checks:
+        value = manifest.get(field)
+        if not ok(value):
+            raise ValueError(f"checkpoint manifest field {field!r} is {value!r:.60}, "
+                             f"expected {expected}")
+
+
 def _check_tensors(entries, layout) -> None:
     """The manifest must list exactly the model's tensors: same names,
     order, shapes and contiguous offsets."""
-    if not isinstance(entries, list):
-        raise ValueError("checkpoint manifest has no tensor list")
     for position, (entry, expected) in enumerate(itertools.zip_longest(entries, layout)):
         if expected is None:
             raise ValueError(f"checkpoint has unexpected tensor {entry.get('name')!r}")
@@ -115,12 +143,15 @@ def load_checkpoint(base_path: str | os.PathLike):
     Only the model's layout is built, with no random draws, and the blob is
     read straight into its parameter arena. The manifest's tensor list must
     match that layout exactly and the blob must be exactly as long as the
-    layout; otherwise ``ValueError`` names the offending tensor."""
+    layout; otherwise ``ValueError`` names the offending tensor. A manifest
+    field missing or of the wrong type is a ``ValueError`` naming the
+    field."""
     base = str(base_path)
     with open(base + MANIFEST_SUFFIX, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "vaerec-checkpoint-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "vaerec-checkpoint-v1":
         raise ValueError(f"not a checkpoint manifest: {base + MANIFEST_SUFFIX}")
+    _check_manifest(manifest)
     config = ModelConfig.from_mapping(manifest["config"])
     model = build_model(
         manifest["model"], manifest["n_items"], config, n_users=manifest["n_users"],
@@ -128,9 +159,9 @@ def load_checkpoint(base_path: str | os.PathLike):
     )
     layout = model.store.layout()
     _check_tensors(manifest["tensors"], layout)
-    values = model.store.values
     with open(base + PARAMS_SUFFIX, "rb") as fh:
         _check_blob_size(os.fstat(fh.fileno()).st_size, layout)
+        values = model.store.values
         if fh.readinto(values) != values.nbytes:
             raise ValueError(f"checkpoint blob changed while being read: {base + PARAMS_SUFFIX}")
     if sys.byteorder != "little":

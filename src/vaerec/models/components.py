@@ -161,15 +161,11 @@ def counts_matrix(target_rows: Sequence[Sequence[int]], n_items: int) -> np.ndar
     return out
 
 
-def score_rows(scores_fn, fold_ins: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
-    """``scores_fn(fold_in)`` for each fold-in, stacked into a [U, N] array.
-
-    Each row is scored alone: a multi-row matmul may round differently from
-    the one-row path, which would change rankings and reports."""
-    out = np.empty((len(fold_ins), n_items))
-    for row, fold_in in enumerate(fold_ins):
-        out[row] = scores_fn(fold_in)
-    return out
+# Held-out users are scored this many at a time, as the rows of one
+# [rows, .] matmul chain. It bounds the temporaries of a scoring call: a
+# block of mvae bags is rows x N floats, and svae's batched recurrence keeps
+# about 8 x rows x T_max x H floats (T_max, the block's longest fold-in).
+SCORE_BLOCK = 64
 
 
 def rank_items(scores: np.ndarray, exclude: frozenset[int] | set[int]) -> np.ndarray:

@@ -9,6 +9,7 @@ horizon, and Adam with weight decay 0.01.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 LIKELIHOOD_MODES = ("next-k-multiset", "mixture")
@@ -63,12 +64,21 @@ class ModelConfig:
         return d
 
     @classmethod
-    def from_mapping(cls, mapping: dict) -> "ModelConfig":
-        """Build from a flat string/native mapping, ignoring unrelated keys."""
+    def from_mapping(cls, mapping: Mapping) -> "ModelConfig":
+        """Build from a flat string/native mapping, ignoring unrelated keys.
+        A value that does not parse as its field's type is a ValueError
+        naming the field."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"a config must be a mapping, got {type(mapping).__name__}")
         kwargs = {}
         for f_name, f_type in _FIELD_PARSERS.items():
             if f_name in mapping:
-                kwargs[f_name] = f_type(mapping[f_name])
+                try:
+                    kwargs[f_name] = f_type(mapping[f_name])
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"config field {f_name}: cannot parse {mapping[f_name]!r:.60}"
+                    ) from None
         return cls(**kwargs)
 
 

@@ -15,13 +15,13 @@ import numpy as np
 from vaerec import autodiff as ad
 from vaerec.autodiff import ParameterStore, Tensor
 from vaerec.models.components import (
+    SCORE_BLOCK,
     DenseStack,
     GaussianHead,
     GaussianParams,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
-    score_rows,
 )
 from vaerec.models.config import ModelConfig
 
@@ -72,13 +72,16 @@ class MultinomialVAE:
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
         """Catalog log-probabilities from the noise-free latent."""
-        g = self.encode(self.bag_vector(fold_in))
-        log_pi = self.decode(g.mu)
-        return log_pi.data[0]
+        return self.score_batch([fold_in])[0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
-        """[U, N] scores, one ``scores`` row per fold-in."""
-        return score_rows(self.scores, fold_ins, self.n_items)
+        """[U, N] ``scores`` rows: the bags of ``SCORE_BLOCK`` fold-ins at a
+        time are encoded and decoded as one matrix."""
+        out = np.empty((len(fold_ins), self.n_items))
+        for lo in range(0, len(fold_ins), SCORE_BLOCK):
+            bags = np.stack([self.bag_vector(f) for f in fold_ins[lo : lo + SCORE_BLOCK]])
+            out[lo : lo + len(bags)] = self.decode(self.encode(bags).mu).data
+        return out
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:
         return rank_items(self.scores(fold_in), exclude)

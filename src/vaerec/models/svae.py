@@ -20,6 +20,7 @@ import numpy as np
 from vaerec import autodiff as ad
 from vaerec.autodiff import ParameterStore, Tensor
 from vaerec.models.components import (
+    SCORE_BLOCK,
     DenseStack,
     GaussianHead,
     GaussianParams,
@@ -29,7 +30,6 @@ from vaerec.models.components import (
     kl_to_standard_normal,
     rank_items,
     reparameterize,
-    score_rows,
 )
 from vaerec.models.config import ModelConfig
 
@@ -140,16 +140,40 @@ class SequentialVAE:
         """Noise-free catalog log-probabilities for the step after the
         fold-in: the recurrence consumes every fold-in item, z is the
         posterior mean at that final state."""
-        if len(fold_in) == 0:
-            raise ValueError("fold-in must not be empty")
-        states = self._hidden_states(list(fold_in))
-        g = self._encode_states(Tensor(states.data[-1:]))
-        log_pi = self.decode(g.mu)
-        return log_pi.data[0]
+        return self.score_batch([fold_in])[0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
-        """[U, N] scores, one ``scores`` row per fold-in."""
-        return score_rows(self.scores, fold_ins, self.n_items)
+        """[U, N] ``scores`` rows. The fold-ins are sorted by length, so that
+        padding stays small, and scored ``SCORE_BLOCK`` at a time."""
+        lengths = [len(f) for f in fold_ins]
+        if 0 in lengths:
+            raise ValueError("fold-in must not be empty")
+        order = sorted(range(len(fold_ins)), key=lengths.__getitem__)
+        out = np.empty((len(fold_ins), self.n_items))
+        for lo in range(0, len(order), SCORE_BLOCK):
+            rows = order[lo : lo + SCORE_BLOCK]
+            out[rows] = self._score_block([fold_ins[r] for r in rows])
+        return out
+
+    def _score_block(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
+        """Scores of a few fold-ins from one batched recurrence over their
+        start tokens and items, right-padded to the longest; each row's
+        state is read at its last real step, and the rows are encoded and
+        decoded as one matrix."""
+        n_rows = len(fold_ins)
+        lengths = [len(f) for f in fold_ins]
+        looked = ad.embedding_lookup(self.item_embedding, [i for f in fold_ins for i in f]).data
+        # step 0 consumes the start token, step j + 1 the row's item j
+        x = np.zeros((max(lengths) + 1, n_rows, looked.shape[1]))
+        x[0] = self.start_embedding.data
+        start = 0
+        for row, n in enumerate(lengths):
+            x[1 : n + 1, row] = looked[start : start + n]
+            start += n
+        h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
+        states = ad.gru_sequence(Tensor(x), h0, self.gru).data
+        g = self._encode_states(Tensor(states[lengths, np.arange(n_rows)]))
+        return self.decode(g.mu).data
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:
         return rank_items(self.scores(fold_in), exclude)

@@ -178,6 +178,95 @@ class TestGRUSequence:
             gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 3))), p)
 
 
+def one_row_call(p, store, x_row, h0_row, probe_row):
+    """One sequence through the 2-D form: its states, the grads of
+    sum(states * probe) for ``store``'s GRU tensors, and the input and h0
+    grads."""
+    x = Tensor(x_row, requires_grad=True)
+    h0 = Tensor(h0_row, requires_grad=True)
+    store.zero_grad()
+    with Tape() as tape:
+        out = gru_sequence(x, h0, p)
+        loss = ad.sum_all(ad.mul(out, Tensor(probe_row)))
+    tape.backward(loss, store)
+    grads = {name: t.grad.copy() for name, t in store.items() if name.startswith("gru.")}
+    return out.data, grads, x.grad, h0.grad
+
+
+class TestBatchedGRUSequence:
+    def make(self, lengths, in_dim, hid, seed):
+        """B sequences of the given lengths, right-padded into x [T, B, d],
+        with x and h0 [B, H] held as parameters, and a probe that is zero at
+        every padded step, so a loss of sum(out * probe) sees real steps
+        only."""
+        rng = np.random.default_rng(seed)
+        store = ParameterStore()
+        p = make_gru_params(store, in_dim, hid, rng=rng)
+        steps, rows = max(lengths), len(lengths)
+        x = store.add("x", rng.normal(size=(steps, rows, in_dim)))
+        h0 = store.add("h0", rng.normal(size=(rows, hid)))
+        real = np.arange(steps)[:, None] < np.array(lengths)[None, :]
+        probe = Tensor(rng.normal(size=(steps, rows, hid)) * real[..., None])
+        return store, p, x, h0, probe
+
+    def test_gradient_check_ragged(self):
+        store, p, x, h0, probe = self.make([5, 2, 1, 4], 3, 4, seed=3)
+        err = gradient_check(
+            lambda: ad.sum_all(ad.mul(gru_sequence(x, h0, p), probe)), store, epsilon=1e-5
+        )
+        assert err < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+        in_dim=st.integers(1, 5),
+        hid=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_matches_its_one_sequence_call(self, lengths, in_dim, hid, seed):
+        store, p, x, h0, probe = self.make(lengths, in_dim, hid, seed)
+        out, grads, records = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        assert out.shape == (max(lengths), len(lengths), hid)
+        assert records == 3
+        summed = {name: np.zeros_like(g) for name, g in grads.items() if name.startswith("gru.")}
+        for b, n in enumerate(lengths):
+            want, want_grads, x_grad, h0_grad = one_row_call(
+                p, store, x.data[:n, b], h0.data[b : b + 1], probe.data[:n, b])
+            np.testing.assert_allclose(out[:n, b], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads["x"][:n, b], x_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads["h0"][b : b + 1], h0_grad, rtol=0, atol=1e-12)
+            for name, grad in want_grads.items():
+                summed[name] += grad
+        # padded steps come after every real step of their row: no gradient
+        assert not grads["x"][np.arange(max(lengths))[:, None] >= np.array(lengths)].any()
+        for name, grad in summed.items():
+            np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_one_row_rounds_as_the_two_dimensional_call(self):
+        store, p, x, h0, probe = self.make([7], 3, 4, seed=2)
+        out, grads, *_ = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        want, want_grads, x_grad, h0_grad = one_row_call(
+            p, store, x.data[:, 0], h0.data, probe.data[:, 0])
+        assert out[:, 0].tobytes() == want.tobytes()
+        assert grads["x"][:, 0].tobytes() == x_grad.tobytes()
+        assert grads["h0"].tobytes() == h0_grad.tobytes()
+        for name, grad in want_grads.items():
+            assert grads[name].tobytes() == grad.tobytes(), name
+
+    def test_h0_rows_must_match_the_batch(self):
+        store = ParameterStore()
+        p = make_gru_params(store, 2, 3)
+        with pytest.raises(ShapeError, match=r"h0 must be \[4, 3\]"):
+            gru_sequence(Tensor(np.zeros((5, 4, 2))), Tensor(np.zeros((1, 3))), p)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2, 1, 2)])
+    def test_inputs_must_be_two_or_three_dimensional(self, shape):
+        store = ParameterStore()
+        p = make_gru_params(store, 2, 3)
+        with pytest.raises(ShapeError, match="inputs"):
+            gru_sequence(Tensor(np.zeros(shape)), Tensor(np.zeros((1, 3))), p)
+
+
 class TestLogSoftmax:
     def test_uniform(self):
         out = log_softmax(Tensor([[7.0, 7.0, 7.0, 7.0]]))

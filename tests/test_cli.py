@@ -13,7 +13,7 @@ from vaerec.evaluation import (
     evaluate,
     ndcg_by_history_length,
 )
-from vaerec.models import PairwiseRankingVAE, SequentialVAE
+from vaerec.models import MultinomialVAE, PairwiseRankingVAE, SequentialVAE
 from vaerec.models.checkpoint import load_checkpoint
 
 
@@ -93,6 +93,15 @@ def test_prepare_empty_after_binarization(tmp_path, capsys):
     code = run_cli("prepare", ratings, "--out", tmp_path / "s")
     assert code == 1
     assert "no interactions after binarization" in capsys.readouterr().err
+
+
+def test_prepare_rejects_an_item_id_that_breaks_the_vocabulary(tmp_path, capsys):
+    ratings = tmp_path / "tabs.csv"
+    ratings.write_text("".join(f"u1,i\tx{k},5,{k}\n" for k in range(6)))
+    code = run_cli("prepare", ratings, "--out", tmp_path / "s")
+    assert code == 1
+    assert "line 1: item id 'i\\tx0' contains a tab or line break" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_prepare_deterministic(tmp_path, ratings_file):
@@ -254,6 +263,28 @@ def test_rvae_scores_catalog_once_per_epoch_and_per_eval(tmp_path, ratings_file,
     assert code == 0
     assert json.loads(capsys.readouterr().out)["users"] > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", ["mvae", "svae"])
+def test_eval_scores_fold_ins_in_blocks(tmp_path, ratings_file, capsys, monkeypatch, model):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split, model=model)
+    cls = {"mvae": MultinomialVAE, "svae": SequentialVAE}[model]
+    calls = []
+    decode = cls.decode
+
+    def counting(self, z):
+        calls.append(z.shape[0])
+        return decode(self, z)
+
+    monkeypatch.setattr(cls, "decode", counting)
+    capsys.readouterr()
+    code = run_cli("eval", "--checkpoint", run / "checkpoint", "--split-dir", split)
+    assert code == 0
+    users = json.loads(capsys.readouterr().out)["users"]
+    assert users > 1
+    # every distinct fold-in of the fold decoded in one call
+    assert calls == [len({u.fold_in for u in load_split(split)[0].test})]
 
 
 def test_recommend_whole_catalog_excluded(tmp_path, ratings_file, capsys):

@@ -431,6 +431,9 @@ bad_row = st.one_of(
     st.tuples(users, items, st.sampled_from(["x", "", "4..0", "five"]), st.just("1")),
     st.tuples(users, items, st.just("4"), st.sampled_from(["1.5", "t", "", "0x3"])),
     st.tuples(users, items, st.just("4"), st.integers(-3, -1).map(str)),
+    # an item id that would break its vocabulary.tsv line, kept or dropped
+    st.tuples(users, st.sampled_from(["a\tb", "\t\x00\t", "é\t "]), st.sampled_from(["5", "1"]),
+              st.just("1")),
 )
 log_line = st.one_of(
     st.tuples(good_row, st.lists(padding, min_size=5, max_size=5)),
@@ -509,6 +512,20 @@ class TestColumnarPipeline:
             outcomes.append((err.type, str(err.value)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is (ParseError if bad_row_at == 1 else UnicodeDecodeError)
+
+    @pytest.mark.parametrize("chunk_chars", [64, data.CHUNK_CHARS])
+    @pytest.mark.parametrize("rating", ["5", "1"])
+    def test_item_id_with_a_tab_names_its_line(self, tmp_path, rating, chunk_chars):
+        rows = [f"u{k % 3},i{k},5,{k}\n" for k in range(40)]
+        rows[29] = f"u1, i\tx ,{rating},29\n"
+        log = tmp_path / "ratings.csv"
+        log.write_text("".join(rows))
+        message = r"^line 30: item id 'i\\tx' contains a tab or line break$"
+        with pytest.raises(ParseError, match=message):
+            ingest(log)
+        with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
+            with pytest.raises(ParseError, match=message):
+                run_pipeline(log, PipelineConfig())
 
     def test_timestamp_beyond_int64_names_its_line(self, tmp_path):
         log = tmp_path / "ratings.csv"

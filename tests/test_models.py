@@ -15,15 +15,17 @@ from vaerec import models
 from vaerec.models import ModelConfig, build_model
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.components import (
+    SCORE_BLOCK,
     GaussianParams,
     kl_to_standard_normal,
     multinomial_log_likelihood,
+    rank_items,
     reparameterize,
 )
 from vaerec.models.svae import next_k_targets
 from vaerec.models import training
 from vaerec.models.training import TrainingError, _rvae_triples, train
-from vaerec.synthetic import cycle_split
+from vaerec.synthetic import burst_split, cycle_split
 
 
 def toy_config(**overrides):
@@ -416,6 +418,125 @@ class TestPredictions:
         np.testing.assert_array_equal(a, b)
 
 
+class TestBatchedScoring:
+    """``score_batch`` against one ``scores`` call per fold-in. A multi-row
+    matmul may round differently from a one-row one, so rows agree to 1e-12
+    and rankings exactly."""
+
+    SPLITS = {
+        "cycle": lambda: cycle_split(n_items=16, n_train=4, n_val=35, n_test=35, length=12,
+                                     seed=2),
+        "burst": lambda: burst_split(n_items=16, n_train=4, n_val=35, n_test=35,
+                                     blocks_per_user=3, seed=2),
+    }
+
+    def fold_ins(self, split):
+        """More fold-ins than one block: whole ones, prefixes of every
+        length down to one item, and repeats."""
+        whole = [u.fold_in for u in split.validation + split.test]
+        prefixes = [f[: 1 + i % len(f)] for i, f in enumerate(whole)]
+        fold_ins = whole + prefixes + whole[:5]
+        assert len(fold_ins) > 2 * SCORE_BLOCK
+        assert min(map(len, fold_ins)) == 1
+        return fold_ins
+
+    @pytest.mark.parametrize("split_name", sorted(SPLITS))
+    @pytest.mark.parametrize("kind", ["mvae", "svae"])
+    def test_rows_match_one_fold_in_at_a_time(self, kind, split_name):
+        split = self.SPLITS[split_name]()
+        model = build_model(kind, split.n_items, toy_config())
+        randomize_params(model, seed=5, scale=1.0)
+        fold_ins = self.fold_ins(split)
+        batch = model.score_batch(fold_ins)
+        assert batch.shape == (len(fold_ins), split.n_items)
+        rankings = set()
+        for row, fold_in in zip(batch, fold_ins):
+            want = model.scores(fold_in)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            exclude = set(fold_in)
+            ranked = rank_items(row, exclude)
+            np.testing.assert_array_equal(ranked, rank_items(want, exclude))
+            rankings.add(tuple(rank_items(row, set())))
+        assert len(rankings) > 1
+
+    def test_one_fold_in_is_the_scores_row(self):
+        split = self.SPLITS["cycle"]()
+        model = build_model("svae", split.n_items, toy_config())
+        randomize_params(model, seed=5, scale=1.0)
+        fold_in = split.test[0].fold_in
+        # the B = 1 recurrence rounds as the one-sequence path that training
+        # runs, so a lone fold-in scores exactly as the last training state
+        states = model._hidden_states(list(fold_in))
+        g = model._encode_states(Tensor(states.data[-1:]))
+        want = model.decode(g.mu).data[0]
+        assert model.score_batch([fold_in])[0].tobytes() == want.tobytes()
+
+    def test_svae_rejects_an_empty_fold_in(self):
+        model = build_model("svae", 6, toy_config())
+        with pytest.raises(ValueError, match="fold-in must not be empty"):
+            model.score_batch([(1, 2), ()])
+
+    @pytest.mark.parametrize("kind", ["mvae", "svae"])
+    def test_no_fold_ins(self, kind):
+        model = build_model(kind, 6, toy_config())
+        assert model.score_batch([]).shape == (0, 6)
+
+
+class TestOneUserPerStepTraining:
+    """svae still takes one Adam step per user, through the recurrence's
+    B = 1 form; batching the recurrence must leave its bytes alone."""
+
+    # recorded before the recurrence took [T, B, d] inputs, for the runs
+    # below: sha256 of the trained arena as little-endian float64, and the
+    # per-epoch training losses and validation NDCG@100
+    PINNED = {
+        "next-k-multiset": (
+            "83519400494721c0b94a2ede972e4035394056f3b07ad5a3e8ac96d7b0cbe6cc",
+            [4.789726431337046, 4.730967976178263],
+            [0.649652286785407, 0.6887632937996605],
+        ),
+        "mixture": (
+            "cf02536822752d270b7cae34928d17471ba42c7d5a01853fd445ddedeeb65625",
+            [2.5174346697877668, 2.5075524413169656],
+            [0.6675105568945915, 0.6440186536691633],
+        ),
+    }
+    # float_kernel_probe() where the pins were recorded (x86-64 with
+    # AVX-512, numpy 2.4 and its bundled OpenBLAS)
+    PINNED_PROBE = "5f91e0275ee7351d72820409154cc89b197b271e31c0bdb87f48d4576d4b9c92"
+
+    @staticmethod
+    def float_kernel_probe():
+        """sha256 of numpy's results, on fixed inputs, for the kernels svae
+        training runs: one- and many-row matmuls, tanh, exp, log, sqrt and
+        logaddexp. Their last bits depend on the CPU's vector instructions
+        and the BLAS build, so pinned training bytes hold only where this
+        matches."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(9, 7))
+        b = rng.normal(size=(7, 6))
+        parts = [a[:1] @ b, a[0] @ b, a @ b, a.T @ a, np.tanh(a), np.exp(a),
+                 np.log(np.abs(a)), np.sqrt(np.abs(a)), np.logaddexp(0.0, a)]
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_two_epochs_match_the_pinned_run(self, mode):
+        split = cycle_split(n_items=12, n_train=20, n_val=6, n_test=6, length=9, seed=3)
+        model, curve = train("svae", split, toy_config(epochs=2, likelihood_mode=mode))
+        digest, losses, ndcgs = self.PINNED[mode]
+        np.testing.assert_allclose([s.train_loss for s in curve], losses, rtol=1e-9)
+        if self.float_kernel_probe() != self.PINNED_PROBE:
+            pytest.skip("numpy's float kernels round differently here than where the "
+                        "training bytes were pinned")
+        assert [s.train_loss for s in curve] == losses
+        assert [s.val_ndcg100 for s in curve] == ndcgs
+        blob = np.ascontiguousarray(model.store.values, dtype="<f8").tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
 class TestTraining:
     def small_split(self):
         return cycle_split(n_items=8, n_train=12, n_val=4, n_test=4, length=6, seed=3)
@@ -601,6 +722,47 @@ class TestCheckpoint:
         blob.write_bytes(blob.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="8 bytes after its last tensor 'decoder.out.0.b'"):
             load_checkpoint(base)
+
+    MALFORMED_MANIFESTS = {
+        "a list": (lambda m: [m], "not a checkpoint manifest"),
+        "tensor entry not an object": (
+            lambda m: {**m, "tensors": [1] + m["tensors"][1:]}, "field 'tensors'"),
+        "config missing": (
+            lambda m: {k: v for k, v in m.items() if k != "config"}, "field 'config'"),
+        "config null": (lambda m: {**m, "config": None}, "field 'config'"),
+        "config value null": (
+            lambda m: {**m, "config": {**m["config"], "latent_dim": None}}, "latent_dim"),
+        "n_items a string": (lambda m: {**m, "n_items": "6"}, "field 'n_items'"),
+        "n_users negative": (lambda m: {**m, "n_users": -1}, "field 'n_users'"),
+        "model unknown": (lambda m: {**m, "model": "gru"}, "field 'model'"),
+        "vocabulary short": (
+            lambda m: {**m, "vocabulary": m["vocabulary"][:-1]}, "field 'vocabulary'"),
+        "vocabulary_digest missing": (
+            lambda m: {k: v for k, v in m.items() if k != "vocabulary_digest"},
+            "field 'vocabulary_digest'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_names_the_field(self, tmp_path, case):
+        edit, message = self.MALFORMED_MANIFESTS[case]
+        _, base = self.saved(tmp_path)
+        path = base.with_suffix(".json")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(base)
+
+    def test_huge_layout_rejected_before_allocating(self, tmp_path):
+        _, base = self.saved(tmp_path, "rvae")
+        path = base.with_suffix(".json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_users": 10**12}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="'user_embedding' has shape"):
+                load_checkpoint(base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind):
