@@ -162,9 +162,9 @@ def counts_matrix(target_rows: Sequence[Sequence[int]], n_items: int) -> np.ndar
 
 
 # Held-out users are scored this many at a time, as the rows of one
-# [rows, .] matmul chain. It bounds the temporaries of a scoring call: a
-# block of mvae bags is rows x N floats, and svae's batched recurrence keeps
-# about 8 x rows x T_max x H floats (T_max, the block's longest fold-in).
+# [rows, .] matmul chain. It bounds the catalog-wide temporaries of a
+# scoring call, rows x N floats for a block of mvae bags or of decoded
+# rows; svae also caps a block's recurrence (``svae.SCORE_FLOATS``).
 SCORE_BLOCK = 64
 
 

@@ -41,6 +41,34 @@ def next_k_targets(items: Sequence[int], t: int, k: int) -> tuple[int, ...]:
     return tuple(items[t - 1 : t - 1 + k])
 
 
+# A block's recurrence keeps about (2 d + 8 H) floats per row and step: the
+# looked-up and the padded inputs, the [T, B, 3H] pre-activations, both
+# gates, the candidate, r * h and the state. Blocks are cut so that
+# rows x (T_max + 1) x (2 d + 8 H) stays within this many floats (32 MiB),
+# whatever the fold-in lengths; a fold-in that needs more on its own is
+# scored alone, as the one-sequence path would.
+SCORE_FLOATS = 1 << 22
+
+
+def length_blocks(lengths: Sequence[int], step_floats: int) -> list[list[int]]:
+    """Indices into ``lengths``, sorted by length (stably) so that padding
+    stays small, and cut into blocks of at most ``SCORE_BLOCK`` rows whose
+    padded recurrence, rows x (T_max + 1) x ``step_floats`` floats, fits
+    ``SCORE_FLOATS``."""
+    blocks: list[list[int]] = []
+    block: list[int] = []
+    for row in sorted(range(len(lengths)), key=lengths.__getitem__):
+        steps = lengths[row] + 1  # the block's longest so far, start token included
+        if block and (len(block) == SCORE_BLOCK
+                      or (len(block) + 1) * steps * step_floats > SCORE_FLOATS):
+            blocks.append(block)
+            block = []
+        block.append(row)
+    if block:
+        blocks.append(block)
+    return blocks
+
+
 @dataclass
 class StepOutputs:
     """Per-step posterior, sample, and catalog log-probabilities, stacked
@@ -143,15 +171,14 @@ class SequentialVAE:
         return self.score_batch([fold_in])[0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
-        """[U, N] ``scores`` rows. The fold-ins are sorted by length, so that
-        padding stays small, and scored ``SCORE_BLOCK`` at a time."""
+        """[U, N] ``scores`` rows, scored in the ``length_blocks`` of the
+        fold-ins."""
         lengths = [len(f) for f in fold_ins]
         if 0 in lengths:
             raise ValueError("fold-in must not be empty")
-        order = sorted(range(len(fold_ins)), key=lengths.__getitem__)
+        step_floats = 2 * self.config.item_embedding_dim + 8 * self.config.gru_hidden
         out = np.empty((len(fold_ins), self.n_items))
-        for lo in range(0, len(order), SCORE_BLOCK):
-            rows = order[lo : lo + SCORE_BLOCK]
+        for rows in length_blocks(lengths, step_floats):
             out[rows] = self._score_block([fold_ins[r] for r in rows])
         return out
 

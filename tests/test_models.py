@@ -22,6 +22,7 @@ from vaerec.models.components import (
     rank_items,
     reparameterize,
 )
+from vaerec.models import svae as svae_module
 from vaerec.models.svae import next_k_targets
 from vaerec.models import training
 from vaerec.models.training import TrainingError, _rvae_triples, train
@@ -458,6 +459,46 @@ class TestBatchedScoring:
             np.testing.assert_array_equal(ranked, rank_items(want, exclude))
             rankings.add(tuple(rank_items(row, set())))
         assert len(rankings) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 400), max_size=150), st.integers(1, 40),
+           st.integers(1, 3000))
+    def test_blocks_are_sorted_and_fit_the_budget(self, lengths, step_floats, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svae_module, "SCORE_FLOATS", budget)
+            blocks = svae_module.length_blocks(lengths, step_floats)
+        flat = [row for block in blocks for row in block]
+        assert flat == sorted(range(len(lengths)), key=lengths.__getitem__)
+        for block in blocks:
+            assert 1 <= len(block) <= SCORE_BLOCK
+            cost = len(block) * (max(lengths[r] for r in block) + 1) * step_floats
+            assert len(block) == 1 or cost <= budget
+        # a block is cut only when the next fold-in would not fit
+        for block, following in zip(blocks, blocks[1:]):
+            steps = lengths[following[0]] + 1
+            assert len(block) == SCORE_BLOCK or (len(block) + 1) * steps * step_floats > budget
+
+    def test_long_fold_ins_stay_within_the_float_budget(self, monkeypatch):
+        """Long fold-ins get fewer rows a block, so a scoring call's memory
+        follows the budget, not the block's row cap."""
+        config = toy_config(item_embedding_dim=8, gru_hidden=16)
+        model = build_model("svae", 12, config)
+        randomize_params(model, seed=5, scale=1.0)
+        rng = np.random.default_rng(3)
+        fold_ins = [tuple(rng.integers(12, size=300 - 7 * i).tolist()) for i in range(10)]
+        step_floats = 2 * 8 + 8 * 16
+        budget = 3 * 301 * step_floats  # three of the longest fold-ins
+        monkeypatch.setattr(svae_module, "SCORE_FLOATS", budget)
+        tracemalloc.start()
+        try:
+            batch = model.score_batch(fold_ins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all ten in one block would hold about 3.3 x the budget
+        assert peak < 1.3 * 8 * budget
+        for row, fold_in in zip(batch, fold_ins):
+            np.testing.assert_allclose(row, model.scores(fold_in), rtol=0, atol=1e-12)
 
     def test_one_fold_in_is_the_scores_row(self):
         split = self.SPLITS["cycle"]()
