@@ -9,6 +9,7 @@ emitted as CSV; rendering is left to external tooling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,15 +46,14 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def merged_options(args: argparse.Namespace, cli_keys: list[str]) -> dict:
-    """Config-file values overridden by explicitly passed CLI flags."""
+def merged_options(args: argparse.Namespace, config_cls: type) -> dict:
+    """Config-file values overridden by explicitly passed CLI flags, for the
+    fields of the dataclass ``config_cls``."""
     options = dict(read_config_file(args.config)) if args.config else {}
-    for key in cli_keys:
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(config_cls):
+        value = getattr(args, f.name, None)
         if value is not None:
-            options[key] = value
-    if args.seed is not None:
-        options["seed"] = args.seed
+            options[f.name] = value
     return options
 
 
@@ -62,50 +62,12 @@ def config_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def write_json(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in str(text).split(",")]
-    if len(parts) != 3:
-        raise CliError(f"fractions need three comma-separated values, got {text!r}")
-    return parts[0], parts[1], parts[2]
-
-
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
-
-
 # ---------------------------------------------------------------------------
 # prepare
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    options = merged_options(
-        args,
-        ["delimiter", "binarize_threshold", "min_history", "fractions",
-         "fold_ratio", "subsample_users", "strata_edges"],
-    )
-    cfg = dp.PipelineConfig(
-        delimiter=str(options.get("delimiter", ",")),
-        binarize_threshold=float(options.get("binarize_threshold", 3.0)),
-        min_history=int(options.get("min_history", 5)),
-        fractions=_parse_fractions(options.get("fractions", "0.8,0.1,0.1")),
-        fold_ratio=float(options.get("fold_ratio", 0.8)),
-        subsample_users=(
-            int(options["subsample_users"]) if options.get("subsample_users") else None
-        ),
-        strata_edges=(
-            _parse_int_list(options["strata_edges"]) if options.get("strata_edges") else None
-        ),
-        seed=int(options.get("seed", 0)),
-    )
+    cfg = dp.PipelineConfig.from_mapping(merged_options(args, dp.PipelineConfig))
     split = dp.run_pipeline(args.ratings, cfg)
     source_digest = dp.file_digest(args.ratings)
     dp.save_split(split, args.out, cfg.to_dict(), cfg.seed, source_digest)
@@ -127,9 +89,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     split, split_manifest = dp.load_split(args.split_dir)
-    options = merged_options(args, ["epochs", "learning_rate", "k_horizon",
-                                    "likelihood_mode", "kl_weight"])
-    model_config = ModelConfig.from_mapping(options)
+    model_config = ModelConfig.from_mapping(merged_options(args, ModelConfig))
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "curve.csv")
     rows = ["epoch,train_loss,val_ndcg100,seconds"]
@@ -154,9 +114,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         epoch=best.epoch if best else 0,
         validation_score=best.val_ndcg100 if best else None,
     )
-    with open(curve_path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(curve_path + ".tmp", curve_path)
+    dp.write_atomic(curve_path, "\n".join(rows) + "\n")
     run_config = {
         "command": "train",
         "model": args.model,
@@ -166,7 +124,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "split_manifest_seed": split_manifest.get("seed"),
     }
     run_config["config_digest"] = config_digest(run_config["config"])
-    write_json(os.path.join(args.out, "run.json"), run_config)
+    dp.write_json(os.path.join(args.out, "run.json"), run_config)
     print(f"checkpoint written to {base}.json / {base}.params")
     return 0
 
@@ -179,7 +137,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # checked before any file is opened, so the value never becomes a path
     if args.split not in dp.HELDOUT_FOLDS:
         raise CliError(f"unknown split part {args.split!r}; expected validation or test")
-    n_values = _parse_int_list(args.n)
+    n_values = tuple(int(x) for x in args.n.split(",") if x.strip())
     if args.pop:
         split, _ = dp.load_split(args.split_dir)
         heldout = getattr(split, args.split)
@@ -210,11 +168,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "report.json")
-        with open(path + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(path + ".tmp", path)
-        write_json(os.path.join(args.out, "run.json"), {
+        dp.write_atomic(os.path.join(args.out, "report.json"), text)
+        dp.write_json(os.path.join(args.out, "run.json"), {
             "command": "eval",
             "model": model_name,
             "config_digest": digest,
@@ -232,9 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             high = "" if row["high"] is None else row["high"]
             value = "" if row["ndcg100"] is None else repr(row["ndcg100"])
             lines.append(f"{row['low']},{high},{row['users']},{value}")
-        with open(args.by_history_length + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(args.by_history_length + ".tmp", args.by_history_length)
+        dp.write_atomic(args.by_history_length, "\n".join(lines) + "\n")
     return 0
 
 
@@ -271,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags that set a config field stay text, so the field's type parses
+    # them exactly as it parses the same key in a --config file; --seed stays
+    # an int, since eval and recommend take it too and never parse it
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
@@ -280,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ratings", help="delimited (user, item, rating, timestamp) file")
     p.add_argument("--out", required=True, help="output split directory")
     p.add_argument("--delimiter", default=None, help='field delimiter ("," or "::")')
-    p.add_argument("--binarize-threshold", dest="binarize_threshold", type=float, default=None)
-    p.add_argument("--min-history", dest="min_history", type=int, default=None)
+    p.add_argument("--binarize-threshold", dest="binarize_threshold", default=None)
+    p.add_argument("--min-history", dest="min_history", default=None)
     p.add_argument("--fractions", default=None, help="train,val,test fractions")
-    p.add_argument("--fold-ratio", dest="fold_ratio", type=float, default=None)
-    p.add_argument("--subsample-users", dest="subsample_users", type=int, default=None)
+    p.add_argument("--fold-ratio", dest="fold_ratio", default=None)
+    p.add_argument("--subsample-users", dest="subsample_users", default=None)
     p.add_argument("--strata-edges", dest="strata_edges", default=None)
     p.set_defaults(fn=cmd_prepare)
 
@@ -293,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("split_dir")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--k-horizon", dest="k_horizon", type=int, default=None)
+    p.add_argument("--epochs", default=None)
+    p.add_argument("--learning-rate", dest="learning_rate", default=None)
+    p.add_argument("--k-horizon", dest="k_horizon", default=None)
     p.add_argument("--likelihood-mode", dest="likelihood_mode", default=None)
-    p.add_argument("--kl-weight", dest="kl_weight", type=float, default=None)
+    p.add_argument("--kl-weight", dest="kl_weight", default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint or the POP baseline")

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from vaerec.flatconfig import FlatConfig
+
 
 class ParseError(ValueError):
     """A malformed input row; carries the 1-based line number and, when
@@ -496,11 +498,17 @@ def _sequence_lines(seqs: Iterable[tuple[int, Sequence[int]]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _write_atomic(path: str, content: str) -> None:
+def write_atomic(path: str, content: str) -> None:
+    """Write text through a temp file and a rename, so that no reader sees
+    a half-written file."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(content)
     os.replace(tmp, path)
+
+
+def write_json(path: str, payload: dict) -> None:
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def split_counts(split: DatasetSplit) -> dict:
@@ -525,17 +533,17 @@ def save_split(split: DatasetSplit, out_dir: str | os.PathLike, config: dict, se
     """Write the split directory: sequences per split, vocabulary, manifest."""
     out = str(out_dir)
     os.makedirs(out, exist_ok=True)
-    _write_atomic(
+    write_atomic(
         os.path.join(out, "train.tsv"),
         _sequence_lines((s.user_index, s.items) for s in split.train),
     )
     for name, users in (("validation.tsv", split.validation), ("test.tsv", split.test)):
-        _write_atomic(
+        write_atomic(
             os.path.join(out, name),
             _sequence_lines((u.user_index, u.fold_in + u.fold_out) for u in users),
         )
-    _write_atomic(os.path.join(out, "vocabulary.tsv"),
-                  _vocabulary_text(split.vocabulary.raw_ids()))
+    write_atomic(os.path.join(out, "vocabulary.tsv"),
+                 _vocabulary_text(split.vocabulary.raw_ids()))
     manifest = {
         "format": SPLIT_FORMAT,
         "seed": seed,
@@ -545,10 +553,7 @@ def save_split(split: DatasetSplit, out_dir: str | os.PathLike, config: dict, se
         "vocabulary_digest": split.vocabulary.digest(),
         "source_digest": source_digest,
     }
-    _write_atomic(
-        os.path.join(out, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(out, "manifest.json"), manifest)
 
 
 def _parse_int(text: str, field: str, line_no: int, path: str) -> int:
@@ -693,7 +698,7 @@ def file_digest(path: str | os.PathLike) -> str:
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(FlatConfig):
     """Knobs for ``run_pipeline``, defaults matching the evaluation protocol."""
 
     delimiter: str = ","
@@ -705,17 +710,17 @@ class PipelineConfig:
     strata_edges: tuple[int, ...] | None = None
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "delimiter": self.delimiter,
-            "binarize_threshold": self.binarize_threshold,
-            "min_history": self.min_history,
-            "fractions": list(self.fractions),
-            "fold_ratio": self.fold_ratio,
-            "subsample_users": self.subsample_users,
-            "strata_edges": list(self.strata_edges) if self.strata_edges else None,
-            "seed": self.seed,
-        }
+    def __post_init__(self) -> None:
+        if self.min_history < 2:  # a held-out history must fold into two parts
+            raise ValueError(f"min_history must be >= 2, got {self.min_history}")
+        if len(self.fractions) != 3:
+            raise ValueError(f"fractions must hold three values, got {self.fractions}")
+        if not 0.0 < self.fold_ratio < 1.0:  # false for nan too
+            raise ValueError(f"fold_ratio must be strictly between 0 and 1, got {self.fold_ratio}")
+        if self.subsample_users is not None and self.subsample_users < 1:
+            raise ValueError(f"subsample_users must be >= 1, got {self.subsample_users}")
+        if self.strata_edges is not None and (not self.strata_edges or min(self.strata_edges) < 1):
+            raise ValueError(f"strata_edges must hold positive ints, got {self.strata_edges}")
 
 
 def run_pipeline(ratings_path: str | os.PathLike, cfg: PipelineConfig) -> DatasetSplit:

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from vaerec.data import write_json
 from vaerec.models import MODEL_KINDS, build_model
 from vaerec.models.config import ModelConfig
 
@@ -61,10 +62,7 @@ def save_checkpoint(
     # most an orphaned blob, never a loadable half-checkpoint
     blob = np.ascontiguousarray(model.store.values, dtype="<f8")
     _atomic_write_bytes(base + PARAMS_SUFFIX, memoryview(blob))
-    _atomic_write_bytes(
-        base + MANIFEST_SUFFIX,
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
-    )
+    write_json(base + MANIFEST_SUFFIX, manifest)
 
 
 def _is_int(value) -> bool:

@@ -111,6 +111,54 @@ def test_prepare_deterministic(tmp_path, ratings_file):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+# one non-default value per pipeline field; the delimiter case reads a
+# ';'-separated copy of the log
+PIPELINE_FLAGS = [
+    ("delimiter", "--delimiter", ";"),
+    ("binarize_threshold", "--binarize-threshold", "4.5"),
+    ("min_history", "--min-history", "8"),
+    ("fractions", "--fractions", "0.6,0.2,0.2"),
+    ("fold_ratio", "--fold-ratio", "0.5"),
+    ("subsample_users", "--subsample-users", "20"),
+    ("strata_edges", "--strata-edges", "4,16"),
+    ("seed", "--seed", "7"),
+]
+
+
+@pytest.mark.parametrize("field, flag, value", PIPELINE_FLAGS)
+def test_prepare_flag_and_config_key_write_the_same_split(tmp_path, ratings_file, field, flag,
+                                                          value):
+    if field == "delimiter":
+        ratings_file.write_text(ratings_file.read_text().replace(",", value))
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(f"{field}={value}\n")
+    assert run_cli("prepare", ratings_file, "--out", tmp_path / "flag", flag, value) == 0
+    assert run_cli("prepare", ratings_file, "--out", tmp_path / "key", "--config", config) == 0
+    manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+    assert manifest["config"][field] != dp.PipelineConfig().to_dict()[field]
+    for name in dp.SPLIT_FILES + ("vocabulary.tsv", "manifest.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+
+
+@pytest.mark.parametrize("field, text", [
+    ("subsample_users", "0"), ("subsample_users", "-3"), ("fold_ratio", "1.5"),
+    ("fold_ratio", "nan"), ("min_history", "1"), ("fractions", "0.5,0.5"),
+    ("strata_edges", ","), ("min_history", "2.5"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_prepare_rejects_an_invalid_pipeline_value(tmp_path, ratings_file, capsys, field, text,
+                                                   source):
+    if source == "flag":
+        argv = ["--" + field.replace("_", "-"), text]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{field}={text}\n")
+        argv = ["--config", config]
+    assert run_cli("prepare", ratings_file, "--out", tmp_path / "s", *argv) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_train_writes_curve_and_checkpoint(tmp_path, ratings_file):
     split = prepare(tmp_path, ratings_file)
     run = train_tiny(tmp_path, split, epochs=2)

@@ -1,6 +1,6 @@
-"""Malformed checkpoints and config files: whatever the damage, loading
-raises CliError, ValueError or ParseError (a ValueError), never another
-exception type."""
+"""Malformed checkpoints and config files (model and pipeline): whatever the
+damage, loading raises CliError, ValueError or ParseError (a ValueError),
+never another exception type."""
 
 import json
 import os
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaerec.cli import CliError, read_config_file
-from vaerec.data import ParseError
+from vaerec.data import ParseError, PipelineConfig
 from vaerec.models import MODEL_KINDS, ModelConfig, build_model
 from vaerec.models.checkpoint import (
     MANIFEST_SUFFIX,
@@ -109,11 +109,13 @@ class TestCheckpointFuzz:
         load_or_reject(files)
 
 
-FIELDS = list(ModelConfig.__dataclass_fields__)
+CONFIGS = (ModelConfig, PipelineConfig)
+FIELDS = sorted(set(ModelConfig.__dataclass_fields__) | set(PipelineConfig.__dataclass_fields__))
 config_values = st.one_of(
     st.text(max_size=8),
     st.sampled_from(["inf", "-inf", "nan", "1e999", "-1", "0", "1,,2", "3,x", "9" * 5000,
-                     "next-k-multiset", "mixture", "1.5", " 7 "]),
+                     "next-k-multiset", "mixture", "1.5", " 7 ", "", ",", "::",
+                     "0.8,0.1,0.1", "0.5,0.5", "8,16"]),
 )
 config_lines = st.one_of(
     st.tuples(st.sampled_from(FIELDS + ["unknown"]), config_values).map("=".join),
@@ -132,16 +134,18 @@ class TestConfigFileFuzz:
             path = os.path.join(tmp, "model.conf")
             with open(path, "wb") as fh:
                 fh.write(content)
-            try:
-                ModelConfig.from_mapping(read_config_file(path))
-            except REJECTIONS:
-                pass
+            for config_cls in CONFIGS:
+                try:
+                    config_cls.from_mapping(read_config_file(path))
+                except REJECTIONS:
+                    pass
 
     @settings(max_examples=200, deadline=None)
     @given(mapping=st.one_of(
         st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=4), json_values))
     def test_decoded_json_config_parses_or_is_rejected(self, mapping):
-        try:
-            ModelConfig.from_mapping(mapping)
-        except REJECTIONS:
-            pass
+        for config_cls in CONFIGS:
+            try:
+                config_cls.from_mapping(mapping)
+            except REJECTIONS:
+                pass
