@@ -48,9 +48,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -520,6 +517,7 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
 # Adam updates the arena in slices of this many values, so its temporaries
 # stay small (two 256 KiB buffers) whatever the model size.
 _ADAM_CHUNK = 1 << 15
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class ParameterStore:
@@ -529,15 +527,15 @@ class ParameterStore:
     parameter's ``data`` is a reshaped view into it. Gradients and both Adam
     moments are vectors with the same layout, allocated on the first
     backward or ``adam_step``, so a model that only predicts holds one
-    vector. Names are unique; the step counter is shared across all
+    vector. The arena is laid out once, after every parameter has been
+    added. Names are unique; the step counter is shared across all
     parameters and increases by one per ``adam_step``.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
         self._unset: set[str] = set()  # added by shape only; they start at zero
-        self._values = np.empty(0)
-        self._laid_out = 0  # parameters in the arena, a prefix of the added ones
+        self._values: np.ndarray | None = None  # the arena, once laid out
         self._grads: np.ndarray | None = None
         self._grad_views: list[np.ndarray] = []
         self._moment1: np.ndarray | None = None
@@ -548,6 +546,8 @@ class ParameterStore:
         """Add a parameter holding ``values``, or, given only ``shape``, one
         that starts at zero without allocating anything of its own. The
         latter reads as zero but is written only after ``lay_out``."""
+        if self._values is not None:
+            raise ValueError(f"cannot add parameter {name}: the arena is already laid out")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         if values is None:
@@ -560,20 +560,8 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
-
-    def tensors(self) -> Iterable[Tensor]:
-        return self._params.values()
 
     def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
         """``(name, shape, offset)`` of each parameter within ``values``."""
@@ -600,25 +588,17 @@ class ParameterStore:
     def lay_out(self) -> None:
         """Gather the parameters into the arena and rebind each one's
         ``data`` to its view. ``values``, a backward pass and a step do this
-        on first use; parameters added later grow the arena (and the Adam
-        moments, from zero) the next time."""
-        if self._laid_out == len(self._params):
+        on first use; after it, ``add`` raises."""
+        if self._values is not None:
             return
-        old = self._values
         values = np.zeros(self.n_values())
-        values[: old.size] = old
-        for i, (name, shape, offset) in enumerate(self.layout()):
+        for name, shape, offset in self.layout():
             p = self._params[name]
             view = values[offset : offset + p.data.size].reshape(shape)
-            if i >= self._laid_out and name not in self._unset:
+            if name not in self._unset:
                 view[...] = p.data
             p.data = view
         self._values = values
-        self._laid_out = len(self._params)
-        if self._moment1 is not None:
-            self._moment1 = np.pad(self._moment1, (0, values.size - old.size))
-            self._moment2 = np.pad(self._moment2, (0, values.size - old.size))
-        self._grads = None
 
     def _grad_arena(self) -> list[np.ndarray]:
         """Per-parameter views into the gradient vector, allocated once."""
@@ -639,15 +619,9 @@ class ParameterStore:
                 view.fill(0.0)
                 p.grad = view
 
-    def adam_step(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        """One Adam update with bias correction.
+    def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
+        """One Adam update with bias correction, at the usual beta1 = 0.9,
+        beta2 = 0.999 and eps = 1e-8.
 
         Weight decay is added to the raw gradient before the moment updates
         (plain additive decay, not the decoupled variant). Grads are cleared
@@ -667,8 +641,8 @@ class ParameterStore:
             self._moment2 = np.zeros_like(values)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         tmp_a = np.empty(min(_ADAM_CHUNK, values.size))
         tmp_b = np.empty_like(tmp_a)
         for lo in range(0, values.size, _ADAM_CHUNK):
@@ -678,17 +652,17 @@ class ParameterStore:
             a, b = tmp_a[: hi - lo], tmp_b[: hi - lo]
             if weight_decay != 0.0:
                 g += np.multiply(weight_decay, x, out=a)
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)
-            v *= beta2
-            np.multiply(1.0 - beta2, g, out=a)
+            m *= _BETA1
+            m += np.multiply(1.0 - _BETA1, g, out=a)
+            v *= _BETA2
+            np.multiply(1.0 - _BETA2, g, out=a)
             v += np.multiply(a, g, out=a)
             # lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(m, bc1, out=a)
             np.multiply(lr, a, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += eps
+            b += _EPS
             x -= np.divide(a, b, out=a)
         for p in self._params.values():
             p.grad = None
@@ -713,13 +687,11 @@ def gradient_check(
     loss_fn: Callable[[], Tensor],
     store: ParameterStore,
     epsilon: float = 1e-5,
-    max_coords_per_param: int | None = None,
-    seed: int = 0,
 ) -> float:
     """Compare analytic grads against central finite differences.
 
     ``loss_fn`` must be deterministic (fix any noise inputs outside). Returns
-    the max of |a - n| / max(|a|, |n|, 1e-8) over the checked coordinates.
+    the max of |a - n| / max(|a|, |n|, 1e-8) over every coordinate.
     """
     store.zero_grad()
     with Tape() as tape:
@@ -728,17 +700,11 @@ def gradient_check(
     analytic = {name: p.grad.copy() for name, p in store.items()}
     store.zero_grad()
 
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for name, p in store.items():
         flat = p.data.reshape(-1)
-        n = flat.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n)
         a_flat = analytic[name].reshape(-1)
-        for i in coords:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
             f_plus = loss_fn().item()

@@ -88,8 +88,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    split, split_manifest = dp.load_split(args.split_dir)
     model_config = ModelConfig.from_mapping(merged_options(args, ModelConfig))
+    split, split_manifest = dp.load_split(args.split_dir)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "curve.csv")
     rows = ["epoch,train_loss,val_ndcg100,seconds"]
@@ -225,11 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags that set a config field stay text, so the field's type parses
-    # them exactly as it parses the same key in a --config file; --seed stays
-    # an int, since eval and recommend take it too and never parse it
+    # them exactly as it parses the same key in a --config file
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
 
     p = sub.add_parser("prepare", help="build a dataset split from a ratings log")
     common(p)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint or the POP baseline")
-    common(p)
     p.add_argument("--checkpoint", help="checkpoint base path (no extension)")
     p.add_argument("--pop", action="store_true", help="evaluate the popularity baseline")
     p.add_argument("--split-dir", dest="split_dir", required=True)
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("recommend", help="rank items for an ad-hoc history")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history", required=True, help="comma-separated raw item ids")
     p.add_argument("--top-n", dest="top_n", type=int, default=10)

@@ -132,9 +132,9 @@ class DatasetSplit:
 def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRecord]:
     """Read a delimiter-separated (user, item, rating, timestamp) log.
 
-    Malformed rows raise ParseError with the offending line number; an item
-    id holding a tab or line break is malformed, since it could not be
-    written to ``vocabulary.tsv``.
+    Each line is checked by ``_parse_row``, the row check that
+    ``log_sequences`` also runs, so a malformed row raises ParseError with
+    its line number.
 
     ``ingest``, ``binarize`` and ``build_sequences`` are the record-level
     reference for the columnar ``run_pipeline``, which no longer calls them:
@@ -144,25 +144,9 @@ def ingest(path: str | os.PathLike, delimiter: str = ",") -> list[InteractionRec
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 4:
-                raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
-            user, item, rating_s, ts_s = (p.strip() for p in parts)
-            _check_item_id(item, lineno)
-            try:
-                rating = float(rating_s)
-            except ValueError:
-                raise ParseError(lineno, f"bad rating {rating_s!r}") from None
-            try:
-                timestamp = int(ts_s)
-            except ValueError:
-                raise ParseError(lineno, f"bad timestamp {ts_s!r}") from None
-            if timestamp < 0:
-                raise ParseError(lineno, f"negative timestamp {timestamp}")
-            records.append(InteractionRecord(user, item, rating, timestamp))
+            row = _parse_row(raw, lineno, delimiter)
+            if row is not None:
+                records.append(InteractionRecord(*row))
     return records
 
 
@@ -233,44 +217,40 @@ def _breaks_vocabulary(text: str) -> bool:
     return any(c in text for c in _VOCABULARY_BREAKS)
 
 
-def _check_item_id(item: str, lineno: int) -> None:
+def _parse_row(raw: str, lineno: int, delimiter: str) -> tuple[str, str, float, int] | None:
+    """The (user, item, rating, timestamp) of one log line, or None for a
+    blank line. A malformed row raises ParseError naming ``lineno``: a row
+    has 4 fields, an item id without a tab or line break, a float rating and
+    a timestamp in [0, 2**63)."""
+    line = raw.strip()
+    if not line:
+        return None
+    parts = line.split(delimiter)
+    if len(parts) != 4:
+        raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
+    user, item, rating_s, ts_s = (p.strip() for p in parts)
     if _breaks_vocabulary(item):
         raise ParseError(lineno, f"item id {item!r} contains a tab or line break")
-
-
-def _raise_first_bad_row(lines: Iterable[str], first_line: int, delimiter: str) -> None:
-    """Raise the ParseError ``ingest`` raises for the first malformed row of
-    ``lines``, whose first line is number ``first_line``. A timestamp too
-    large for int64 is malformed here too."""
-    for lineno, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != 4:
-            raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
-        _check_item_id(parts[1].strip(), lineno)
-        rating_s, ts_s = parts[2].strip(), parts[3].strip()
-        try:
-            float(rating_s)
-        except ValueError:
-            raise ParseError(lineno, f"bad rating {rating_s!r}") from None
-        try:
-            timestamp = int(ts_s)
-        except ValueError:
-            raise ParseError(lineno, f"bad timestamp {ts_s!r}") from None
-        if timestamp < 0:
-            raise ParseError(lineno, f"negative timestamp {timestamp}")
-        if timestamp >= _INT64_LIMIT:
-            raise ParseError(lineno, f"timestamp {timestamp} does not fit in int64")
+    try:
+        rating = float(rating_s)
+    except ValueError:
+        raise ParseError(lineno, f"bad rating {rating_s!r}") from None
+    try:
+        timestamp = int(ts_s)
+    except ValueError:
+        raise ParseError(lineno, f"bad timestamp {ts_s!r}") from None
+    if timestamp < 0:
+        raise ParseError(lineno, f"negative timestamp {timestamp}")
+    if timestamp >= _INT64_LIMIT:
+        raise ParseError(lineno, f"timestamp {timestamp} does not fit in int64")
+    return user, item, rating, timestamp
 
 
 def _kept_rows(lines: list[str], delimiter: str,
                threshold: float) -> tuple[list[str], list[str], list[int]]:
     """Users, items and timestamps of the rows of ``lines`` rated strictly
-    above ``threshold``. Fields are stripped and converted as ``ingest``
-    does; any malformed row, including one whose item id ``ingest`` rejects,
-    raises ValueError."""
+    above ``threshold``. Fields are stripped and converted as ``_parse_row``
+    does; any row ``_parse_row`` rejects raises ValueError."""
     rows = list(map(str.split, filter(None, map(str.strip, lines)), repeat(delimiter)))
     if not rows:
         return [], [], []
@@ -311,9 +291,9 @@ def log_sequences(path: str | os.PathLike, delimiter: str = ",",
     The log is read ``CHUNK_CHARS`` at a time. A chunk's rows are split and
     converted by C-level maps with Python's ``float`` and ``int``, and only
     the kept rows' user, item and timestamp columns survive it. If any row of
-    a chunk fails a check, or a chunk does not decode, the rows from that
-    chunk on are scanned one by one for the error ``ingest`` raises. User
-    and item ids are factorized in Python ``str``
+    a chunk fails a check, or a chunk does not decode, the file is read again
+    as ``ingest`` reads it, from that chunk's first line, for the error
+    ``ingest`` raises. User and item ids are factorized in Python ``str``
     order (not as numpy strings, which drop trailing NULs), the rows are
     sorted stably by (user, timestamp, item), and each (user, item) pair's
     first row is kept.
@@ -326,20 +306,17 @@ def log_sequences(path: str | os.PathLike, delimiter: str = ",",
         while True:
             try:
                 lines = fh.readlines(CHUNK_CHARS)
-            except UnicodeDecodeError:
-                # the chunk decodes further ahead than ingest does: rescan
-                # the rows from this chunk on, decoding as ingest does
+                users, items, stamps = _kept_rows(lines, delimiter, threshold)
+            except ValueError:  # a failed check, or a UnicodeDecodeError
+                # a chunk decodes further ahead than ingest does: rescan from
+                # its first line, reading as ingest reads, for ingest's error
                 with open(path, "r", encoding="utf-8") as again:
-                    _raise_first_bad_row(islice(again, first_line - 1, None), first_line,
-                                         delimiter)
+                    for lineno, raw in enumerate(islice(again, first_line - 1, None),
+                                                 start=first_line):
+                        _parse_row(raw, lineno, delimiter)
                 raise
             if not lines:
                 break
-            try:
-                users, items, stamps = _kept_rows(lines, delimiter, threshold)
-            except ValueError:
-                _raise_first_bad_row(lines, first_line, delimiter)
-                raise
             chunks.append((_encode(users, user_codes), _encode(items, item_codes),
                            np.array(stamps, dtype=np.int64)))
             first_line += len(lines)
@@ -371,17 +348,25 @@ def filter_min_history(sequences: Iterable[UserSequence], min_items: int = 5) ->
     return [s for s in sequences if len(s) >= min_items]
 
 
+def _check_fractions(fractions: Sequence[float]) -> None:
+    """Train, validation and test fractions: three, each positive, summing
+    to 1; a nan is none of these."""
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must hold three values, got {fractions}")
+    if not min(fractions) > 0:
+        raise ValueError(f"fractions must be positive, got {fractions}")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {fractions}")
+
+
 def split_users(
     sequences: Sequence[UserSequence],
     fractions: tuple[float, float, float],
     seed: int,
 ) -> tuple[list[UserSequence], list[UserSequence], list[UserSequence]]:
     """Deterministic seeded shuffle, then partition users by fraction."""
+    _check_fractions(fractions)
     f_train, f_val, f_test = fractions
-    if min(fractions) <= 0:
-        raise ValueError(f"fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(sequences))
     n = len(sequences)
@@ -713,8 +698,7 @@ class PipelineConfig(FlatConfig):
     def __post_init__(self) -> None:
         if self.min_history < 2:  # a held-out history must fold into two parts
             raise ValueError(f"min_history must be >= 2, got {self.min_history}")
-        if len(self.fractions) != 3:
-            raise ValueError(f"fractions must hold three values, got {self.fractions}")
+        _check_fractions(self.fractions)
         if not 0.0 < self.fold_ratio < 1.0:  # false for nan too
             raise ValueError(f"fold_ratio must be strictly between 0 and 1, got {self.fold_ratio}")
         if self.subsample_users is not None and self.subsample_users < 1:

@@ -170,11 +170,11 @@ HISTORY_BUCKETS = ((1, 10), (11, 20), (21, 40), (41, 80), (81, None))
 def ndcg_by_history_length(
     rank_fn: Callable[[Sequence[int], AbstractSet[int]], np.ndarray],
     heldout: Sequence[HeldoutUser],
-    buckets: Sequence[tuple[int, int | None]] = HISTORY_BUCKETS,
 ) -> list[dict]:
-    """Mean NDCG@100 per fold-in-length bucket, one row per bucket."""
+    """Mean NDCG@100 per ``HISTORY_BUCKETS`` fold-in-length bucket, one row
+    per bucket."""
     rows = []
-    for lo, hi in buckets:
+    for lo, hi in HISTORY_BUCKETS:
         members = [
             u for u in heldout
             if len(u.fold_in) >= lo and (hi is None or len(u.fold_in) <= hi)

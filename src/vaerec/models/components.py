@@ -135,21 +135,6 @@ def kl_to_standard_normal(g: GaussianParams) -> Tensor:
     return ad.scale(ad.sum_all(term), 0.5)
 
 
-def multinomial_log_likelihood(item_ids: Sequence[int], log_pi: Tensor) -> Tensor:
-    """Sum of log probabilities over a multiset of item indices.
-
-    ``log_pi`` is one log-probability row (shape [N] or [1, N]); repeated
-    ids contribute with multiplicity.
-    """
-    n = log_pi.shape[-1]
-    ids = np.asarray(item_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        bad = ids[(ids < 0) | (ids >= n)][0]
-        raise IndexError(f"item id {bad} out of range [0, {n})")
-    counts = np.bincount(ids, minlength=n).astype(np.float64).reshape(log_pi.shape)
-    return ad.sum_all(ad.mul(Tensor(counts), log_pi))
-
-
 def counts_matrix(target_rows: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
     """Row-wise multiset counts, one row per prediction step."""
     out = np.zeros((len(target_rows), n_items))

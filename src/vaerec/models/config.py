@@ -9,6 +9,7 @@ horizon, and Adam with weight decay 0.01.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from vaerec.flatconfig import FlatConfig
@@ -50,5 +51,11 @@ class ModelConfig(FlatConfig):
                 f"unknown likelihood_mode {self.likelihood_mode!r}; "
                 f"expected one of {LIKELIHOOD_MODES}"
             )
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "kl_anneal_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # false for nan too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("weight_decay", "kl_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")

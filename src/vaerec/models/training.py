@@ -40,9 +40,17 @@ def _beta_for_epoch(config: ModelConfig, epoch: int) -> float:
     return config.kl_weight
 
 
-def _check_finite(value: float, batch: int) -> None:
+def _step(model, config: ModelConfig, batch_no: int, loss_fn, *args) -> float:
+    """One training step: tape ``loss_fn(*args)``, require a finite loss,
+    backpropagate and take an Adam step. Returns the loss."""
+    with Tape() as tape:
+        loss = loss_fn(*args)
+    value = loss.item()
     if not np.isfinite(value):
-        raise TrainingError(f"non-finite loss at batch {batch}")
+        raise TrainingError(f"non-finite loss at batch {batch_no}")
+    tape.backward(loss, model.store)
+    model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
+    return value
 
 
 def _svae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> float:
@@ -52,13 +60,7 @@ def _svae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
     for batch_no, idx in enumerate(order):
         items = train[idx].items
         noise = rng.standard_normal((len(items), config.latent_dim))
-        with Tape() as tape:
-            loss = model.loss(items, noise, beta)
-        value = loss.item()
-        _check_finite(value, batch_no)
-        tape.backward(loss, model.store)
-        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
-        total += value
+        total += _step(model, config, batch_no, model.loss, items, noise, beta)
     return total / max(len(order), 1)
 
 
@@ -69,13 +71,7 @@ def _mvae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
     for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
         batch = bags[lo : lo + config.batch_size]
         noise = rng.standard_normal((batch.shape[0], config.latent_dim))
-        with Tape() as tape:
-            loss = model.loss(batch, noise, beta)
-        value = loss.item()
-        _check_finite(value, batch_no)
-        tape.backward(loss, model.store)
-        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
-        total += value * batch.shape[0]
+        total += _step(model, config, batch_no, model.loss, batch, noise, beta) * batch.shape[0]
     return total / max(len(order), 1)
 
 
@@ -108,15 +104,8 @@ def _rvae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
         batch = triples[lo : lo + config.batch_size]
         noise_i = rng.standard_normal((len(batch), config.latent_dim))
         noise_j = rng.standard_normal((len(batch), config.latent_dim))
-        with Tape() as tape:
-            loss = model.pair_loss(
-                batch[:, 0], batch[:, 1], batch[:, 2], noise_i, noise_j, beta
-            )
-        value = loss.item()
-        _check_finite(value, batch_no)
-        tape.backward(loss, model.store)
-        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
-        total += value * len(batch)
+        total += _step(model, config, batch_no, model.pair_loss, batch[:, 0], batch[:, 1],
+                       batch[:, 2], noise_i, noise_j, beta) * len(batch)
     return total / max(len(triples), 1)
 
 

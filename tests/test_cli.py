@@ -143,7 +143,7 @@ def test_prepare_flag_and_config_key_write_the_same_split(tmp_path, ratings_file
 @pytest.mark.parametrize("field, text", [
     ("subsample_users", "0"), ("subsample_users", "-3"), ("fold_ratio", "1.5"),
     ("fold_ratio", "nan"), ("min_history", "1"), ("fractions", "0.5,0.5"),
-    ("strata_edges", ","), ("min_history", "2.5"),
+    ("strata_edges", ","), ("min_history", "2.5"), ("seed", "x"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_prepare_rejects_an_invalid_pipeline_value(tmp_path, ratings_file, capsys, field, text,
@@ -157,6 +157,56 @@ def test_prepare_rejects_an_invalid_pipeline_value(tmp_path, ratings_file, capsy
     assert run_cli("prepare", ratings_file, "--out", tmp_path / "s", *argv) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_prepare_checks_fractions_before_it_opens_the_log(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_cli("prepare", missing, "--out", tmp_path / "s", "--fractions", "0.5,0.3,0.3") == 1
+    err = capsys.readouterr().err
+    assert "fractions must sum to 1" in err
+    assert "missing.csv" not in err
+
+
+# flag or config key, field, text: each is an invalid model setting
+INVALID_TRAIN = [
+    ("--learning-rate", "learning_rate", "-1"),
+    ("--learning-rate", "learning_rate", "nan"),
+    ("--kl-weight", "kl_weight", "-0.5"),
+    (None, "learning_rate", "0"),
+    (None, "weight_decay", "-0.01"),
+    (None, "weight_decay", "inf"),
+    (None, "kl_weight", "nan"),
+    (None, "kl_anneal_epochs", "-2"),
+]
+
+
+@pytest.mark.parametrize("flag, field, text", INVALID_TRAIN)
+def test_train_rejects_an_invalid_model_value_before_it_reads_the_split(tmp_path, capsys, flag,
+                                                                         field, text):
+    if flag:
+        argv = [flag, text]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{field}={text}\n")
+        argv = ["--config", config]
+    missing = tmp_path / "no-split"
+    assert run_cli("train", missing, "--model", "mvae", "--out", tmp_path / "run", *argv) == 1
+    err = capsys.readouterr().err
+    assert field in err and "no-split" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--pop", "--split-dir", "s", "--seed", "3"],
+    ["eval", "--pop", "--split-dir", "s", "--config", "c.cfg"],
+    ["recommend", "--checkpoint", "c", "--history", "i1", "--seed", "3"],
+    ["recommend", "--checkpoint", "c", "--history", "i1", "--config", "c.cfg"],
+])
+def test_eval_and_recommend_take_no_config_or_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_train_writes_curve_and_checkpoint(tmp_path, ratings_file):

@@ -45,14 +45,18 @@ def as_text(value) -> str:
 positive = st.integers(1, 10**6)
 widths = st.lists(positive, min_size=1, max_size=3).map(tuple)
 numbers = st.floats(allow_nan=False)
+rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+weights = st.floats(min_value=0.0, allow_infinity=False)
+# three positive fractions summing to 1 within rounding
+fractions = st.tuples(*[st.floats(0.01, 1.0)] * 3).map(lambda f: tuple(x / sum(f) for x in f))
 
 model_configs = st.builds(
     ModelConfig,
     latent_dim=positive, item_embedding_dim=positive, gru_hidden=positive,
     encoder_widths=widths, decoder_widths=widths, rvae_embedding_dim=positive,
     rvae_encoder_widths=widths, k_horizon=positive,
-    likelihood_mode=st.sampled_from(LIKELIHOOD_MODES), learning_rate=numbers,
-    weight_decay=numbers, kl_weight=numbers, kl_anneal_epochs=st.integers(-5, 10**6),
+    likelihood_mode=st.sampled_from(LIKELIHOOD_MODES), learning_rate=rates,
+    weight_decay=weights, kl_weight=weights, kl_anneal_epochs=st.integers(0, 10**6),
     epochs=st.integers(0, 10**6), batch_size=positive, seed=st.integers(-2**70, 2**70),
 )
 pipeline_configs = st.builds(
@@ -60,7 +64,7 @@ pipeline_configs = st.builds(
     delimiter=st.text(min_size=1, max_size=3).filter(lambda t: t.strip() == t),
     binarize_threshold=numbers,
     min_history=st.integers(2, 10**6),
-    fractions=st.tuples(numbers, numbers, numbers),
+    fractions=fractions,
     fold_ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     subsample_users=st.none() | positive,
     strata_edges=st.none() | widths,
@@ -105,6 +109,9 @@ INVALID_PIPELINE = [
     ("fractions", (0.6, 0.2, 0.1, 0.1), "0.6,0.2,0.1,0.1"),
     ("strata_edges", (), ","),
     ("strata_edges", (8, 0), "8,0"),
+    ("fractions", (0.5, 0.3, 0.3), "0.5,0.3,0.3"),
+    ("fractions", (0.8, 0.0, 0.2), "0.8,0,0.2"),
+    ("fractions", (0.5, math.nan, 0.5), "0.5,nan,0.5"),
 ]
 
 
@@ -114,3 +121,27 @@ def test_pipeline_config_rejects(field, value, text):
         PipelineConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         PipelineConfig.from_mapping({field: text})
+
+
+# each value is invalid as a model setting, in field and in text form
+INVALID_MODEL = [
+    ("learning_rate", -1.0, "-1"),
+    ("learning_rate", 0.0, "0"),
+    ("learning_rate", math.nan, "nan"),
+    ("learning_rate", math.inf, "inf"),
+    ("weight_decay", -0.01, "-0.01"),
+    ("weight_decay", math.nan, "nan"),
+    ("weight_decay", math.inf, "inf"),
+    ("kl_weight", -1.0, "-1"),
+    ("kl_weight", math.nan, "nan"),
+    ("kl_weight", math.inf, "inf"),
+    ("kl_anneal_epochs", -1, "-1"),
+]
+
+
+@pytest.mark.parametrize("field, value, text", INVALID_MODEL)
+def test_model_config_rejects(field, value, text):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ModelConfig.from_mapping({field: text})

@@ -531,8 +531,11 @@ class TestColumnarPipeline:
         log = tmp_path / "ratings.csv"
         rows = [("u", f"i{k}", 5, 2**63 - 1) for k in range(6)] + [("u", "j", 5, 2**63)]
         write_ratings(log, rows)
-        with pytest.raises(ParseError, match=rf"^line 7: timestamp {2**63} does not fit in int64$"):
+        message = rf"^line 7: timestamp {2**63} does not fit in int64$"
+        with pytest.raises(ParseError, match=message):
             run_pipeline(log, PipelineConfig())
+        with pytest.raises(ParseError, match=message):
+            ingest(log)
 
     def test_largest_int64_timestamp_is_kept(self, tmp_path):
         log = tmp_path / "ratings.csv"

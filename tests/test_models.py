@@ -18,7 +18,6 @@ from vaerec.models.components import (
     SCORE_BLOCK,
     GaussianParams,
     kl_to_standard_normal,
-    multinomial_log_likelihood,
     rank_items,
     reparameterize,
 )
@@ -138,31 +137,6 @@ class TestKL:
         k = min(len(mus), len(log_sigmas))
         kl = kl_to_standard_normal(gaussian(mus[:k], log_sigmas[:k]))
         assert kl.item() >= -1e-12
-
-
-class TestMultinomialLogLikelihood:
-    def test_uniform_two_items(self):
-        log_pi = Tensor(np.full((1, 4), -np.log(4.0)))
-        ll = multinomial_log_likelihood([0, 2], log_pi)
-        np.testing.assert_allclose(ll.item(), 2 * np.log(0.25), atol=1e-12)
-
-    def test_empty_multiset(self):
-        ll = multinomial_log_likelihood([], Tensor(np.full((1, 4), -np.log(4.0))))
-        assert ll.item() == 0.0
-
-    def test_certain_event(self):
-        log_pi = np.full((1, 3), -50.0)
-        log_pi[0, 1] = 0.0
-        assert multinomial_log_likelihood([1], Tensor(log_pi)).item() == 0.0
-
-    def test_multiplicity(self):
-        log_pi = Tensor(np.log(np.array([[0.5, 0.25, 0.25]])))
-        ll = multinomial_log_likelihood([1, 1], log_pi)
-        np.testing.assert_allclose(ll.item(), 2 * np.log(0.25), atol=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            multinomial_log_likelihood([5], Tensor(np.zeros((1, 3))))
 
 
 class TestNextKTargets:
@@ -578,6 +552,64 @@ class TestOneUserPerStepTraining:
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def reference_svae_epoch(model, train, rng, beta, config):
+    order = rng.permutation(len(train))
+    total = 0.0
+    for idx in order:
+        items = train[idx].items
+        noise = rng.standard_normal((len(items), config.latent_dim))
+        with Tape() as tape:
+            loss = model.loss(items, noise, beta)
+        value = loss.item()
+        assert np.isfinite(value)
+        tape.backward(loss, model.store)
+        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
+        total += value
+    return total / max(len(order), 1)
+
+
+def reference_mvae_epoch(model, train, rng, beta, config):
+    order = rng.permutation(len(train))
+    bags = np.stack([model.bag_vector(train[i].items) for i in order])
+    total = 0.0
+    for lo in range(0, len(order), config.batch_size):
+        batch = bags[lo : lo + config.batch_size]
+        noise = rng.standard_normal((batch.shape[0], config.latent_dim))
+        with Tape() as tape:
+            loss = model.loss(batch, noise, beta)
+        value = loss.item()
+        assert np.isfinite(value)
+        tape.backward(loss, model.store)
+        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
+        total += value * batch.shape[0]
+    return total / max(len(order), 1)
+
+
+def reference_rvae_epoch(model, train, rng, beta, config):
+    triples = _rvae_triples(train, model.n_items, rng)
+    total = 0.0
+    for lo in range(0, len(triples), config.batch_size):
+        batch = triples[lo : lo + config.batch_size]
+        noise_i = rng.standard_normal((len(batch), config.latent_dim))
+        noise_j = rng.standard_normal((len(batch), config.latent_dim))
+        with Tape() as tape:
+            loss = model.pair_loss(
+                batch[:, 0], batch[:, 1], batch[:, 2], noise_i, noise_j, beta
+            )
+        value = loss.item()
+        assert np.isfinite(value)
+        tape.backward(loss, model.store)
+        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
+        total += value * len(batch)
+    return total / max(len(triples), 1)
+
+
+# each model's epoch as an inline tape/backward/Adam loop, kept as the
+# oracle of the epoch functions that share ``training._step``
+REFERENCE_EPOCHS = {"svae": reference_svae_epoch, "mvae": reference_mvae_epoch,
+                    "rvae": reference_rvae_epoch}
+
+
 class TestTraining:
     def small_split(self):
         return cycle_split(n_items=8, n_train=12, n_val=4, n_test=4, length=6, seed=3)
@@ -599,6 +631,19 @@ class TestTraining:
         _, curve_b = train(kind, split, cfg)
         assert [s.train_loss for s in curve_a] == [s.train_loss for s in curve_b]
         assert [s.val_ndcg100 for s in curve_a] == [s.val_ndcg100 for s in curve_b]
+
+    @pytest.mark.parametrize("kind, mode", [("mvae", "next-k-multiset"), ("rvae", "next-k-multiset"),
+                                            ("svae", "next-k-multiset"), ("svae", "mixture")])
+    def test_epochs_match_the_inline_reference_loop(self, kind, mode):
+        split = self.small_split()
+        cfg = toy_config(batch_size=5, weight_decay=0.01, likelihood_mode=mode)
+        runs = []
+        for epoch_fn in (REFERENCE_EPOCHS[kind], training._EPOCH_FNS[kind]):
+            model = build_model(kind, split.n_items, cfg, n_users=len(split.train))
+            rng = np.random.default_rng(11)
+            losses = [epoch_fn(model, split.train, rng, beta, cfg) for beta in (0.5, 1.0)]
+            runs.append((losses, model.store.values.tobytes(), rng.random()))
+        assert runs[0] == runs[1]
 
     def test_best_epoch_restored_from_one_reused_buffer(self, monkeypatch):
         split = self.small_split()
