@@ -295,15 +295,16 @@ def log_softmax(logits: Tensor) -> Tensor:
     return _trace(out, (logits,), backward)
 
 
-def logsumexp_all(t: Tensor) -> Tensor:
-    """log sum exp over every entry, as a scalar."""
+def logsumexp_rows(t: Tensor) -> Tensor:
+    """log sum exp over the last axis, one value per row; -inf entries take
+    no part, and every row needs at least one finite entry."""
     x = t.data
-    m = np.max(x)
-    out = Tensor(m + np.log(np.sum(np.exp(x - m))))
+    m = np.max(x, axis=-1, keepdims=True)
+    out = Tensor(m[..., 0] + np.log(np.sum(np.exp(x - m), axis=-1)))
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            t.accumulate_grad(g * np.exp(x - out.data))
+            t.accumulate_grad(g[..., None] * np.exp(x - out.data[..., None]))
 
     return _trace(out, (t,), backward)
 
@@ -326,8 +327,9 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _trace(out, (table,), backward)
 
 
-def gather2d(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """Pick entries t[rows[i], cols[i]] into a 1-D tensor."""
+def gather2d(t: Tensor, rows, cols) -> Tensor:
+    """Pick entries t[rows, cols] for index arrays of any shape that
+    broadcast together; the result has their broadcast shape."""
     r = np.asarray(rows, dtype=np.int64)
     c = np.asarray(cols, dtype=np.int64)
     out = Tensor(t.data[r, c])

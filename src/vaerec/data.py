@@ -696,6 +696,10 @@ class PipelineConfig(FlatConfig):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.delimiter:
+            raise ValueError("delimiter must not be empty")
+        if math.isnan(self.binarize_threshold):
+            raise ValueError("binarize_threshold must not be nan")
         if self.min_history < 2:  # a held-out history must fold into two parts
             raise ValueError(f"min_history must be >= 2, got {self.min_history}")
         _check_fractions(self.fractions)

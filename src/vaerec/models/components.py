@@ -135,17 +135,6 @@ def kl_to_standard_normal(g: GaussianParams) -> Tensor:
     return ad.scale(ad.sum_all(term), 0.5)
 
 
-def counts_matrix(target_rows: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
-    """Row-wise multiset counts, one row per prediction step."""
-    out = np.zeros((len(target_rows), n_items))
-    for r, ids in enumerate(target_rows):
-        for i in ids:
-            if not 0 <= i < n_items:
-                raise IndexError(f"item id {i} out of range [0, {n_items})")
-            out[r, i] += 1.0
-    return out
-
-
 # Held-out users are scored this many at a time, as the rows of one
 # [rows, .] matmul chain. It bounds the catalog-wide temporaries of a
 # scoring call, rows x N floats for a block of mvae bags or of decoded

@@ -26,7 +26,6 @@ from vaerec.models.components import (
     GaussianParams,
     add_embedding,
     add_gru,
-    counts_matrix,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
@@ -143,22 +142,27 @@ class SequentialVAE:
         """
         k = self.config.k_horizon if k is None else k
         mode = self.config.likelihood_mode if mode is None else mode
+        ids = np.asarray(items, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= self.n_items)]
+        if bad.size:
+            raise IndexError(f"item id {bad[0]} out of range [0, {self.n_items})")
         out = self.forward(items, noise)
         T = len(items)
+        # row t, column j: position t + j, the j-th of the next k items
+        ahead = np.arange(T)[:, None] + np.arange(k)
         if mode == "next-k-multiset":
-            targets = [next_k_targets(items, t, k) for t in range(1, T + 1)]
-            counts = counts_matrix(targets, self.n_items)
+            counts = np.zeros((T, self.n_items))
+            valid = ahead < T
+            np.add.at(counts, (np.nonzero(valid)[0], ids[ahead[valid]]), 1.0)
             recon = ad.sum_all(ad.mul(Tensor(counts), out.log_pi))
         elif mode == "mixture":
-            terms = None
-            for t in range(1, T + 1):
-                lo = max(1, t - k + 1)
-                rows = list(range(lo - 1, t))
-                cols = [items[t - 1]] * len(rows)
-                window = ad.gather2d(out.log_pi, rows, cols)
-                term = ad.add_const(ad.logsumexp_all(window), -np.log(len(rows)))
-                terms = term if terms is None else ad.add(terms, term)
-            recon = terms
+            # row t: latent rows t-k+1 .. t; rows before the first are
+            # clamped to 0 and masked out of the log-sum-exp
+            back = ahead - (k - 1)
+            window = ad.gather2d(out.log_pi, np.maximum(back, 0), ids[:, None])
+            masked = ad.add(window, Tensor(np.where(back >= 0, 0.0, -np.inf)))
+            sizes = Tensor(np.log((back >= 0).sum(axis=1)))
+            recon = ad.sum_all(ad.sub(ad.logsumexp_rows(masked), sizes))
         else:
             raise ValueError(f"unknown likelihood mode {mode!r}")
         kl = kl_to_standard_normal(out.gaussian)
@@ -193,10 +197,8 @@ class SequentialVAE:
         # step 0 consumes the start token, step j + 1 the row's item j
         x = np.zeros((max(lengths) + 1, n_rows, looked.shape[1]))
         x[0] = self.start_embedding.data
-        start = 0
-        for row, n in enumerate(lengths):
-            x[1 : n + 1, row] = looked[start : start + n]
-            start += n
+        real = np.arange(max(lengths)) < np.array(lengths)[:, None]  # [rows, T_max]
+        x[1:].transpose(1, 0, 2)[real] = looked
         h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
         states = ad.gru_sequence(Tensor(x), h0, self.gru).data
         g = self._encode_states(Tensor(states[lengths, np.arange(n_rows)]))

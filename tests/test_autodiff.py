@@ -628,8 +628,21 @@ class TestPrimitiveGradients:
 
     def test_logsumexp(self):
         store = ParameterStore()
-        v = store.add("v", self.rng.normal(size=(7,)))
-        _check(lambda: ad.logsumexp_all(ad.scale(v, 2.0)), store)
+        v = store.add("v", self.rng.normal(size=(3, 7)))
+        # row 1 keeps three finite entries; its -inf ones take no part
+        mask = np.zeros((3, 7))
+        mask[1, [0, 2, 3, 6]] = -np.inf
+        probe = Tensor(self.rng.normal(size=(3,)))
+
+        def loss_fn():
+            masked = ad.add(ad.scale(v, 2.0), Tensor(mask))
+            return ad.sum_all(ad.mul(ad.logsumexp_rows(masked), probe))
+
+        _check(loss_fn, store)
+        with Tape() as tape:
+            loss = loss_fn()
+        tape.backward(loss, store)
+        assert np.all(v.grad[1, [0, 2, 3, 6]] == 0.0)
 
     def test_embedding_and_gather(self):
         store = ParameterStore()
@@ -641,6 +654,15 @@ class TestPrimitiveGradients:
         store = ParameterStore()
         mat = store.add("mat", self.rng.normal(size=(5, 6)))
         _check(lambda: ad.sum_all(ad.gather2d(mat, [0, 2, 2], [5, 1, 1])), store)
+
+    def test_gather2d_with_2d_indices(self):
+        store = ParameterStore()
+        mat = store.add("mat", self.rng.normal(size=(5, 6)))
+        rows = np.array([[0, 2, 2], [4, 4, 1]])
+        cols = np.array([[5, 1, 1], [0, 0, 3]])
+        probe = Tensor(self.rng.normal(size=(2, 3)))
+        assert ad.gather2d(mat, rows, cols).shape == (2, 3)
+        _check(lambda: ad.sum_all(ad.mul(ad.gather2d(mat, rows, cols), probe)), store)
 
     def test_concat_slice(self):
         store = ParameterStore()

@@ -167,6 +167,23 @@ def test_prepare_checks_fractions_before_it_opens_the_log(tmp_path, capsys):
     assert "missing.csv" not in err
 
 
+@pytest.mark.parametrize("field, text", [("delimiter", ""), ("binarize_threshold", "nan")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_prepare_checks_delimiter_and_threshold_before_it_opens_the_log(tmp_path, capsys, field,
+                                                                        text, source):
+    if source == "flag":
+        argv = ["--" + field.replace("_", "-"), text]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{field}={text}\n")
+        argv = ["--config", config]
+    missing = tmp_path / "missing.csv"
+    assert run_cli("prepare", missing, "--out", tmp_path / "s", *argv) == 1
+    err = capsys.readouterr().err
+    assert field in err and "missing.csv" not in err
+    assert not (tmp_path / "s").exists()
+
+
 # flag or config key, field, text: each is an invalid model setting
 INVALID_TRAIN = [
     ("--learning-rate", "learning_rate", "-1"),

@@ -112,6 +112,8 @@ INVALID_PIPELINE = [
     ("fractions", (0.5, 0.3, 0.3), "0.5,0.3,0.3"),
     ("fractions", (0.8, 0.0, 0.2), "0.8,0,0.2"),
     ("fractions", (0.5, math.nan, 0.5), "0.5,nan,0.5"),
+    ("delimiter", "", ""),
+    ("binarize_threshold", math.nan, "nan"),
 ]
 
 
