@@ -313,13 +313,13 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows of ``table``; backward scatters gradients additively."""
     idx = np.asarray(ids, dtype=np.int64)
     n = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = idx[(idx < 0) | (idx >= n)][0]
-        raise IndexError(f"embedding id {bad} out of range [0, {n})")
-    out = Tensor(table.data[idx] if idx.size else np.zeros((0, table.shape[1])))
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise IndexError(f"embedding id {bad[0]} out of range [0, {n})")
+    out = Tensor(table.data[idx])
 
     def backward(g: np.ndarray) -> None:
-        if table.requires_grad and idx.size:
+        if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)
@@ -418,10 +418,11 @@ def gru_cell(x: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
 
 
 def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
-    """Run the GRU over T steps of B sequences at once: ``x_rows`` is
-    [T, B, d], ``h0`` is [B, H], and entry [t, b] of the [T, B, H] result is
-    row b's state after its steps 0..t. A 2-D ``x_rows`` [T, d] is one
-    sequence: ``h0`` must be [1, H] and the result is [T, H].
+    """Run the GRU over T steps of B sequences at once. ``x_rows`` is
+    [T * B, d] in step-major order, row t * B + b holding sequence b's input
+    at step t; ``h0`` is [B, H]; and row t * B + b of the [T * B, H] result
+    is sequence b's state after its steps 0..t. With B = 1 the rows are one
+    sequence's steps.
 
     Computes what T chained ``gru_cell`` calls compute (to rounding) but
     records one tape entry. The recurrence is causal, so sequences of
@@ -438,19 +439,19 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
     """
     d, hid = p.w_reset.shape
     x = x_rows.data
-    if x.ndim not in (2, 3) or x.shape[-1] != d:
+    if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"gru_sequence inputs {x_rows.shape} do not match W {p.w_reset.shape}")
-    x3 = x if x.ndim == 3 else x[:, None, :]
-    n_steps, n_rows = x3.shape[:2]
-    if h0.shape != (n_rows, hid):
-        raise ShapeError(f"gru_sequence h0 must be [{n_rows}, {hid}], got {h0.shape}")
+    n_rows = h0.shape[0] if h0.data.ndim == 2 and h0.shape[1] == hid else 0
+    if n_rows == 0 or x.shape[0] % n_rows:
+        raise ShapeError(f"gru_sequence h0 must be [B, {hid}] with B >= 1 dividing the "
+                         f"{x.shape[0]} input rows, got {h0.shape}")
+    n_steps = x.shape[0] // n_rows
     w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data], axis=1)
     b = np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     u_gates = np.concatenate([p.u_reset.data, p.u_update.data], axis=1)
     u_cand = p.u_cand.data
-    x_flat = x3.reshape(n_steps * n_rows, d)
     # input part of every gate pre-activation, [T, B, 3H]
-    pre = (x_flat @ w + b).reshape(n_steps, n_rows, 3 * hid)
+    pre = (x @ w + b).reshape(n_steps, n_rows, 3 * hid)
     gates = np.empty((n_steps, n_rows, 2 * hid))  # r | u per step
     cand = np.empty((n_steps, n_rows, hid))
     reset_h = np.empty((n_steps, n_rows, hid))  # r * h_prev, the input of U_c
@@ -466,7 +467,7 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
         np.tanh(pre_cand[t] + reset_h[t] @ u_cand, out=cand[t])
         np.add(u * h, (1.0 - u) * cand[t], out=states[t])
         h = states[t]
-    out = Tensor(states if x.ndim == 3 else states.reshape(n_steps, hid))
+    out = Tensor(states.reshape(n_steps * n_rows, hid))
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(n_steps, n_rows, hid)
@@ -491,10 +492,10 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
             dh = dh * u[t] + d_rh * r[t] + d_gates[t] @ u_gates_t
         d_pre = d_pre.reshape(n_steps * n_rows, 3 * hid)
         if x_rows.requires_grad:
-            x_rows.accumulate_grad((d_pre @ w.T).reshape(x.shape))
+            x_rows.accumulate_grad(d_pre @ w.T)
         if h0.requires_grad:
             h0.accumulate_grad(dh)
-        d_w = x_flat.T @ d_pre
+        d_w = x.T @ d_pre
         d_b = d_pre.sum(axis=0)
         d_u_gates = h_prev.reshape(-1, hid).T @ d_pre[:, : 2 * hid]
         grads = [

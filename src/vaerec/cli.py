@@ -201,8 +201,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     vocab = dp.Vocabulary(manifest["vocabulary"])
     history = [h for h in str(args.history).split(",") if h]
-    known = set(vocab.raw_ids())
-    unknown = [h for h in history if h not in known]
+    unknown = [h for h in history if h not in vocab]
     if unknown:
         raise CliError(f"unknown item ids: {', '.join(unknown)}")
     fold_in = [vocab.to_index(h) for h in history]

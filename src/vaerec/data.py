@@ -96,6 +96,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._raw)
 
+    def __contains__(self, raw_id: object) -> bool:
+        return raw_id in self._index
+
     def to_index(self, raw_id: str) -> int:
         return self._index[raw_id]
 
@@ -581,9 +584,9 @@ def _read_vocabulary(split_dir: str | os.PathLike) -> Vocabulary:
     return Vocabulary(raw_ids)
 
 
-def _read_sequences(path: str, n_items: int) -> list[tuple[int, tuple[int, ...]]]:
-    """``user<TAB>item,item,...`` lines; every item id must index the
-    ``n_items``-item vocabulary."""
+def _read_sequences(path: str, n_items: int, min_items: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``user<TAB>item,item,...`` lines of at least ``min_items`` items;
+    every item id must index the ``n_items``-item vocabulary."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -602,6 +605,9 @@ def _read_sequences(path: str, n_items: int) -> list[tuple[int, tuple[int, ...]]
             if items and (min(items) < 0 or max(items) >= n_items):
                 bad = next(i for i in items if not 0 <= i < n_items)
                 raise ParseError(line_no, f"item id {bad} out of range [0, {n_items})", path)
+            if len(items) < min_items:
+                raise ParseError(
+                    line_no, f"needs at least {min_items} items, got {len(items)}", path)
             out.append((user, items))
     return out
 
@@ -638,7 +644,8 @@ def _read_folds(split_dir: str | os.PathLike, folds: Sequence[str]):
     d = str(split_dir)
     manifest = _read_manifest(d)
     vocab = _read_vocabulary(d)
-    rows = {fold: _read_sequences(os.path.join(d, f"{fold}.tsv"), len(vocab))
+    rows = {fold: _read_sequences(os.path.join(d, f"{fold}.tsv"), len(vocab),
+                                  2 if fold in HELDOUT_FOLDS else 0)
             for fold in folds}
     _check_manifest(d, manifest, vocab, rows)
     return manifest, vocab, rows
@@ -651,8 +658,9 @@ def _heldout_users(rows, ratio: float) -> list[HeldoutUser]:
 def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
     """Read a split directory back; fold boundaries come from the manifest.
 
-    Malformed lines and item ids outside the vocabulary raise ParseError
-    naming the file and line; after those, a manifest whose format, counts
+    Malformed lines, item ids outside the vocabulary and held-out
+    histories too short to fold (under 2 items) raise ParseError naming the
+    file and line; after those, a manifest whose format, counts
     or vocabulary digest disagree with the files raises ValueError naming
     ``manifest.json`` and the field."""
     manifest, vocab, rows = _read_folds(split_dir, FOLDS)

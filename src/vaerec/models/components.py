@@ -79,22 +79,18 @@ def add_gru(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
 
 
 class DenseStack:
-    """Dense layers with tanh between them; the last layer stays linear
-    unless ``activate_last`` is set."""
+    """Dense layers, each followed by tanh."""
 
     def __init__(self, store: ParameterStore, name: str, widths: Sequence[int],
-                 rng: np.random.Generator | None, activate_last: bool = True):
+                 rng: np.random.Generator | None):
         self.layers = [
             add_dense(store, f"{name}.{i}", widths[i], widths[i + 1], rng)
             for i in range(len(widths) - 1)
         ]
-        self.activate_last = activate_last
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, (w, b) in enumerate(self.layers):
-            x = ad.linear(x, w, b)
-            if self.activate_last or i < len(self.layers) - 1:
-                x = ad.tanh(x)
+        for w, b in self.layers:
+            x = ad.tanh(ad.linear(x, w, b))
         return x
 
 

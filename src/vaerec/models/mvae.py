@@ -19,6 +19,7 @@ from vaerec.models.components import (
     DenseStack,
     GaussianHead,
     GaussianParams,
+    add_dense,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
@@ -40,10 +41,8 @@ class MultinomialVAE:
         )
         dec_widths = (config.latent_dim,) + config.decoder_widths
         self.decoder_stack = DenseStack(self.store, "decoder", dec_widths, rng)
-        self.output = DenseStack(
-            self.store, "decoder.out", (config.decoder_widths[-1], n_items), rng,
-            activate_last=False,
-        )
+        self.output = add_dense(
+            self.store, "decoder.out.0", config.decoder_widths[-1], n_items, rng)
 
     def bag_vector(self, items: Sequence[int]) -> np.ndarray:
         bag = np.zeros(self.n_items)
@@ -57,7 +56,7 @@ class MultinomialVAE:
         return self.head(self.encoder_stack(Tensor(np.atleast_2d(bags))))
 
     def decode(self, z: Tensor) -> Tensor:
-        return ad.log_softmax(self.output(self.decoder_stack(z)))
+        return ad.log_softmax(ad.linear(self.decoder_stack(z), *self.output))
 
     def loss(self, bags: np.ndarray, noise: np.ndarray, beta: float) -> Tensor:
         """Mean over the batch of beta * KL - reconstruction, single noise

@@ -24,6 +24,7 @@ from vaerec.models.components import (
     DenseStack,
     GaussianHead,
     GaussianParams,
+    add_dense,
     add_embedding,
     add_gru,
     kl_to_standard_normal,
@@ -41,8 +42,8 @@ def next_k_targets(items: Sequence[int], t: int, k: int) -> tuple[int, ...]:
 
 
 # A block's recurrence keeps about (2 d + 8 H) floats per row and step: the
-# looked-up and the padded inputs, the [T, B, 3H] pre-activations, both
-# gates, the candidate, r * h and the state. Blocks are cut so that
+# looked-up inputs and their concatenation, the [T, B, 3H] pre-activations,
+# both gates, the candidate, r * h and the state. Blocks are cut so that
 # rows x (T_max + 1) x (2 d + 8 H) stays within this many floats (32 MiB),
 # whatever the fold-in lengths; a fold-in that needs more on its own is
 # scored alone, as the one-sequence path would.
@@ -98,35 +99,38 @@ class SequentialVAE:
         )
         dec_widths = (config.latent_dim,) + config.decoder_widths
         self.decoder_stack = DenseStack(self.store, "decoder", dec_widths, rng)
-        self.output = DenseStack(
-            self.store, "decoder.out", (config.decoder_widths[-1], n_items), rng,
-            activate_last=False,
-        )
+        self.output = add_dense(
+            self.store, "decoder.out.0", config.decoder_widths[-1], n_items, rng)
 
-    def _input_rows(self, consumed: Sequence[int]) -> Tensor:
-        """Embeddings of the start token followed by ``consumed`` items."""
-        if consumed:
-            looked = ad.embedding_lookup(self.item_embedding, consumed)
-            return ad.concat_rows([self.start_embedding, looked])
-        return self.start_embedding
-
-    def _hidden_states(self, consumed: Sequence[int]) -> Tensor:
-        """GRU states h_1..h_{len(consumed)+1} as rows of one [T, H] tensor;
-        h_t saw consumed[: t-1]."""
-        h0 = Tensor(np.zeros((1, self.config.gru_hidden)))
-        return ad.gru_sequence(self._input_rows(consumed), h0, self.gru)
+    def _states(self, consumed: Sequence[Sequence[int]]) -> Tensor:
+        """GRU states of the B sequences in ``consumed`` from one recurrence
+        over each one's start token and then its items, right-padded to the
+        longest (T items): the [(T + 1) * B, H] step-major rows, where row
+        t * B + b has seen the start token and consumed[b][:t]. Padding reads
+        item 0; the recurrence is causal, so no state up to a row's last real
+        step sees it."""
+        n_rows = len(consumed)
+        ids = np.zeros((max(map(len, consumed), default=0), n_rows), dtype=np.int64)
+        for b, items in enumerate(consumed):
+            ids[: len(items), b] = items
+        x = ad.concat_rows([
+            ad.embedding_lookup(self.start_embedding, np.zeros(n_rows, dtype=np.int64)),
+            ad.embedding_lookup(self.item_embedding, ids.reshape(-1)),
+        ])
+        h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
+        return ad.gru_sequence(x, h0, self.gru)
 
     def _encode_states(self, states: Tensor) -> GaussianParams:
         return self.head(self.encoder_stack(states))
 
     def decode(self, z: Tensor) -> Tensor:
-        return ad.log_softmax(self.output(self.decoder_stack(z)))
+        return ad.log_softmax(ad.linear(self.decoder_stack(z), *self.output))
 
     def forward(self, items: Sequence[int], noise: np.ndarray) -> StepOutputs:
         """One pass over a length-T sequence, yielding T per-step triples."""
         if len(items) == 0:
             raise ValueError("sequence must not be empty")
-        states = self._hidden_states(list(items[:-1]))
+        states = self._states([items[:-1]])
         g = self._encode_states(states)
         z = reparameterize(g, noise)
         return StepOutputs(gaussian=g, z=z, log_pi=self.decode(z))
@@ -187,21 +191,12 @@ class SequentialVAE:
         return out
 
     def _score_block(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
-        """Scores of a few fold-ins from one batched recurrence over their
-        start tokens and items, right-padded to the longest; each row's
-        state is read at its last real step, and the rows are encoded and
-        decoded as one matrix."""
+        """Scores of a few fold-ins from one ``_states`` recurrence: each
+        row's state is read at its last real step, and the rows are encoded
+        and decoded as one matrix."""
         n_rows = len(fold_ins)
-        lengths = [len(f) for f in fold_ins]
-        looked = ad.embedding_lookup(self.item_embedding, [i for f in fold_ins for i in f]).data
-        # step 0 consumes the start token, step j + 1 the row's item j
-        x = np.zeros((max(lengths) + 1, n_rows, looked.shape[1]))
-        x[0] = self.start_embedding.data
-        real = np.arange(max(lengths)) < np.array(lengths)[:, None]  # [rows, T_max]
-        x[1:].transpose(1, 0, 2)[real] = looked
-        h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
-        states = ad.gru_sequence(Tensor(x), h0, self.gru).data
-        g = self._encode_states(Tensor(states[lengths, np.arange(n_rows)]))
+        last = np.array([len(f) for f in fold_ins]) * n_rows + np.arange(n_rows)
+        g = self._encode_states(Tensor(self._states(fold_ins).data[last]))
         return self.decode(g.mu).data
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:

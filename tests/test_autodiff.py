@@ -171,11 +171,12 @@ class TestGRUSequence:
         with pytest.raises(ShapeError, match="h0"):
             gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 5))), p)
 
-    def test_multi_row_h0_rejected(self):
+    @pytest.mark.parametrize("rows, h0_rows", [(5, 2), (4, 0)], ids=["not_a_multiple", "empty"])
+    def test_h0_rows_must_divide_the_input_rows(self, rows, h0_rows):
         store = ParameterStore()
         p = make_gru_params(store, 2, 3)
         with pytest.raises(ShapeError, match="h0"):
-            gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 3))), p)
+            gru_sequence(Tensor(np.zeros((rows, 2))), Tensor(np.zeros((h0_rows, 3))), p)
 
 
 def one_row_call(p, store, x_row, h0_row, probe_row):
@@ -195,18 +196,18 @@ def one_row_call(p, store, x_row, h0_row, probe_row):
 
 class TestBatchedGRUSequence:
     def make(self, lengths, in_dim, hid, seed):
-        """B sequences of the given lengths, right-padded into x [T, B, d],
-        with x and h0 [B, H] held as parameters, and a probe that is zero at
-        every padded step, so a loss of sum(out * probe) sees real steps
-        only."""
+        """B sequences of the given lengths, right-padded into the step-major
+        rows of x [T * B, d], with x and h0 [B, H] held as parameters, and a
+        probe that is zero at every padded step, so a loss of
+        sum(out * probe) sees real steps only."""
         rng = np.random.default_rng(seed)
         store = ParameterStore()
         p = make_gru_params(store, in_dim, hid, rng=rng)
         steps, rows = max(lengths), len(lengths)
-        x = store.add("x", rng.normal(size=(steps, rows, in_dim)))
+        x = store.add("x", rng.normal(size=(steps, rows, in_dim)).reshape(-1, in_dim))
         h0 = store.add("h0", rng.normal(size=(rows, hid)))
         real = np.arange(steps)[:, None] < np.array(lengths)[None, :]
-        probe = Tensor(rng.normal(size=(steps, rows, hid)) * real[..., None])
+        probe = Tensor((rng.normal(size=(steps, rows, hid)) * real[..., None]).reshape(-1, hid))
         return store, p, x, h0, probe
 
     def test_gradient_check_ragged(self):
@@ -226,19 +227,24 @@ class TestBatchedGRUSequence:
     def test_each_row_matches_its_one_sequence_call(self, lengths, in_dim, hid, seed):
         store, p, x, h0, probe = self.make(lengths, in_dim, hid, seed)
         out, grads, records = run_with_grads(gru_sequence, store, x, h0, p, probe)
-        assert out.shape == (max(lengths), len(lengths), hid)
+        steps, rows = max(lengths), len(lengths)
+        assert out.shape == (steps * rows, hid)
         assert records == 3
+        out = out.reshape(steps, rows, hid)
+        x_data = x.data.reshape(steps, rows, in_dim)
+        probe_data = probe.data.reshape(steps, rows, hid)
+        x_grads = grads["x"].reshape(steps, rows, in_dim)
         summed = {name: np.zeros_like(g) for name, g in grads.items() if name.startswith("gru.")}
         for b, n in enumerate(lengths):
             want, want_grads, x_grad, h0_grad = one_row_call(
-                p, store, x.data[:n, b], h0.data[b : b + 1], probe.data[:n, b])
+                p, store, x_data[:n, b], h0.data[b : b + 1], probe_data[:n, b])
             np.testing.assert_allclose(out[:n, b], want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(grads["x"][:n, b], x_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x_grads[:n, b], x_grad, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grads["h0"][b : b + 1], h0_grad, rtol=0, atol=1e-12)
             for name, grad in want_grads.items():
                 summed[name] += grad
         # padded steps come after every real step of their row: no gradient
-        assert not grads["x"][np.arange(max(lengths))[:, None] >= np.array(lengths)].any()
+        assert not x_grads[np.arange(steps)[:, None] >= np.array(lengths)].any()
         for name, grad in summed.items():
             np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
 
@@ -246,9 +252,9 @@ class TestBatchedGRUSequence:
         store, p, x, h0, probe = self.make([7], 3, 4, seed=2)
         out, grads, *_ = run_with_grads(gru_sequence, store, x, h0, p, probe)
         want, want_grads, x_grad, h0_grad = one_row_call(
-            p, store, x.data[:, 0], h0.data, probe.data[:, 0])
-        assert out[:, 0].tobytes() == want.tobytes()
-        assert grads["x"][:, 0].tobytes() == x_grad.tobytes()
+            p, store, x.data.reshape(7, 1, 3)[:, 0], h0.data, probe.data.reshape(7, 1, 4)[:, 0])
+        assert out.reshape(7, 1, 4)[:, 0].tobytes() == want.tobytes()
+        assert grads["x"].reshape(7, 1, 3)[:, 0].tobytes() == x_grad.tobytes()
         assert grads["h0"].tobytes() == h0_grad.tobytes()
         for name, grad in want_grads.items():
             assert grads[name].tobytes() == grad.tobytes(), name
@@ -256,11 +262,13 @@ class TestBatchedGRUSequence:
     def test_h0_rows_must_match_the_batch(self):
         store = ParameterStore()
         p = make_gru_params(store, 2, 3)
-        with pytest.raises(ShapeError, match=r"h0 must be \[4, 3\]"):
-            gru_sequence(Tensor(np.zeros((5, 4, 2))), Tensor(np.zeros((1, 3))), p)
+        with pytest.raises(ShapeError,
+                           match=r"h0 must be \[B, 3\] with B >= 1 dividing the 20 input rows, "
+                                 r"got \(3, 3\)"):
+            gru_sequence(Tensor(np.zeros((20, 2))), Tensor(np.zeros((3, 3))), p)
 
-    @pytest.mark.parametrize("shape", [(2,), (3, 2, 1, 2)])
-    def test_inputs_must_be_two_or_three_dimensional(self, shape):
+    @pytest.mark.parametrize("shape", [(2,), (5, 4, 2)])
+    def test_inputs_must_be_two_dimensional(self, shape):
         store = ParameterStore()
         p = make_gru_params(store, 2, 3)
         with pytest.raises(ShapeError, match="inputs"):

@@ -323,6 +323,19 @@ def test_recommend(tmp_path, ratings_file, capsys):
     assert "zzz" in capsys.readouterr().err
 
 
+def test_recommend_names_every_unknown_id(tmp_path, ratings_file, capsys):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    capsys.readouterr()
+    code = run_cli(
+        "recommend", "--checkpoint", run / "checkpoint", "--history", "zzz,i0,i99",
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown item ids: zzz, i99\n"
+
+
 def test_recommend_scores_history_once(tmp_path, ratings_file, capsys, monkeypatch):
     split = prepare(tmp_path, ratings_file)
     run = train_tiny(tmp_path, split)

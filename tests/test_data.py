@@ -634,6 +634,15 @@ class TestSplitManifest:
         with pytest.raises(ParseError, match=r"test\.tsv: line 1: bad user index"):
             load_split(out)
 
+    @pytest.mark.parametrize("whole", [True, False], ids=["load_split", "load_heldout"])
+    def test_heldout_history_of_one_item_fails_at_its_line(self, tmp_path, whole):
+        out = self.saved_split(tmp_path)
+        # the manifest's interaction count now disagrees too; the line comes first
+        self.edit_line(out / "validation.tsv", 1, lambda line: line.split(",")[0])
+        with pytest.raises(ParseError,
+                           match=r"validation\.tsv: line 1: needs at least 2 items, got 1"):
+            load_split(out) if whole else load_heldout(out, "validation")
+
     @pytest.mark.parametrize("fold", ["validation", "test"])
     def test_heldout_fold_reads_only_its_files(self, tmp_path, fold):
         out = self.saved_split(tmp_path)

@@ -534,10 +534,26 @@ class TestBatchedScoring:
         fold_in = split.test[0].fold_in
         # the B = 1 recurrence rounds as the one-sequence path that training
         # runs, so a lone fold-in scores exactly as the last training state
-        states = model._hidden_states(list(fold_in))
+        states = model._states([fold_in])
         g = model._encode_states(Tensor(states.data[-1:]))
         want = model.decode(g.mu).data[0]
         assert model.score_batch([fold_in])[0].tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=9), max_size=5), st.integers(0, 5))
+    def test_each_padded_sequence_matches_its_own_states(self, consumed, at):
+        """Row b of a ragged block, up to its last real step, is what the
+        recurrence gives for sequence b alone; one sequence is empty."""
+        consumed = consumed[: at] + [[]] + consumed[at:]
+        model = build_model("svae", 12, toy_config())
+        randomize_params(model, seed=5, scale=1.0)
+        rows = len(consumed)
+        states = model._states(consumed).data
+        assert states.shape == ((max(map(len, consumed)) + 1) * rows, 4)
+        by_step = states.reshape(-1, rows, 4)
+        for b, items in enumerate(consumed):
+            alone = model._states([items]).data
+            np.testing.assert_allclose(by_step[: len(items) + 1, b], alone, rtol=0, atol=1e-12)
 
     def test_svae_rejects_an_empty_fold_in(self):
         model = build_model("svae", 6, toy_config())
