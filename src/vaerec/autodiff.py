@@ -274,23 +274,42 @@ def sum_all(t: Tensor) -> Tensor:
     return _trace(out, (t,), backward)
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log softmax over the last axis of a [batch, N] tensor.
-
-    Max-subtraction keeps it finite for any finite input; exp of the output
-    sums to 1 per row to machine precision.
-    """
-    if logits.data.ndim != 2 or logits.shape[1] < 1:
-        raise ShapeError(f"log_softmax expects [batch, N], got {logits.shape}")
-    x = logits.data
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """[R, 1] log sum exp of each row of a [R, N] array; subtracting the
+    row max keeps it finite for any finite input."""
     m = np.max(x, axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
-    out = Tensor(x - lse)
+    return m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of a [batch, N] array, off the tape: scoring
+    reads it, and training goes through ``log_softmax_at``. exp of the
+    result sums to 1 per row to machine precision."""
+    if logits.ndim != 2 or logits.shape[1] < 1:
+        raise ShapeError(f"log_softmax expects [batch, N], got {logits.shape}")
+    return logits - _log_sum_exp(logits)
+
+
+def log_softmax_at(logits: Tensor, rows, cols) -> Tensor:
+    """``log_softmax(logits)[rows, cols]`` for index arrays of any shape that
+    broadcast together; the result has their broadcast shape. Only each
+    row's log-sum-exp is kept, and the op records one tape entry: backward
+    scatters the incoming gradient into a zeroed [R, N] array, pairs that
+    repeat adding up, and subtracts the softmax times each row's sum."""
+    if logits.data.ndim != 2 or logits.shape[1] < 1:
+        raise ShapeError(f"log_softmax_at expects [batch, N] logits, got {logits.shape}")
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+    x = logits.data
+    lse = _log_sum_exp(x)
+    out = Tensor(x[r, c] - lse[r, 0])
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            sm = np.exp(out.data)
-            logits.accumulate_grad(g - sm * g.sum(axis=1, keepdims=True))
+            dense = np.zeros_like(x)
+            np.add.at(dense, (r, c), g)
+            dense -= np.exp(x - lse) * dense.sum(axis=1, keepdims=True)
+            logits.accumulate_grad(dense)
 
     return _trace(out, (logits,), backward)
 
@@ -327,22 +346,6 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _trace(out, (table,), backward)
 
 
-def gather2d(t: Tensor, rows, cols) -> Tensor:
-    """Pick entries t[rows, cols] for index arrays of any shape that
-    broadcast together; the result has their broadcast shape."""
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    out = Tensor(t.data[r, c])
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, (r, c), g)
-
-    return _trace(out, (t,), backward)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack 2-D tensors along axis 0."""
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
@@ -370,18 +373,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g[:, split:])
 
     return _trace(out, (a, b), backward)
-
-
-def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(t.data[start:stop].copy())
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[start:stop] += g
-
-    return _trace(out, (t,), backward)
 
 
 # ---------------------------------------------------------------------------

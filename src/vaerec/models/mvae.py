@@ -55,17 +55,18 @@ class MultinomialVAE:
     def encode(self, bags: np.ndarray) -> GaussianParams:
         return self.head(self.encoder_stack(Tensor(np.atleast_2d(bags))))
 
-    def decode(self, z: Tensor) -> Tensor:
-        return ad.log_softmax(ad.linear(self.decoder_stack(z), *self.output))
+    def logits(self, z: Tensor) -> Tensor:
+        return ad.linear(self.decoder_stack(z), *self.output)
 
     def loss(self, bags: np.ndarray, noise: np.ndarray, beta: float) -> Tensor:
         """Mean over the batch of beta * KL - reconstruction, single noise
-        sample per user."""
+        sample per user. ``bags`` are multi-hot, as ``bag_vector`` builds
+        them, so the reconstruction sums the log-probabilities at each
+        row's consumed items."""
         bags = np.atleast_2d(bags)
         g = self.encode(bags)
         z = reparameterize(g, noise)
-        log_pi = self.decode(z)
-        recon = ad.sum_all(ad.mul(Tensor(bags), log_pi))
+        recon = ad.sum_all(ad.log_softmax_at(self.logits(z), *np.nonzero(bags)))
         kl = kl_to_standard_normal(g)
         return ad.scale(ad.sub(ad.scale(kl, beta), recon), 1.0 / bags.shape[0])
 
@@ -79,7 +80,7 @@ class MultinomialVAE:
         out = np.empty((len(fold_ins), self.n_items))
         for lo in range(0, len(fold_ins), SCORE_BLOCK):
             bags = np.stack([self.bag_vector(f) for f in fold_ins[lo : lo + SCORE_BLOCK]])
-            out[lo : lo + len(bags)] = self.decode(self.encode(bags).mu).data
+            out[lo : lo + len(bags)] = ad.log_softmax(self.logits(self.encode(bags).mu).data)
         return out
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:

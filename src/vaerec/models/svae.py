@@ -71,12 +71,13 @@ def length_blocks(lengths: Sequence[int], step_floats: int) -> list[list[int]]:
 
 @dataclass
 class StepOutputs:
-    """Per-step posterior, sample, and catalog log-probabilities, stacked
-    over the T steps of one sequence."""
+    """Per-step posterior, sample, and catalog logits (their row-wise log
+    softmax is the step's log-probabilities), stacked over the T steps of
+    one sequence."""
 
     gaussian: GaussianParams
     z: Tensor
-    log_pi: Tensor
+    logits: Tensor
 
 
 class SequentialVAE:
@@ -123,8 +124,8 @@ class SequentialVAE:
     def _encode_states(self, states: Tensor) -> GaussianParams:
         return self.head(self.encoder_stack(states))
 
-    def decode(self, z: Tensor) -> Tensor:
-        return ad.log_softmax(ad.linear(self.decoder_stack(z), *self.output))
+    def logits(self, z: Tensor) -> Tensor:
+        return ad.linear(self.decoder_stack(z), *self.output)
 
     def forward(self, items: Sequence[int], noise: np.ndarray) -> StepOutputs:
         """One pass over a length-T sequence, yielding T per-step triples."""
@@ -133,7 +134,7 @@ class SequentialVAE:
         states = self._states([items[:-1]])
         g = self._encode_states(states)
         z = reparameterize(g, noise)
-        return StepOutputs(gaussian=g, z=z, log_pi=self.decode(z))
+        return StepOutputs(gaussian=g, z=z, logits=self.logits(z))
 
     def loss(self, items: Sequence[int], noise: np.ndarray, beta: float,
              k: int | None = None, mode: str | None = None) -> Tensor:
@@ -155,15 +156,14 @@ class SequentialVAE:
         # row t, column j: position t + j, the j-th of the next k items
         ahead = np.arange(T)[:, None] + np.arange(k)
         if mode == "next-k-multiset":
-            counts = np.zeros((T, self.n_items))
             valid = ahead < T
-            np.add.at(counts, (np.nonzero(valid)[0], ids[ahead[valid]]), 1.0)
-            recon = ad.sum_all(ad.mul(Tensor(counts), out.log_pi))
+            recon = ad.sum_all(
+                ad.log_softmax_at(out.logits, np.nonzero(valid)[0], ids[ahead[valid]]))
         elif mode == "mixture":
             # row t: latent rows t-k+1 .. t; rows before the first are
             # clamped to 0 and masked out of the log-sum-exp
             back = ahead - (k - 1)
-            window = ad.gather2d(out.log_pi, np.maximum(back, 0), ids[:, None])
+            window = ad.log_softmax_at(out.logits, np.maximum(back, 0), ids[:, None])
             masked = ad.add(window, Tensor(np.where(back >= 0, 0.0, -np.inf)))
             sizes = Tensor(np.log((back >= 0).sum(axis=1)))
             recon = ad.sum_all(ad.sub(ad.logsumexp_rows(masked), sizes))
@@ -197,7 +197,7 @@ class SequentialVAE:
         n_rows = len(fold_ins)
         last = np.array([len(f) for f in fold_ins]) * n_rows + np.arange(n_rows)
         g = self._encode_states(Tensor(self._states(fold_ins).data[last]))
-        return self.decode(g.mu).data
+        return ad.log_softmax(self.logits(g.mu).data)
 
     def rank(self, fold_in: Sequence[int], exclude: set[int] | frozenset[int]) -> np.ndarray:
         return rank_items(self.scores(fold_in), exclude)

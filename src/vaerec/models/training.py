@@ -65,11 +65,13 @@ def _svae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
 
 
 def _mvae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> float:
+    """One pass over shuffled users in batches; each batch's bags are built
+    when it is reached, so at most one [batch, N] bag matrix is alive."""
     order = rng.permutation(len(train))
-    bags = np.stack([model.bag_vector(train[i].items) for i in order])
     total = 0.0
     for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
-        batch = bags[lo : lo + config.batch_size]
+        batch = np.stack([model.bag_vector(train[i].items)
+                          for i in order[lo : lo + config.batch_size]])
         noise = rng.standard_normal((batch.shape[0], config.latent_dim))
         total += _step(model, config, batch_no, model.loss, batch, noise, beta) * batch.shape[0]
     return total / max(len(order), 1)

@@ -190,7 +190,7 @@ def test_criterion_4_causality_suite():
         np.testing.assert_array_equal(
             a.gaussian.log_sigma.data[:cut], b.gaussian.log_sigma.data[:cut]
         )
-        np.testing.assert_array_equal(a.log_pi.data[:cut], b.log_pi.data[:cut])
+        np.testing.assert_array_equal(a.logits.data[:cut], b.logits.data[:cut])
 
         mvae = build_model("mvae", n, cfg)
         fold_in = [int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False)]

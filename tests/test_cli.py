@@ -399,13 +399,13 @@ def test_eval_scores_fold_ins_in_blocks(tmp_path, ratings_file, capsys, monkeypa
     run = train_tiny(tmp_path, split, model=model)
     cls = {"mvae": MultinomialVAE, "svae": SequentialVAE}[model]
     calls = []
-    decode = cls.decode
+    logits = cls.logits
 
     def counting(self, z):
         calls.append(z.shape[0])
-        return decode(self, z)
+        return logits(self, z)
 
-    monkeypatch.setattr(cls, "decode", counting)
+    monkeypatch.setattr(cls, "logits", counting)
     capsys.readouterr()
     code = run_cli("eval", "--checkpoint", run / "checkpoint", "--split-dir", split)
     assert code == 0

@@ -158,6 +158,53 @@ class TestNextKTargets:
             next_k_targets([1, 2], t=0, k=1)
 
 
+def dense_log_softmax(logits):
+    """Row-wise log softmax on the tape over a whole [rows, N] matrix, with
+    its dense backward: the chain that ``log_softmax_at`` replaced, kept
+    here as the oracle of the models' likelihoods."""
+    out = Tensor(ad.log_softmax(logits.data))
+
+    def backward(g):
+        if logits.requires_grad:
+            logits.accumulate_grad(g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
+
+    return ad._trace(out, (logits,), backward)
+
+
+def dense_gather(t, rows, cols):
+    """Entries t[rows, cols] on the tape; backward scatters additively."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = Tensor(t.data[rows, cols])
+
+    def backward(g):
+        if t.requires_grad:
+            grad = np.zeros_like(t.data)
+            np.add.at(grad, (rows, cols), g)
+            t.accumulate_grad(grad)
+
+    return ad._trace(out, (t,), backward)
+
+
+def reference_mvae_loss(model, bags, noise, beta):
+    """mvae's loss with the reconstruction as the dense product of the bags
+    and the [B, N] log-probabilities."""
+    g = model.encode(bags)
+    log_pi = dense_log_softmax(model.logits(reparameterize(g, noise)))
+    recon = ad.sum_all(ad.mul(Tensor(bags), log_pi))
+    kl = kl_to_standard_normal(g)
+    return ad.scale(ad.sub(ad.scale(kl, beta), recon), 1.0 / bags.shape[0])
+
+
+def loss_and_grads(model, loss_fn, *args):
+    """The loss of ``loss_fn(model, *args)`` and every parameter's grad,
+    concatenated in store order."""
+    model.store.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn(model, *args)
+    tape.backward(loss, model.store)
+    return loss.item(), np.concatenate([p.grad.ravel() for _, p in model.store.items()])
+
+
 def zero_decoder_output(model):
     """A uniform decoder: zero the catalog projection."""
     model.store["decoder.out.0.w"].data[...] = 0.0
@@ -197,6 +244,20 @@ class TestMVAE:
         noise = rng.standard_normal((2, cfg.latent_dim))
         err = gradient_check(lambda: model.loss(bags, noise, beta=0.8), model.store)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("n_items,rows", [(5, 1), (40, 7), (300, 64)])
+    def test_loss_matches_the_dense_reference(self, n_items, rows):
+        cfg = toy_config()
+        model = build_model("mvae", n_items, cfg)
+        randomize_params(model, seed=17)
+        rng = np.random.default_rng(n_items + rows)
+        bags = np.stack([model.bag_vector(rng.choice(n_items, size=rng.integers(1, 6)))
+                         for _ in range(rows)])
+        noise = rng.standard_normal((rows, cfg.latent_dim))
+        want_loss, want_grad = loss_and_grads(model, reference_mvae_loss, bags, noise, 0.7)
+        got_loss, got_grad = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
+        assert abs(got_loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
     def test_bag_invariance(self):
         model = build_model("mvae", 8, toy_config())
@@ -282,7 +343,7 @@ class TestSVAEForward:
         cfg = toy_config()
         model = build_model("svae", 6, cfg)
         out = model.forward([4], np.zeros((1, cfg.latent_dim)))
-        assert out.log_pi.shape == (1, 6)
+        assert out.logits.shape == (1, 6)
         assert out.gaussian.mu.shape == (1, cfg.latent_dim)
 
     def test_shared_prefix_same_outputs(self):
@@ -292,7 +353,7 @@ class TestSVAEForward:
         a = model.forward([1, 2, 3, 4], noise)
         b = model.forward([1, 2, 3, 5], noise)
         np.testing.assert_array_equal(a.gaussian.mu.data[:3], b.gaussian.mu.data[:3])
-        np.testing.assert_array_equal(a.log_pi.data[:3], b.log_pi.data[:3])
+        np.testing.assert_array_equal(a.logits.data[:3], b.logits.data[:3])
 
     def test_suffix_permutation_invariance(self):
         cfg = toy_config()
@@ -308,7 +369,7 @@ class TestSVAEForward:
         np.testing.assert_array_equal(
             a.gaussian.log_sigma.data[:cut], b.gaussian.log_sigma.data[:cut]
         )
-        np.testing.assert_array_equal(a.log_pi.data[:cut], b.log_pi.data[:cut])
+        np.testing.assert_array_equal(a.logits.data[:cut], b.logits.data[:cut])
 
     def test_empty_sequence_rejected(self):
         model = build_model("svae", 6, toy_config())
@@ -317,22 +378,23 @@ class TestSVAEForward:
 
 
 def reference_svae_loss(model, items, noise, beta, k, mode):
-    """svae's loss built one step at a time: next-k counts from
-    ``next_k_targets`` and, in mixture mode, one gather and log-sum-exp per
-    step, added up left to right."""
+    """svae's loss built one step at a time over the dense [T, N]
+    log-probabilities: next-k counts from ``next_k_targets`` and, in mixture
+    mode, one gather and log-sum-exp per step, added up left to right."""
     out = model.forward(items, noise)
+    log_pi = dense_log_softmax(out.logits)
     T = len(items)
     if mode == "next-k-multiset":
         counts = np.zeros((T, model.n_items))
         for t in range(1, T + 1):
             for i in next_k_targets(items, t, k):
                 counts[t - 1, i] += 1.0
-        recon = ad.sum_all(ad.mul(Tensor(counts), out.log_pi))
+        recon = ad.sum_all(ad.mul(Tensor(counts), log_pi))
     else:
         recon = None
         for t in range(1, T + 1):
             rows = list(range(max(1, t - k + 1) - 1, t))
-            window = ad.gather2d(out.log_pi, rows, [items[t - 1]] * len(rows))
+            window = dense_gather(log_pi, rows, [items[t - 1]] * len(rows))
             term = ad.add_const(ad.logsumexp_rows(window), -np.log(len(rows)))
             recon = term if recon is None else ad.add(recon, term)
     kl = kl_to_standard_normal(out.gaussian)
@@ -394,15 +456,9 @@ class TestSVAELoss:
         rng = np.random.default_rng(steps * 10 + k)
         items = (rng.integers(0, 4, steps) if repeats else rng.permutation(64)[:steps]).tolist()
         noise = rng.standard_normal((steps, cfg.latent_dim))
-        runs = []
-        for loss_fn in (reference_svae_loss, type(model).loss):
-            model.store.zero_grad()
-            with Tape() as tape:
-                loss = loss_fn(model, items, noise, 0.7, k, mode)
-            tape.backward(loss, model.store)
-            runs.append((loss.item(), np.concatenate([p.grad.ravel() for _, p in
-                                                       model.store.items()])))
-        (want_loss, want_grad), (got_loss, got_grad) = runs
+        want_loss, want_grad = loss_and_grads(model, reference_svae_loss, items, noise, 0.7,
+                                              k, mode)
+        got_loss, got_grad = loss_and_grads(model, type(model).loss, items, noise, 0.7, k, mode)
         assert abs(got_loss - want_loss) <= 1e-12
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
@@ -532,12 +588,15 @@ class TestBatchedScoring:
         model = build_model("svae", split.n_items, toy_config())
         randomize_params(model, seed=5, scale=1.0)
         fold_in = split.test[0].fold_in
-        # the B = 1 recurrence rounds as the one-sequence path that training
-        # runs, so a lone fold-in scores exactly as the last training state
-        states = model._states([fold_in])
-        g = model._encode_states(Tensor(states.data[-1:]))
-        want = model.decode(g.mu).data[0]
-        assert model.score_batch([fold_in])[0].tobytes() == want.tobytes()
+        # the oracle: chained gru_cell steps over the start token and then
+        # each fold-in item, the last state encoded and decoded
+        h = Tensor(np.zeros((1, model.config.gru_hidden)))
+        rows = [model.start_embedding.data[:1]] + [model.item_embedding.data[[i]]
+                                                   for i in fold_in]
+        for x in rows:
+            h = ad.gru_cell(Tensor(x), h, model.gru)
+        want = ad.log_softmax(model.logits(model._encode_states(h).mu).data)[0]
+        np.testing.assert_allclose(model.score_batch([fold_in])[0], want, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 11), max_size=9), max_size=5), st.integers(0, 5))
