@@ -579,13 +579,24 @@ class ParameterStore:
         self.lay_out()
         return self._values
 
-    def lay_out(self) -> None:
+    def lay_out(self, arena: np.ndarray | None = None) -> None:
         """Gather the parameters into the arena and rebind each one's
         ``data`` to its view. ``values``, a backward pass and a step do this
-        on first use; after it, ``add`` raises."""
+        on first use; after it, ``add`` raises.
+
+        Given ``arena``, a float64 vector of ``n_values()`` entries, the
+        parameters become views into it as it is, with no allocation; every
+        parameter must then have been added by shape only."""
+        if arena is not None:
+            if self._values is not None or self._unset != self._params.keys():
+                raise ValueError("an arena can only be given to unset, unlaid parameters")
+            if arena.dtype != np.float64 or arena.shape != (self.n_values(),):
+                raise ValueError(
+                    f"arena is {arena.dtype} {arena.shape}, expected float64 ({self.n_values()},)"
+                )
         if self._values is not None:
             return
-        values = np.zeros(self.n_values())
+        values = np.zeros(self.n_values()) if arena is None else arena
         for name, shape, offset in self.layout():
             p = self._params[name]
             view = values[offset : offset + p.data.size].reshape(shape)

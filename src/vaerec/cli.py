@@ -206,8 +206,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise CliError(f"unknown item ids: {', '.join(unknown)}")
     fold_in = [vocab.to_index(h) for h in history]
     scores = model.scores(fold_in)
-    ranked = components.rank_items(scores, set(fold_in))
-    for item in ranked[: args.top_n]:
+    for item in components.rank_items(scores, set(fold_in), args.top_n):
         print(f"{vocab.to_raw(int(item))}\t{scores[int(item)]:.6f}")
     return 0
 
@@ -216,21 +215,16 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 # argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vaerec",
-        description="Sequence recommenders built on variational autoencoders.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# flags that set a config field stay text, so the field's type parses them
+# exactly as it parses the same key in a --config file
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--seed", default=None)
 
-    # flags that set a config field stay text, so the field's type parses
-    # them exactly as it parses the same key in a --config file
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", default=None)
 
+def _add_prepare(sub) -> None:
     p = sub.add_parser("prepare", help="build a dataset split from a ratings log")
-    common(p)
+    _common(p)
     p.add_argument("ratings", help="delimited (user, item, rating, timestamp) file")
     p.add_argument("--out", required=True, help="output split directory")
     p.add_argument("--delimiter", default=None, help='field delimiter ("," or "::")')
@@ -242,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strata-edges", dest="strata_edges", default=None)
     p.set_defaults(fn=cmd_prepare)
 
+
+def _add_train(sub) -> None:
     p = sub.add_parser("train", help="train a model on a prepared split")
-    common(p)
+    _common(p)
     p.add_argument("split_dir")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--out", required=True, help="output directory")
@@ -254,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kl-weight", dest="kl_weight", default=None)
     p.set_defaults(fn=cmd_train)
 
+
+def _add_eval(sub) -> None:
     p = sub.add_parser("eval", help="score a checkpoint or the POP baseline")
     p.add_argument("--checkpoint", help="checkpoint base path (no extension)")
     p.add_argument("--pop", action="store_true", help="evaluate the popularity baseline")
@@ -267,16 +265,46 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path for the per-bucket NDCG@100 series")
     p.set_defaults(fn=cmd_eval)
 
+
+def _add_recommend(sub) -> None:
     p = sub.add_parser("recommend", help="rank items for an ad-hoc history")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history", required=True, help="comma-separated raw item ids")
     p.add_argument("--top-n", dest="top_n", type=int, default=10)
     p.set_defaults(fn=cmd_recommend)
+
+
+_SUBCOMMANDS = {
+    "prepare": _add_prepare,
+    "train": _add_train,
+    "eval": _add_eval,
+    "recommend": _add_recommend,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or, when ``command`` names a subcommand, one that
+    holds only that subcommand: it parses, helps and fails for that command
+    exactly as the whole parser does, without building the other three."""
+    parser = argparse.ArgumentParser(
+        prog="vaerec",
+        description="Sequence recommenders built on variational autoencoders.",
+    )
+    whole = command not in _SUBCOMMANDS
+    # one subcommand alone keeps the whole parser's usage line, which the
+    # top level prints with its errors (unrecognized arguments)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if whole else "{" + ",".join(_SUBCOMMANDS) + "}",
+    )
+    for name in _SUBCOMMANDS if whole else [command]:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import os
 import sys
 
@@ -139,7 +140,9 @@ def load_checkpoint(base_path: str | os.PathLike):
     """Rebuild the model with its saved parameters; returns (model, manifest).
 
     Only the model's layout is built, with no random draws, and the blob is
-    read straight into its parameter arena. The manifest's tensor list must
+    mapped copy-on-write as its parameter arena: scoring reads only the pages
+    it touches, and writes to the arena (a training step on a loaded model)
+    go to private pages, never to the file. The manifest's tensor list must
     match that layout exactly and the blob must be exactly as long as the
     layout; otherwise ``ValueError`` names the offending tensor. A manifest
     field missing or of the wrong type is a ``ValueError`` naming the
@@ -159,9 +162,12 @@ def load_checkpoint(base_path: str | os.PathLike):
     _check_tensors(manifest["tensors"], layout)
     with open(base + PARAMS_SUFFIX, "rb") as fh:
         _check_blob_size(os.fstat(fh.fileno()).st_size, layout)
-        values = model.store.values
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError(f"checkpoint blob changed while being read: {base + PARAMS_SUFFIX}")
+        try:
+            mapping = mmap.mmap(fh.fileno(), 8 * model.store.n_values(), access=mmap.ACCESS_COPY)
+        except ValueError as err:  # shortened since the size check
+            raise ValueError(f"checkpoint blob changed while being read: {fh.name}") from err
+    arena = np.frombuffer(mapping, dtype="<f8")
     if sys.byteorder != "little":
-        values.byteswap(inplace=True)
+        arena = arena.astype(np.float64)
+    model.store.lay_out(arena)
     return model, manifest

@@ -138,12 +138,27 @@ def kl_to_standard_normal(g: GaussianParams) -> Tensor:
 SCORE_BLOCK = 64
 
 
-def rank_items(scores: np.ndarray, exclude: frozenset[int] | set[int]) -> np.ndarray:
+def rank_items(
+    scores: np.ndarray, exclude: frozenset[int] | set[int], n: int | None = None
+) -> np.ndarray:
     """Descending-score ranking over the catalog, stable on ties (so equal
-    scores order by item index), with excluded items removed."""
-    order = np.argsort(-scores, kind="stable")
-    if not exclude:
-        return order
-    mask = np.ones(scores.shape[0], dtype=bool)
-    mask[list(exclude)] = False
-    return order[mask[order]]
+    scores order by item index), with excluded items removed; given ``n``,
+    its first ``n`` entries.
+
+    For the top ``n`` only the candidates at or above the ``n``-th best key
+    are sorted: ``np.partition`` finds that key, and a stable sort of the
+    candidates, which keep their item order, settles the ties as a full sort
+    would."""
+    keys = -scores
+    items = np.arange(keys.shape[0])
+    if exclude:
+        mask = np.ones(keys.shape[0], dtype=bool)
+        mask[list(exclude)] = False
+        items = np.flatnonzero(mask)
+        keys = keys[items]
+    if n is not None and n < keys.shape[0]:
+        # "not above" keeps NaN keys (they sort last) and every key tied
+        # with the n-th; with a NaN n-th key it keeps everything
+        near = ~(keys > np.partition(keys, n - 1)[n - 1])
+        items, keys = items[near], keys[near]
+    return items[np.argsort(keys, kind="stable")][:n]

@@ -26,16 +26,7 @@ from vaerec.models.training import train
 from vaerec.autodiff import Tensor
 from vaerec.synthetic import burst_split, cycle_split
 
-
-def toy_config(**overrides):
-    base = dict(
-        latent_dim=3, item_embedding_dim=4, gru_hidden=4,
-        encoder_widths=(5,), decoder_widths=(5,),
-        rvae_embedding_dim=4, rvae_encoder_widths=(5,),
-        k_horizon=2, learning_rate=1e-2, weight_decay=0.0, epochs=0, seed=7,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+from conftest import toy_config
 
 
 def scaled_config(**overrides):

@@ -593,6 +593,35 @@ class TestParameterArena:
         z.data[0, 1] = 4.0
         assert store.values[1] == 4.0
 
+    def test_given_arena_is_used_as_it_is(self):
+        store = ParameterStore()
+        a, b = store.add("a", shape=(2, 2)), store.add("b", shape=(3,))
+        arena = np.arange(7.0)
+        store.lay_out(arena)
+        assert store.values is arena
+        np.testing.assert_array_equal(a.data, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(b.data, [4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("arena", [np.zeros(6), np.zeros(7, dtype=np.float32),
+                                       np.zeros((7, 1))])
+    def test_given_arena_must_fit_the_layout(self, arena):
+        store = ParameterStore()
+        store.add("a", shape=(2, 2))
+        store.add("b", shape=(3,))
+        with pytest.raises(ValueError, match=r"expected float64 \(7,\)"):
+            store.lay_out(arena)
+
+    def test_given_arena_needs_unset_unlaid_parameters(self):
+        store = ParameterStore()
+        store.add("a", np.ones(2))
+        with pytest.raises(ValueError, match="only be given to unset"):
+            store.lay_out(np.zeros(2))
+        store = ParameterStore()
+        store.add("a", shape=(2,))
+        store.lay_out()
+        with pytest.raises(ValueError, match="only be given to unset"):
+            store.lay_out(np.zeros(2))
+
     def test_add_after_layout_raises(self):
         store = ParameterStore()
         w = store.add("w", np.ones(2))
@@ -694,14 +723,14 @@ class TestPrimitiveGradients:
         tape.backward(loss, store)
         assert np.all(v.grad[1, [0, 2, 3, 6]] == 0.0)
 
-    def test_embedding_and_gather(self):
+    def test_embedding_lookup(self):
         store = ParameterStore()
         table = store.add("emb", self.rng.normal(size=(8, 3)))
         probe = Tensor(self.rng.normal(size=(4, 3)))
         ids = [1, 3, 3, 0]
         _check(lambda: ad.sum_all(ad.mul(ad.embedding_lookup(table, ids), probe)), store)
 
-    def test_concat_slice(self):
+    def test_concat_rows(self):
         store = ParameterStore()
         a = store.add("a", self.rng.normal(size=(2, 3)))
         b = store.add("b", self.rng.normal(size=(3, 3)))

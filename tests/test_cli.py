@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vaerec import data as dp
-from vaerec.cli import config_digest, main, read_config_file
+from vaerec.cli import build_parser, config_digest, main, read_config_file
 from vaerec.data import Vocabulary, load_split
 from vaerec.evaluation import (
     PopularityRanker,
@@ -226,6 +226,53 @@ def test_eval_and_recommend_take_no_config_or_seed(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+COMMANDS = ("prepare", "train", "eval", "recommend")
+# a complete invocation of each command, for its parse to reach the top level
+PARSED = {
+    "prepare": ["prepare", "r.csv", "--out", "o"],
+    "train": ["train", "s", "--model", "svae", "--out", "o"],
+    "eval": ["eval", "--split-dir", "s"],
+    "recommend": ["recommend", "--checkpoint", "c", "--history", "i1"],
+}
+
+
+def exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return exit_info.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_helps_and_fails_as_the_whole_parser(command, capsys):
+    alone, whole = build_parser(command), build_parser()
+    assert alone.parse_args(PARSED[command]) == whole.parse_args(PARSED[command])
+    outcomes = []
+    for argv in ([command, "--help"], [command], PARSED[command] + ["--bogus-flag"]):
+        outcomes.append(exit_and_output(alone.parse_args, argv, capsys))
+        assert outcomes[-1] == exit_and_output(whole.parse_args, argv, capsys)
+    assert outcomes[0][0] == 0 and f"usage: vaerec {command}" in outcomes[0][1].out
+    assert outcomes[2][0] == 2
+    assert outcomes[2][1].err.startswith(whole.format_usage())
+    assert "unrecognized arguments: --bogus-flag" in outcomes[2][1].err
+    # the other commands are not built
+    other = next(name for name in COMMANDS if name != command)
+    code, captured = exit_and_output(alone.parse_args, [other, "--help"], capsys)
+    assert code == 2 and "invalid choice" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3", "train"]])
+def test_anything_but_a_command_gets_the_whole_parser(argv, capsys):
+    code, captured = exit_and_output(main, argv, capsys)
+    assert code == 2
+    assert all(command in captured.err for command in COMMANDS)
+
+
+def test_help_lists_every_command(capsys):
+    code, captured = exit_and_output(main, ["--help"], capsys)
+    assert code == 0
+    assert all(command in captured.out for command in COMMANDS)
+
+
 def test_train_writes_curve_and_checkpoint(tmp_path, ratings_file):
     split = prepare(tmp_path, ratings_file)
     run = train_tiny(tmp_path, split, epochs=2)
@@ -321,6 +368,20 @@ def test_recommend(tmp_path, ratings_file, capsys):
     )
     assert code == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_recommend_top_n_is_the_head_of_the_whole_list(tmp_path, ratings_file, capsys):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    capsys.readouterr()
+    outputs = {}
+    for top_n in (1, 4, 10, 12):
+        argv = ["recommend", "--checkpoint", run / "checkpoint", "--history", "i0,i5"]
+        assert run_cli(*argv, "--top-n", top_n) == 0
+        outputs[top_n] = capsys.readouterr().out.splitlines()
+    assert len(outputs[12]) == 10
+    for top_n, lines in outputs.items():
+        assert lines == outputs[12][:top_n]
 
 
 def test_recommend_names_every_unknown_id(tmp_path, ratings_file, capsys):

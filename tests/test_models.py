@@ -1,5 +1,7 @@
 import hashlib
 import json
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from vaerec.data import DatasetSplit, UserSequence, Vocabulary, make_heldout
 from vaerec.evaluation import EvalReport
 from vaerec import models
 from vaerec.models import ModelConfig, build_model
+from vaerec.models import checkpoint as checkpoint_module
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.components import (
     SCORE_BLOCK,
@@ -27,24 +30,7 @@ from vaerec.models import training
 from vaerec.models.training import TrainingError, _rvae_triples, train
 from vaerec.synthetic import burst_split, cycle_split
 
-
-def toy_config(**overrides):
-    base = dict(
-        latent_dim=3,
-        item_embedding_dim=4,
-        gru_hidden=4,
-        encoder_widths=(5,),
-        decoder_widths=(5,),
-        rvae_embedding_dim=4,
-        rvae_encoder_widths=(5,),
-        k_horizon=2,
-        learning_rate=1e-2,
-        weight_decay=0.0,
-        epochs=0,
-        seed=7,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+from conftest import toy_config
 
 
 def gaussian(mu, log_sigma):
@@ -500,6 +486,28 @@ class TestPredictions:
         a = model.rank([1, 2], {1, 2})
         b = model.rank([1, 2], {1, 2})
         np.testing.assert_array_equal(a, b)
+
+
+class TestRankItems:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-3, 3).map(float),
+                           st.sampled_from([-np.inf, np.inf, np.nan, -0.0])),
+                 max_size=60),
+        st.data(),
+    )
+    def test_top_n_is_the_head_of_the_full_ranking(self, values, data):
+        scores = np.array(values, dtype=np.float64)
+        exclude = set(data.draw(st.lists(st.integers(0, max(len(values) - 1, 0)),
+                                         max_size=len(values))))
+        # the full ranking: a stable sort of the whole catalog, then exclusions
+        order = np.argsort(-scores, kind="stable")
+        want = np.array([i for i in order if i not in exclude], dtype=order.dtype)
+        full = rank_items(scores, exclude)
+        assert full.dtype == want.dtype and full.tobytes() == want.tobytes()
+        n = data.draw(st.integers(0, len(want) + 3))
+        top = rank_items(scores, exclude, n)
+        assert top.dtype == want.dtype and top.tobytes() == want[:n].tobytes()
 
 
 class TestBatchedScoring:
@@ -1005,6 +1013,74 @@ class TestCheckpoint:
             tracemalloc.stop()
         # the parameters once; no random init, gradients or Adam moments
         assert peak < 1.5 * blob_bytes
+
+    def saved_random(self, tmp_path, kind, n_items=40):
+        """A saved model at a generic parameter point, and its blob path."""
+        model = build_model(kind, n_items, toy_config(), n_users=3)
+        randomize_params(model, seed=3, scale=1.0)
+        base = tmp_path / "model"
+        save_model(base, model)
+        return model, base, base.with_suffix(".params")
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_mapped_load_matches_a_read_into_load(self, tmp_path, kind):
+        model, base, blob = self.saved_random(tmp_path, kind)
+        oracle = build_model(kind, model.n_items, toy_config(), n_users=3, init=False)
+        oracle.store.values[...] = np.fromfile(blob, dtype="<f8")
+        loaded, _ = load_checkpoint(base)
+        values = loaded.store.values
+        assert type(values) is np.ndarray and isinstance(values.base.obj, mmap.mmap)
+        assert values.tobytes() == oracle.store.values.tobytes()
+        rng = np.random.default_rng(4)
+        fold_ins = [list(rng.choice(40, size=int(rng.integers(2, 9)))) for _ in range(7)]
+        assert loaded.score_batch(fold_ins).tobytes() == oracle.score_batch(fold_ins).tobytes()
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_writes_to_a_loaded_arena_leave_the_file_unchanged(self, tmp_path, kind):
+        model, base, blob = self.saved_random(tmp_path, kind)
+        digest = hashlib.sha256(blob.read_bytes()).hexdigest()
+        loaded, _ = load_checkpoint(base)
+        loaded.store.values[...] = 0.25
+        loaded.store.attach_grads()
+        for _, p in loaded.store.items():
+            p.grad[...] = 1.0
+        loaded.store.adam_step(lr=0.1)
+        assert np.all(loaded.store.values != 0.25)
+        del loaded
+        assert hashlib.sha256(blob.read_bytes()).hexdigest() == digest
+        again, _ = load_checkpoint(base)
+        assert again.store.values.tobytes() == model.store.values.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc")
+    def test_dropping_a_loaded_model_releases_its_file_and_mapping(self, tmp_path):
+        _, base, blob = self.saved_random(tmp_path, "svae")
+        path = os.path.realpath(blob)
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def mappings():
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                return sum(line.rstrip("\n").endswith(path) for line in fh)
+
+        fds = open_fds()
+        loaded, _ = load_checkpoint(base)
+        loaded.scores([1, 2])
+        assert mappings() == 1
+        del loaded
+        assert (open_fds(), mappings()) == (fds, 0)
+
+    def test_blob_shortened_after_the_size_check_fails_clearly(self, tmp_path, monkeypatch):
+        _, base, blob = self.saved_random(tmp_path, "svae")
+        check_size = checkpoint_module._check_blob_size
+
+        def check_then_truncate(n_bytes, layout):
+            check_size(n_bytes, layout)
+            os.truncate(blob, n_bytes - 8)
+
+        monkeypatch.setattr(checkpoint_module, "_check_blob_size", check_then_truncate)
+        with pytest.raises(ValueError, match="changed while being read"):
+            load_checkpoint(base)
 
     def test_roundtrip_bit_identical(self, tmp_path):
         split = cycle_split(n_items=8, n_train=10, n_val=3, n_test=3, length=6, seed=1)
