@@ -25,7 +25,7 @@ from vaerec.models.training import train
 
 def ndcg100_on_test(ranker, split):
     """NDCG@100 on the test fold, every user ranked from one batch of scores."""
-    rank_fn = batch_rank_fn(ranker, split.test)
+    rank_fn = batch_rank_fn(ranker, split.test, 100)
     return evaluate(rank_fn, split.test, n_values=(100,)).metrics["NDCG@100"]
 
 

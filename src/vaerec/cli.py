@@ -133,11 +133,26 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
+def _parse_cutoffs(text: str) -> tuple[int, ...]:
+    """The comma-separated ``--n`` cutoffs, blank pieces skipped; each must
+    be an integer of at least 1."""
+    cutoffs = []
+    for piece in filter(str.strip, text.split(",")):
+        try:
+            n = int(piece)
+        except ValueError:
+            raise CliError(f"--n takes integers, got {piece.strip()!r}") from None
+        if n < 1:
+            raise CliError(f"--n cutoffs must be at least 1, got {n}")
+        cutoffs.append(n)
+    return tuple(cutoffs)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     # checked before any file is opened, so the value never becomes a path
     if args.split not in dp.HELDOUT_FOLDS:
         raise CliError(f"unknown split part {args.split!r}; expected validation or test")
-    n_values = tuple(int(x) for x in args.n.split(",") if x.strip())
+    n_values = _parse_cutoffs(args.n)
     if args.pop:
         split, _ = dp.load_split(args.split_dir)
         heldout = getattr(split, args.split)
@@ -160,7 +175,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ranker = model
         model_name = manifest["model"]
         digest = config_digest(manifest["config"])
-    rank_fn = batch_rank_fn(ranker, heldout)
+    # rank only the head the report reads; the history series reads NDCG@100
+    history_n = (100,) if args.by_history_length else ()
+    rank_fn = batch_rank_fn(ranker, heldout, max(n_values + history_n, default=None))
     report = evaluate(rank_fn, heldout, n_values=n_values, idcg_cap_at_n=args.idcg_cap)
     report.model = model_name
     report.config_digest = digest

@@ -10,6 +10,7 @@ seed), so two runs produce byte-identical split directories.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import operator
@@ -562,26 +563,37 @@ def _read_manifest(split_dir: str | os.PathLike) -> dict:
 
 
 def _read_vocabulary(split_dir: str | os.PathLike) -> Vocabulary:
-    """``raw id<TAB>index`` lines, indices counting up from 0."""
+    """``raw id<TAB>index`` lines, indices counting up from 0, exactly as
+    ``save_split`` writes them. The text is read once: the raw ids are taken
+    from it and its sha256 is the vocabulary's digest."""
     path = os.path.join(str(split_dir), "vocabulary.tsv")
-    raw_ids: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(line_no, f"expected raw id<TAB>index, got {line!r}", path)
-            raw, idx_s = fields
-            idx = _parse_int(idx_s, "vocabulary index", line_no, path)
-            if idx != len(raw_ids):
-                raise ParseError(
-                    line_no, f"vocabulary index {idx} out of order, expected {len(raw_ids)}",
-                    path,
-                )
-            raw_ids.append(raw)
-    return Vocabulary(raw_ids)
+        text = fh.read()
+    raw_ids = [line.partition("\t")[0] for line in text.split("\n")[:-1]]
+    if text != _vocabulary_text(raw_ids):
+        _check_vocabulary_lines(text, path)
+    vocab = Vocabulary(raw_ids)
+    vocab._digest = hashlib.sha256(text.encode()).hexdigest()
+    return vocab
+
+
+def _check_vocabulary_lines(text: str, path: str) -> None:
+    """Raise a ParseError at the first line of ``text`` that is not the
+    ``raw id<TAB>index`` line ``save_split`` writes there."""
+    for line_no, line in enumerate(io.StringIO(text).readlines(), start=1):
+        content = line.rstrip("\n")
+        fields = content.split("\t")
+        if len(fields) != 2:
+            raise ParseError(line_no, f"expected raw id<TAB>index, got {content!r}", path)
+        raw, idx_s = fields
+        idx = _parse_int(idx_s, "vocabulary index", line_no, path)
+        if idx != line_no - 1:
+            raise ParseError(
+                line_no, f"vocabulary index {idx} out of order, expected {line_no - 1}", path)
+        written = f"{raw}\t{idx}\n"
+        if line != written:
+            raise ParseError(
+                line_no, f"expected {written!r}, as save_split writes it, got {line!r}", path)
 
 
 def _read_sequences(path: str, n_items: int, min_items: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -137,7 +137,7 @@ def evaluate(
 
 
 def batch_rank_fn(
-    ranker, heldout: Sequence[HeldoutUser]
+    ranker, heldout: Sequence[HeldoutUser], n: int | None = None
 ) -> Callable[[Sequence[int], AbstractSet[int]], np.ndarray]:
     """A ``rank_fn`` for ``evaluate`` that ranks the users of ``heldout``
     from one ``ranker.score_batch`` call over their fold-ins.
@@ -146,7 +146,8 @@ def batch_rank_fn(
     uses it, and later calls (such as ``ndcg_by_history_length`` over the
     same users) reuse those scores. Each call finds its row by the fold-in
     and ranks it with ``rank_items``; a fold-in that is not in ``heldout``
-    raises ValueError.
+    raises ValueError. Given ``n``, each ranking is the first ``n`` items of
+    the full one, which is all that metrics at cutoffs up to ``n`` read.
     """
     fold_ins = list(dict.fromkeys(tuple(u.fold_in) for u in heldout))
     rows = {fold_in: row for row, fold_in in enumerate(fold_ins)}
@@ -159,7 +160,7 @@ def batch_rank_fn(
             raise ValueError(f"fold-in {list(fold_in)} is not in the scored batch")
         if scores is None:
             scores = ranker.score_batch(fold_ins)
-        return components.rank_items(scores[row], exclude)
+        return components.rank_items(scores[row], exclude, n)
 
     return rank
 

@@ -90,10 +90,18 @@ class PairwiseRankingVAE:
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
         """Score every catalog item through the reserved-user row; the
-        fold-in does not enter."""
-        rows = [self.unseen_user_row] * self.n_items
-        g = self.encode(rows, list(range(self.n_items)))
-        return self.score(g.mu).data[:, 0]
+        fold-in does not enter.
+
+        The encoder input is built as one block, the reserved row beside
+        each item row: the bytes ``encode`` would concatenate from its two
+        lookups, without gathering either table. Only the head's mean is
+        computed, since scoring reads nothing else."""
+        dim = self.config.rvae_embedding_dim
+        block = np.empty((self.n_items, 2 * dim))
+        block[:, :dim] = self.user_embedding.data[self.unseen_user_row]
+        block[:, dim:] = self.item_embedding.data
+        features = self.encoder_stack(Tensor(block))
+        return self.score(ad.linear(features, *self.head.mu)).data[:, 0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
         """[U, N] scores: the reserved-user row, computed once and broadcast

@@ -142,7 +142,7 @@ def train(
             train_loss = epoch_fn(model, split.train, rng, beta, config)
         except TrainingError as err:
             raise TrainingError(f"{kind} training diverged at epoch {epoch}: {err}") from None
-        report = evaluate(batch_rank_fn(model, split.validation), split.validation,
+        report = evaluate(batch_rank_fn(model, split.validation, 100), split.validation,
                           n_values=(100,))
         val_score = report.metrics["NDCG@100"]
         stats = EpochStats(

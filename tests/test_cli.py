@@ -13,7 +13,7 @@ from vaerec.evaluation import (
     evaluate,
     ndcg_by_history_length,
 )
-from vaerec.models import MultinomialVAE, PairwiseRankingVAE, SequentialVAE
+from vaerec.models import MultinomialVAE, PairwiseRankingVAE, SequentialVAE, components
 from vaerec.models.checkpoint import load_checkpoint
 
 
@@ -573,6 +573,16 @@ def test_eval_unknown_split_part_opens_no_file(tmp_path, ratings_file, capsys, m
     split = prepare(tmp_path, ratings_file)
     (split / ".." / "x.tsv").write_text("0\t1,2\n")
     argv = ["--pop"] if source == "pop" else ["--checkpoint", tmp_path / "missing"]
+    capsys.readouterr()
+    code, opened = run_cli_recording_opens(monkeypatch, "eval", *argv, "--split-dir", split,
+                                           "--split", "../x")
+    assert code == 1
+    assert opened == []
+    assert "unknown split part '../x'" in capsys.readouterr().err
+
+
+def run_cli_recording_opens(monkeypatch, *argv):
+    """The exit code of ``argv`` and the files it opened."""
     opened = []
     real_open = open
 
@@ -580,13 +590,11 @@ def test_eval_unknown_split_part_opens_no_file(tmp_path, ratings_file, capsys, m
         opened.append(file)
         return real_open(file, *args, **kwargs)
 
-    capsys.readouterr()
     monkeypatch.setattr("builtins.open", recording_open)
-    code = run_cli("eval", *argv, "--split-dir", split, "--split", "../x")
-    monkeypatch.undo()
-    assert code == 1
-    assert opened == []
-    assert "unknown split part '../x'" in capsys.readouterr().err
+    try:
+        return run_cli(*argv), opened
+    finally:
+        monkeypatch.undo()
 
 
 def test_eval_hashes_the_vocabulary_once(tmp_path, ratings_file, capsys, monkeypatch):
@@ -599,3 +607,83 @@ def test_eval_hashes_the_vocabulary_once(tmp_path, ratings_file, capsys, monkeyp
                    "--out", tmp_path / "report")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "--n takes integers, got 'x'"),
+    ("10,2.5", "--n takes integers, got '2.5'"),
+    ("0", "--n cutoffs must be at least 1, got 0"),
+    ("10,-3", "--n cutoffs must be at least 1, got -3"),
+])
+def test_eval_checks_cutoffs_before_it_opens_a_file(tmp_path, ratings_file, capsys,
+                                                    monkeypatch, text, message):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    capsys.readouterr()
+    code, opened = run_cli_recording_opens(monkeypatch, "eval", "--checkpoint",
+                                           run / "checkpoint", "--split-dir", split, "--n", text)
+    assert code == 1
+    assert opened == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_with_empty_cutoffs_reports_no_metrics(tmp_path, ratings_file, capsys):
+    split = prepare(tmp_path, ratings_file)
+    run = train_tiny(tmp_path, split)
+    capsys.readouterr()
+    for source in (["--pop"], ["--checkpoint", run / "checkpoint"]):
+        assert run_cli("eval", *source, "--split-dir", split, "--n", "") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["metrics"] == {}
+        assert payload["users"] > 1
+
+
+def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
+    # a 40-item catalog, where fold-out items often rank below 10th
+    rng = np.random.default_rng(2)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("".join(
+        f"u{u},i{int(item)},5,{t}\n"
+        for u in range(80)
+        for t, item in enumerate(rng.choice(40, size=int(rng.integers(4, 30)), replace=False))
+    ))
+    split = prepare(tmp_path, ratings)
+    loaded, _ = load_split(split)
+    ranker = PopularityRanker(loaded.train, loaded.n_items)
+    assert loaded.n_items > 10
+    series = {}
+    for n in ("10", "10,100"):
+        csv_path = tmp_path / f"by_length_{n}.csv"
+        assert run_cli("eval", "--pop", "--split-dir", split, "--n", n,
+                       "--by-history-length", csv_path) == 0
+        series[n] = csv_path.read_text()
+    assert series["10"] == series["10,100"]
+    want = ndcg_by_history_length(ranker.rank, loaded.test)
+    rows = series["10"].splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [
+        "" if r["ndcg100"] is None else repr(r["ndcg100"]) for r in want]
+    # a series cut to the top 10 would read otherwise
+    assert want != ndcg_by_history_length(
+        lambda fold_in, exclude: ranker.rank(fold_in, exclude)[:10], loaded.test)
+
+
+@pytest.mark.parametrize("argv, cutoff", [
+    (["--n", "1,5"], 5),
+    (["--n", "5,20,10"], 20),
+    (["--n", "5", "--by-history-length", "by_length.csv"], 100),
+    (["--n", "500"], 500),
+])
+def test_eval_ranks_only_the_head_it_reads(tmp_path, ratings_file, capsys, monkeypatch, argv,
+                                           cutoff):
+    split = prepare(tmp_path, ratings_file)
+    cutoffs = []
+    rank_items = components.rank_items
+
+    def recording(scores, exclude, n=None):
+        cutoffs.append(n)
+        return rank_items(scores, exclude, n)
+
+    monkeypatch.setattr(components, "rank_items", recording)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("eval", "--pop", "--split-dir", split, *argv) == 0
+    assert cutoffs and set(cutoffs) == {cutoff}

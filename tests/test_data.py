@@ -341,6 +341,23 @@ class TestPipeline:
                            match=r"vocabulary\.tsv: line 2: bad vocabulary index 'one'"):
             load_split(out)
 
+    # (edit of the text, line named given the file's line count)
+    @pytest.mark.parametrize("edit, line_no", [
+        (lambda text: text.replace("\t1\n", "\t1\n\n", 1), lambda n: 3),
+        (lambda text: text.replace("\t1\n", "\t01\n", 1), lambda n: 2),
+        (lambda text: text[:-1], lambda n: n),
+        (lambda text: text + "\n", lambda n: n + 1),
+    ], ids=["blank-line", "index-01", "no-final-newline", "trailing-blank-line"])
+    def test_vocabulary_not_as_written_names_file_and_line(self, tmp_path, edit, line_no):
+        # no writer produces these; each is refused at the line where it departs
+        out = self.saved_split(tmp_path)
+        vocab = out / "vocabulary.tsv"
+        text = vocab.read_text()
+        vocab.write_text(edit(text))
+        where = rf"vocabulary\.tsv: line {line_no(len(text.splitlines()))}"
+        with pytest.raises(ParseError, match=rf"{where}: expected "):
+            load_split(out)
+
     @pytest.mark.parametrize("name", ["train", "validation", "test"])
     def test_malformed_user_field_names_file_and_line(self, tmp_path, name):
         out = self.saved_split(tmp_path)

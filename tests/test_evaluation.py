@@ -273,6 +273,26 @@ class TestBatchedRanking:
             np.testing.assert_array_equal(
                 batched(list(user.fold_in), exclude), ranker.rank(list(user.fold_in), exclude))
 
+    @pytest.mark.parametrize("split_name", sorted(SPLITS))
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae", "pop"])
+    def test_top_n_is_the_head_of_the_full_ranking(self, kind, split_name):
+        split = SPLITS[split_name]()
+        ranker = ranker_for(kind, split)
+        users = split.test
+        n_items = split.n_items
+        for n in (1, 5, 100, n_items - 1, n_items, n_items + 5):
+            top = batch_rank_fn(ranker, users, n)
+            for user in users:
+                exclude = set(user.fold_in)
+                np.testing.assert_array_equal(
+                    top(list(user.fold_in), exclude), ranker.rank(list(user.fold_in), exclude)[:n])
+            # a report at cutoffs up to n reads only the head
+            cutoffs = tuple(c for c in (1, 5, 10, 100) if c <= n)
+            want = evaluate(ranker.rank, users, n_values=cutoffs, keep_per_user=True)
+            got = evaluate(top, users, n_values=cutoffs, keep_per_user=True)
+            assert got.to_json() == want.to_json()
+            assert got.per_user == want.per_user
+
     def test_scores_one_batch_on_first_use(self):
         split = SPLITS["burst"]()
         pop = PopularityRanker(split.train, split.n_items)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vaerec import autodiff as ad
 from vaerec.autodiff import Tape, Tensor, gradient_check
 from vaerec.data import DatasetSplit, UserSequence, Vocabulary, make_heldout
-from vaerec.evaluation import EvalReport
+from vaerec.evaluation import EvalReport, evaluate
 from vaerec import models
 from vaerec.models import ModelConfig, build_model
 from vaerec.models import checkpoint as checkpoint_module
@@ -297,6 +297,18 @@ class TestRVAE:
         assert not scores.flags.writeable
         for row, fold_in in zip(scores, fold_ins):
             assert row.tobytes() == model.scores(list(fold_in)).tobytes()
+
+    @pytest.mark.parametrize("n_items, config", [
+        (7, toy_config()),
+        (300, toy_config(rvae_embedding_dim=16, rvae_encoder_widths=(12, 8), latent_dim=6)),
+    ], ids=["toy", "wider"])
+    def test_scores_equal_the_tape_path_byte_for_byte(self, n_items, config):
+        model = build_model("rvae", n_items, config, n_users=3)
+        randomize_params(model, seed=8)
+        # oracle: the catalog encoded through the tape ops pair_loss uses
+        rows = [model.unseen_user_row] * n_items
+        want = model.score(model.encode(rows, range(n_items)).mu).data[:, 0]
+        assert model.scores(()).tobytes() == want.tobytes()
 
     def test_deterministic_ranking(self):
         model = build_model("rvae", 7, toy_config(), n_users=2)
@@ -769,6 +781,15 @@ class TestTraining:
         _, curve_b = train(kind, split, cfg)
         assert [s.train_loss for s in curve_a] == [s.train_loss for s in curve_b]
         assert [s.val_ndcg100 for s in curve_a] == [s.val_ndcg100 for s in curve_b]
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_curve_validation_equals_full_ranking_of_the_selected_model(self, kind):
+        # validation ranks only the top 100; the full catalog ranking of the
+        # model train() returns must give the best epoch's figure
+        split = cycle_split(n_items=120, n_train=30, n_val=8, n_test=4, length=8, seed=4)
+        model, curve = train(kind, split, toy_config(epochs=3, batch_size=8))
+        full = evaluate(model.rank, split.validation, n_values=(100,))
+        assert max(s.val_ndcg100 for s in curve) == full.metrics["NDCG@100"]
 
     @pytest.mark.parametrize("kind, mode", [("mvae", "next-k-multiset"), ("rvae", "next-k-multiset"),
                                             ("svae", "next-k-multiset"), ("svae", "mixture")])
