@@ -207,13 +207,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _trace(out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer y = xW + b, bias broadcast over the batch."""
+def linear(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
+    """Dense layer y = xW + b, bias broadcast over the batch, or tanh(xW + b)
+    with ``tanh``; one tape record. Backward repeats the arithmetic of the
+    ``matmul``, ``add`` (, ``tanh``) chain: each link's gradient started as
+    zeros plus the incoming one, which turns -0.0 into +0.0, hence the
+    ``+ 0.0``s."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear shape mismatch: x {x.shape} vs W {w.shape}")
     if b.data.shape != (w.shape[1],):
         raise ShapeError(f"linear bias shape {b.shape} does not match W {w.shape}")
-    return add(matmul(x, w), b)
+    y = x.data @ w.data + b.data
+    out = Tensor(np.tanh(y) if tanh else y)
+
+    def backward(g: np.ndarray) -> None:
+        if tanh:
+            g = g * (1.0 - out.data * out.data) + 0.0
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad or w.requires_grad:
+            g = g + 0.0
+            if x.requires_grad:
+                x.accumulate_grad(g @ w.data.T)
+            if w.requires_grad:
+                w.accumulate_grad(x.data.T @ g)
+
+    return _trace(out, (x, w, b), backward)
 
 
 def exp(t: Tensor) -> Tensor:
@@ -340,8 +359,16 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+                table.grad = np.zeros(table.shape)
+            grad = table.grad
+            if not grad.flags.c_contiguous:
+                np.add.at(grad, idx, g)
+                return
+            # the same scalar additions, in the same order, as np.add.at
+            # over rows, on numpy's several times faster 1-D index path
+            width = math.prod(grad.shape[1:])
+            cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            np.add.at(grad.reshape(-1), cells, g.reshape(-1))
 
     return _trace(out, (table,), backward)
 
@@ -373,6 +400,54 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g[:, split:])
 
     return _trace(out, (a, b), backward)
+
+
+# ---------------------------------------------------------------------------
+# diagonal Gaussian latents
+
+
+def reparameterize(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
+    """z = mu + exp(log_sigma) * noise in one tape record; backward repeats
+    the ``exp``, ``mul``, ``add`` chain's arithmetic, zero-started link
+    gradients included (see ``linear``)."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != mu.shape or log_sigma.shape != mu.shape:
+        raise ShapeError(f"noise shape {noise.shape} and log sigma shape {log_sigma.shape} "
+                         f"vs mu shape {mu.shape}")
+    sigma = np.exp(log_sigma.data)
+    out = Tensor(mu.data + sigma * noise)
+
+    def backward(g: np.ndarray) -> None:
+        if mu.requires_grad:
+            mu.accumulate_grad(g)
+        if log_sigma.requires_grad:
+            log_sigma.accumulate_grad(((g + 0.0) * noise + 0.0) * sigma)
+
+    return _trace(out, (mu, log_sigma), backward)
+
+
+def kl_standard_normal(mu: Tensor, log_sigma: Tensor) -> Tensor:
+    """KL(N(mu, diag sigma^2) || N(0, I)) summed over every coordinate, in
+    one tape record. Forward and backward repeat the arithmetic and order of
+    the chain ``scale(sum_all((exp(2 ls) - 1) + (-2 ls + mu * mu)), 0.5)``:
+    ``mu`` takes ``c * mu`` twice, as ``mu * mu`` gave it, and ``log_sigma``
+    the ``-2 ls`` share before the exponential's."""
+    if log_sigma.shape != mu.shape:
+        raise ShapeError(f"log sigma shape {log_sigma.shape} vs mu shape {mu.shape}")
+    var = np.exp(log_sigma.data * 2.0)
+    out = Tensor(np.sum((var + -1.0) + (log_sigma.data * -2.0 + mu.data * mu.data)) * 0.5)
+
+    def backward(g: np.ndarray) -> None:
+        c = g * 0.5 + 0.0
+        if mu.requires_grad:
+            d_mu = c * mu.data
+            mu.accumulate_grad(d_mu)
+            mu.accumulate_grad(d_mu)
+        if log_sigma.requires_grad:
+            log_sigma.accumulate_grad(c * -2.0)
+            log_sigma.accumulate_grad((c * var + 0.0) * 2.0)
+
+    return _trace(out, (mu, log_sigma), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class DenseStack:
 
     def __call__(self, x: Tensor) -> Tensor:
         for w, b in self.layers:
-            x = ad.tanh(ad.linear(x, w, b))
+            x = ad.linear(x, w, b, tanh=True)
         return x
 
 
@@ -111,10 +111,7 @@ class GaussianHead:
 
 def reparameterize(g: GaussianParams, eps: np.ndarray) -> Tensor:
     """z = mu + exp(log_sigma) * eps, differentiable in mu and log_sigma."""
-    noise = np.asarray(eps, dtype=np.float64)
-    if noise.shape != g.mu.shape:
-        raise ad.ShapeError(f"noise shape {noise.shape} vs mu shape {g.mu.shape}")
-    return ad.add(g.mu, ad.mul(ad.exp(g.log_sigma), Tensor(noise)))
+    return ad.reparameterize(g.mu, g.log_sigma, eps)
 
 
 def kl_to_standard_normal(g: GaussianParams) -> Tensor:
@@ -123,12 +120,7 @@ def kl_to_standard_normal(g: GaussianParams) -> Tensor:
     Per coordinate: (sigma^2 - 1 - log sigma^2 + mu^2) / 2, which is zero
     exactly at (mu, sigma) = (0, 1) and positive everywhere else.
     """
-    two_ls = ad.scale(g.log_sigma, 2.0)
-    term = ad.add(
-        ad.add_const(ad.exp(two_ls), -1.0),
-        ad.add(ad.scale(g.log_sigma, -2.0), ad.mul(g.mu, g.mu)),
-    )
-    return ad.scale(ad.sum_all(term), 0.5)
+    return ad.kl_standard_normal(g.mu, g.log_sigma)
 
 
 # Held-out users are scored this many at a time, as the rows of one
@@ -138,6 +130,12 @@ def kl_to_standard_normal(g: GaussianParams) -> Tensor:
 SCORE_BLOCK = 64
 
 
+# ``rank_items`` partitions before sorting from this many candidates on;
+# below it a full sort is quicker (n = 100 on one core of a 2-vCPU VM:
+# 12.0 against 14.7 us at 200 candidates, 30.2 against 25.0 us at 800).
+PARTITION_FROM = 512
+
+
 def rank_items(
     scores: np.ndarray, exclude: frozenset[int] | set[int], n: int | None = None
 ) -> np.ndarray:
@@ -145,10 +143,10 @@ def rank_items(
     scores order by item index), with excluded items removed; given ``n``,
     its first ``n`` entries.
 
-    For the top ``n`` only the candidates at or above the ``n``-th best key
-    are sorted: ``np.partition`` finds that key, and a stable sort of the
-    candidates, which keep their item order, settles the ties as a full sort
-    would."""
+    For the top ``n`` of ``PARTITION_FROM`` or more candidates only those at
+    or above the ``n``-th best key are sorted: ``np.partition`` finds that
+    key, and a stable sort of the candidates, which keep their item order,
+    settles the ties as a full sort would."""
     keys = -scores
     items = np.arange(keys.shape[0])
     if exclude:
@@ -156,7 +154,7 @@ def rank_items(
         mask[list(exclude)] = False
         items = np.flatnonzero(mask)
         keys = keys[items]
-    if n is not None and n < keys.shape[0]:
+    if n is not None and n < keys.shape[0] and keys.shape[0] >= PARTITION_FROM:
         # "not above" keeps NaN keys (they sort last) and every key tied
         # with the n-th; with a NaN n-th key it keeps everything
         near = ~(keys > np.partition(keys, n - 1)[n - 1])

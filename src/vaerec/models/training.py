@@ -81,21 +81,30 @@ def _rvae_triples(train: Sequence[UserSequence], n_items: int, rng) -> np.ndarra
     """(user_row, preferred, negative) triples: one uniformly sampled
     non-consumed item per positive per epoch.
 
-    A user who has consumed every item has no negative to draw; such users
-    are skipped before any draw, so the others' triples do not change."""
-    triples = []
+    A user's negatives are the draws that miss their consumed items, in
+    draw order. They come in batches of exactly the missing count, so no
+    batch draws past the last acceptance, and ``rng.integers(n, size=k)``
+    yields what k scalar calls do: the triples and the generator's state
+    are those of drawing one item at a time until it misses. A user who has
+    consumed every item has no negative to draw; such users are skipped
+    before any draw, so the others' triples do not change."""
+    consumed = np.zeros(n_items, dtype=bool)
+    rows, preferred, negatives = [], [], []
     for row, seq in enumerate(train):
-        consumed = set(seq.items)
-        if len(consumed) >= n_items:
-            continue
-        for i in seq.items:
-            j = int(rng.integers(n_items))
-            while j in consumed:
-                j = int(rng.integers(n_items))
-            triples.append((row, i, j))
-    if not triples:
+        items = np.asarray(seq.items, dtype=np.int64)
+        consumed[items] = True
+        if len(items) and not consumed.all():
+            rows.append(np.full(len(items), row, dtype=np.int64))
+            preferred.append(items)
+            need = len(items)
+            while need:
+                draws = rng.integers(n_items, size=need)
+                negatives.append(draws[~consumed[draws]])
+                need -= len(negatives[-1])
+        consumed[items] = False
+    if not rows:
         raise ValueError("rvae training needs a user who has not consumed every item")
-    out = np.asarray(triples, dtype=np.int64)
+    out = np.stack([np.concatenate(part) for part in (rows, preferred, negatives)], axis=1)
     return out[rng.permutation(len(out))]
 
 

@@ -385,6 +385,28 @@ class TestEmbedding:
         tape.backward(loss, store)
         np.testing.assert_allclose(table.grad.sum(), weights.data.sum(), atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 12),
+           st.sampled_from([None, "C", "F"]), st.integers(0, 2**32 - 1))
+    def test_scatter_matches_row_add_at(self, rows, width, n_ids, start, seed):
+        # the oracle: np.add.at over rows, into the gradient as it stands
+        # (none yet, a C-ordered one or a Fortran-ordered one)
+        rng = np.random.default_rng(seed)
+        table = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+        ids = rng.integers(rows, size=n_ids)
+        g = rng.normal(size=(n_ids, width))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        grad = None if start is None else np.asarray(rng.normal(size=(rows, width)), order=start)
+        want = np.zeros((rows, width)) if grad is None else grad.copy()
+        np.add.at(want, ids, g)
+        table.grad = grad
+        with Tape() as tape:
+            out = ad.embedding_lookup(table, ids)
+        out.grad = g
+        for o, rule in reversed(tape._records):
+            rule(o.grad)
+        assert table.grad.tobytes() == want.tobytes()
+
 
 class TestBackward:
     def test_square(self):
@@ -760,3 +782,155 @@ class TestPrimitiveGradients:
             return ad.sum_all(ad.mul(h, probe))
 
         _check(loss_fn, store)
+
+
+# The chains that ``linear``, ``reparameterize`` and ``kl_standard_normal``
+# replaced, kept as their oracles: outputs and gradients must match them
+# byte for byte.
+
+
+def chained_linear(x, w, b, tanh=False):
+    y = ad.add(ad.matmul(x, w), b)
+    return ad.tanh(y) if tanh else y
+
+
+def chained_reparameterize(mu, log_sigma, noise):
+    return ad.add(mu, ad.mul(ad.exp(log_sigma), Tensor(noise)))
+
+
+def chained_kl(mu, log_sigma):
+    two_ls = ad.scale(log_sigma, 2.0)
+    term = ad.add(
+        ad.add_const(ad.exp(two_ls), -1.0),
+        ad.add(ad.scale(log_sigma, -2.0), ad.mul(mu, mu)),
+    )
+    return ad.scale(ad.sum_all(term), 0.5)
+
+
+def with_zeros(rng, shape):
+    """Normal values with about a third of them exact zeros of either sign."""
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    values[rng.random(shape) < 0.15] = -0.0
+    return values
+
+
+def replay(op, arrays, tracked, prefill, g):
+    """Run ``op`` over fresh tensors holding ``arrays`` (those flagged in
+    ``tracked`` require a gradient, and ``prefill`` gives each a starting
+    gradient or None), feed ``g`` into the output's gradient and replay the
+    tape. Returns the output and every input gradient as bytes."""
+    inputs = []
+    for a, track, start in zip(arrays, tracked, prefill):
+        t = Tensor(a.copy(), requires_grad=track)
+        t.grad = None if start is None else start.copy()
+        inputs.append(t)
+    with Tape() as tape:
+        out = op(*inputs)
+    out.grad = g
+    for o, rule in reversed(tape._records):
+        if o.grad is not None:
+            rule(o.grad)
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in inputs]
+
+
+tracked_flags = st.lists(st.booleans(), min_size=3, max_size=3).filter(any)
+
+
+class TestOneRecordOps:
+    """``linear`` (plain and with tanh), ``reparameterize`` and
+    ``kl_standard_normal`` each record one tape entry and reproduce their
+    chains' bytes, with inputs and incoming gradients holding exact zeros of
+    either sign, some inputs untracked and some gradients already started."""
+
+    def draw_case(self, seed, tracked, prefilled, shapes, g_shape):
+        rng = np.random.default_rng(seed)
+        arrays = [with_zeros(rng, s) for s in shapes]
+        prefill = [with_zeros(rng, s) if p else None for s, p in zip(shapes, prefilled)]
+        return arrays, list(tracked), prefill, with_zeros(rng, g_shape)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           tracked_flags, st.lists(st.booleans(), min_size=3, max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_linear_matches_its_chain(self, rows, d_in, d_out, tanh, tracked, prefilled, seed):
+        arrays, tracked, prefill, g = self.draw_case(
+            seed, tracked, prefilled, [(rows, d_in), (d_in, d_out), (d_out,)], (rows, d_out))
+        fused = replay(lambda x, w, b: linear(x, w, b, tanh=tanh), arrays, tracked, prefill, g)
+        chain = replay(lambda x, w, b: chained_linear(x, w, b, tanh), arrays, tracked, prefill, g)
+        assert fused == chain
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), tracked_flags,
+           st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+    def test_reparameterize_matches_its_chain(self, rows, dim, tracked, prefilled, seed):
+        # the third input is the noise, which takes no gradient
+        arrays, tracked, prefill, g = self.draw_case(
+            seed, tracked[:2], prefilled[:2], [(rows, dim)] * 3, (rows, dim))
+        mu, log_sigma, noise = arrays
+        fused = replay(lambda m, s: ad.reparameterize(m, s, noise),
+                       [mu, log_sigma], tracked, prefill, g)
+        chain = replay(lambda m, s: chained_reparameterize(m, s, noise),
+                       [mu, log_sigma], tracked, prefill, g)
+        assert fused == chain
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), tracked_flags,
+           st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+    def test_kl_matches_its_chain(self, rows, dim, tracked, prefilled, seed):
+        arrays, tracked, prefill, g = self.draw_case(
+            seed, tracked[:2], prefilled[:2], [(rows, dim)] * 2, ())
+        fused = replay(ad.kl_standard_normal, arrays, tracked, prefill, g)
+        chain = replay(chained_kl, arrays, tracked, prefill, g)
+        assert fused == chain
+
+    def test_each_records_one_entry(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in [(3, 4), (4, 2), (2,)])
+        mu, log_sigma = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+        ops = [lambda: linear(x, w, b), lambda: linear(x, w, b, tanh=True),
+               lambda: ad.reparameterize(mu, log_sigma, np.ones((3, 2))),
+               lambda: ad.kl_standard_normal(mu, log_sigma)]
+        for op in ops:
+            with Tape() as tape:
+                op()
+            assert len(tape) == 1
+
+    def test_shape_mismatches_are_rejected(self):
+        mu, log_sigma = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="noise shape"):
+            ad.reparameterize(mu, Tensor(np.zeros((2, 3))), np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="log sigma shape"):
+            ad.reparameterize(mu, log_sigma, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="log sigma shape"):
+            ad.kl_standard_normal(mu, log_sigma)
+
+    @pytest.mark.parametrize("tanh", [False, True])
+    def test_linear_gradient_check(self, tanh):
+        rng = np.random.default_rng(5)
+        store = ParameterStore()
+        x = store.add("x", rng.normal(size=(3, 4)))
+        w = store.add("w", rng.normal(size=(4, 5)))
+        b = store.add("b", rng.normal(size=5))
+        probe = Tensor(rng.normal(size=(3, 5)))
+        err = gradient_check(lambda: ad.sum_all(ad.mul(linear(x, w, b, tanh=tanh), probe)), store)
+        assert err < 1e-6
+
+    def test_reparameterize_gradient_check(self):
+        rng = np.random.default_rng(6)
+        store = ParameterStore()
+        mu = store.add("mu", rng.normal(size=(3, 4)))
+        log_sigma = store.add("log_sigma", rng.normal(size=(3, 4)))
+        noise = rng.normal(size=(3, 4))
+        probe = Tensor(rng.normal(size=(3, 4)))
+        err = gradient_check(
+            lambda: ad.sum_all(ad.mul(ad.reparameterize(mu, log_sigma, noise), probe)), store)
+        assert err < 1e-6
+
+    def test_kl_gradient_check(self):
+        rng = np.random.default_rng(7)
+        store = ParameterStore()
+        mu = store.add("mu", rng.normal(size=(3, 4)))
+        log_sigma = store.add("log_sigma", rng.normal(size=(3, 4)))
+        err = gradient_check(lambda: ad.scale(ad.kl_standard_normal(mu, log_sigma), 1.3), store)
+        assert err < 1e-6

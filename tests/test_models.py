@@ -16,6 +16,7 @@ from vaerec.evaluation import EvalReport, evaluate
 from vaerec import models
 from vaerec.models import ModelConfig, build_model
 from vaerec.models import checkpoint as checkpoint_module
+from vaerec.models import components
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.components import (
     SCORE_BLOCK,
@@ -521,6 +522,21 @@ class TestRankItems:
         top = rank_items(scores, exclude, n)
         assert top.dtype == want.dtype and top.tobytes() == want[:n].tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(components.PARTITION_FROM - 40, components.PARTITION_FROM + 40),
+           st.integers(0, 60), st.integers(0, 2**32 - 1), st.data())
+    def test_top_n_on_both_sides_of_the_partition_cut(self, size, n_exclude, seed, data):
+        # few distinct values, so that ties straddle the n-th key
+        rng = np.random.default_rng(seed)
+        pool = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 1.0, -1.0, 2.5])
+        scores = rng.choice(pool, size=size)
+        exclude = set(rng.integers(size, size=n_exclude).tolist())
+        order = np.argsort(-scores, kind="stable")
+        want = np.array([i for i in order if i not in exclude], dtype=order.dtype)
+        n = data.draw(st.sampled_from([0, 1, 100, len(want) - 1, len(want), len(want) + 2]))
+        top = rank_items(scores, exclude, n)
+        assert top.dtype == want.dtype and top.tobytes() == want[:n].tobytes()
+
 
 class TestBatchedScoring:
     """``score_batch`` against one ``scores`` call per fold-in. A multi-row
@@ -752,6 +768,75 @@ def reference_rvae_epoch(model, train, rng, beta, config):
         model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
         total += value * len(batch)
     return total / max(len(triples), 1)
+
+
+def reference_rvae_triples(train, n_items, rng):
+    """The sequential sampler: one scalar draw at a time until it misses the
+    user's consumed items; the oracle of ``training._rvae_triples``."""
+    triples = []
+    for row, seq in enumerate(train):
+        consumed = set(seq.items)
+        if len(consumed) >= n_items:
+            continue
+        for i in seq.items:
+            j = int(rng.integers(n_items))
+            while j in consumed:
+                j = int(rng.integers(n_items))
+            triples.append((row, i, j))
+    if not triples:
+        raise ValueError("rvae training needs a user who has not consumed every item")
+    out = np.asarray(triples, dtype=np.int64)
+    return out[rng.permutation(len(out))]
+
+
+@st.composite
+def rvae_histories(draw):
+    """A catalog size and user histories with repeated items, users a few
+    items short of the whole catalog, users who consumed all of it and
+    empty ones."""
+    n_items = draw(st.sampled_from([1, 2, 3, 5, 7, 12, 200, 3000, 3706]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users = []
+    for kind in draw(st.lists(st.sampled_from(["short", "near-full", "full", "empty"]),
+                              max_size=8)):
+        if kind == "short":
+            items = rng.integers(n_items, size=int(rng.integers(1, 25)))
+        elif kind == "near-full" and n_items <= 12:
+            # every item but one to three, in random order, some repeated
+            kept = rng.permutation(n_items)[int(rng.integers(1, min(3, n_items) + 1)):]
+            items = np.concatenate([kept, kept[: len(kept) // 2]])
+        elif kind == "full" and n_items <= 3000:
+            items = np.concatenate([rng.permutation(n_items), rng.integers(n_items, size=2)])
+        else:
+            items = np.array([], dtype=np.int64)
+        users.append(UserSequence(len(users), tuple(int(i) for i in items)))
+    return n_items, users
+
+
+class TestRvaeSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(rvae_histories(), st.integers(0, 2**32 - 1))
+    def test_matches_the_sequential_sampler_and_its_generator_state(self, case, seed):
+        n_items, users = case
+        results = []
+        for sampler in (reference_rvae_triples, _rvae_triples):
+            rng = np.random.default_rng(seed)
+            try:
+                triples = sampler(users, n_items, rng)
+            except ValueError as err:
+                triples = str(err)
+            results.append((triples if isinstance(triples, str) else triples.tobytes(),
+                            rng.bit_generator.state))
+        assert results[0] == results[1]
+
+    def test_batch_draws_equal_scalar_draws(self):
+        for n in (7, 200, 3000, 3706):
+            batched, scalar = np.random.default_rng(n), np.random.default_rng(n)
+            for size in (1, 5, 2, 17, 1, 64, 3):
+                got = batched.integers(n, size=size)
+                want = [int(scalar.integers(n)) for _ in range(size)]
+                assert got.tolist() == want
+            assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 # each model's epoch as an inline tape/backward/Adam loop, kept as the
