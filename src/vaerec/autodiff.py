@@ -326,7 +326,14 @@ def log_softmax_at(logits: Tensor, rows, cols) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
             dense = np.zeros_like(x)
-            np.add.at(dense, (r, c), g)
+            if dense.flags.c_contiguous:
+                # the same scalar additions, in the same order, as the
+                # two-array np.add.at below, on numpy's faster 1-D index
+                # path; "wrap" reads negative indices as x[r, c] does
+                cells = np.ravel_multi_index((r, c), x.shape, mode="wrap")
+                np.add.at(dense.reshape(-1), cells, g)
+            else:
+                np.add.at(dense, (r, c), g)
             dense -= np.exp(x - lse) * dense.sum(axis=1, keepdims=True)
             logits.accumulate_grad(dense)
 

@@ -16,12 +16,7 @@ import os
 import sys
 
 from vaerec import data as dp
-from vaerec.evaluation import (
-    PopularityRanker,
-    batch_rank_fn,
-    evaluate,
-    ndcg_by_history_length,
-)
+from vaerec.evaluation import PopularityRanker, batch_rank_fn, evaluate
 from vaerec.models import MODEL_KINDS, ModelConfig, components
 from vaerec.models.checkpoint import load_checkpoint, save_checkpoint
 from vaerec.models.training import TrainingError, train
@@ -178,7 +173,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # rank only the head the report reads; the history series reads NDCG@100
     history_n = (100,) if args.by_history_length else ()
     rank_fn = batch_rank_fn(ranker, heldout, max(n_values + history_n, default=None))
-    report = evaluate(rank_fn, heldout, n_values=n_values, idcg_cap_at_n=args.idcg_cap)
+    report = evaluate(rank_fn, heldout, n_values=n_values, idcg_cap_at_n=args.idcg_cap,
+                      by_history_length=bool(args.by_history_length))
     report.model = model_name
     report.config_digest = digest
     text = report.to_json()
@@ -198,9 +194,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "checkpoint": str(args.checkpoint) if args.checkpoint else None,
         })
     if args.by_history_length:
-        rows = ndcg_by_history_length(rank_fn, heldout)
         lines = ["low,high,users,ndcg100"]
-        for row in rows:
+        for row in report.history:
             high = "" if row["high"] is None else row["high"]
             value = "" if row["ndcg100"] is None else repr(row["ndcg100"])
             lines.append(f"{row['low']},{high},{row['users']},{value}")

@@ -8,6 +8,8 @@ available behind a flag for cross-convention comparisons.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -86,6 +88,7 @@ class EvalReport:
     model: str = ""
     config_digest: str = ""
     per_user: list[dict] | None = None
+    history: list[dict] | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -97,43 +100,118 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _discounts(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """``1 / log2(pos + 2)`` for the first ``length`` list positions, each
+    from ``math.log2`` as ``ndcg_at_n`` takes it, and the table's running
+    sum, where the ideal DCG of k relevant items sits at k - 1. Both are
+    cached, so both are read-only."""
+    table = np.array([1.0 / math.log2(pos + 2) for pos in range(length)])
+    running = np.cumsum(table)
+    table.flags.writeable = running.flags.writeable = False
+    return table, running
+
+
+def _hit_matrix(
+    rankings: Sequence[np.ndarray], fold_outs: Sequence[Sequence[int]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """[U, width] booleans, whether position p of ranking u holds an item of
+    ``fold_outs[u]`` (positions past the end of a short ranking are misses),
+    and the number of distinct items in each fold-out."""
+    heads = [ranked[:width] for ranked in rankings]
+    lengths = np.array([head.shape[0] for head in heads])
+    ids = np.concatenate(heads).astype(np.int64, copy=False)
+    fold_out_lengths = [len(fold_out) for fold_out in fold_outs]
+    rel_ids = np.fromiter(itertools.chain.from_iterable(fold_outs), np.int64,
+                          sum(fold_out_lengths))
+    # one membership test, keyed by (row, item): a [U, span] table whose
+    # width spans every ranked and relevant id, taken from the least one,
+    # so the ids of two rows never meet. With ids below the catalog size it
+    # holds an eighth of the bytes of the [U, N] float scores it ranks.
+    low = min(ids.min(initial=0), rel_ids.min())
+    span = max(ids.max(initial=0), rel_ids.max()) - low + 1
+    rows = np.arange(len(heads))
+    member = np.zeros((len(heads), span), dtype=bool)
+    member[np.repeat(rows, fold_out_lengths), rel_ids - low] = True
+    hit = np.zeros((len(heads), width), dtype=bool)
+    hit[np.arange(width) < lengths[:, None]] = member[np.repeat(rows, lengths), ids - low]
+    return hit, np.count_nonzero(member, axis=1)
+
+
+HISTORY_BUCKETS = ((1, 10), (11, 20), (21, 40), (41, 80), (81, None))
+
+
 def evaluate(
     rank_fn: Callable[[Sequence[int], AbstractSet[int]], np.ndarray],
     heldout: Sequence[HeldoutUser],
     n_values: Sequence[int] = (10, 100),
     idcg_cap_at_n: bool = False,
     keep_per_user: bool = False,
+    by_history_length: bool = False,
 ) -> EvalReport:
     """Score every held-out user's ranking against its fold-out set.
 
-    Users are visited in user_index order regardless of input order, and the
-    final means are fixed-order folds, so the report is bit-reproducible.
+    Each user is ranked once, in user_index order regardless of input order.
+    Every metric then comes from one hit matrix over the first max(n)
+    positions of all rankings: DCG and hit counts are row-wise running sums
+    over it, IDCG is the running sum of the discount table, and each mean
+    is a fixed-order fold over users. The values are those of
+    ``ndcg_at_n``, ``precision_at_n`` and ``recall_at_n``, added in the same
+    order, so the report is bit-reproducible. A repeated cutoff is scored
+    once. With ``by_history_length`` the report's ``history`` holds the
+    ``ndcg_by_history_length`` rows, read from the same rankings.
     """
+    cutoffs = tuple(dict.fromkeys(n_values))
+    for n in cutoffs:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
     users = sorted(heldout, key=lambda u: u.user_index)
-    names = []
-    for n in n_values:
-        names.extend([f"NDCG@{n}", f"Precision@{n}", f"Recall@{n}"])
-    sums = {name: 0.0 for name in names}
-    per_user = [] if keep_per_user else None
+    rankings = []
     for user in users:
         if not user.fold_out:
             raise ValueError(f"user {user.user_index} has an empty fold-out set")
         if not user.fold_in:
             raise ValueError(f"user {user.user_index} has an empty fold-in")
-        ranked = rank_fn(list(user.fold_in), set(user.fold_in))
-        relevant = user.fold_out_set
-        row = {"user_index": user.user_index, "fold_in_length": len(user.fold_in)}
-        for n in n_values:
-            row[f"NDCG@{n}"] = ndcg_at_n(ranked, relevant, n, idcg_cap_at_n)
-            row[f"Precision@{n}"] = precision_at_n(ranked, relevant, n)
-            row[f"Recall@{n}"] = recall_at_n(ranked, relevant, n)
-        for name in names:
-            sums[name] += row[name]
-        if per_user is not None:
-            per_user.append(row)
+        rankings.append(np.asarray(rank_fn(list(user.fold_in), set(user.fold_in))))
+    names = [f"{metric}@{n}" for n in cutoffs for metric in ("NDCG", "Precision", "Recall")]
     count = len(users)
-    metrics = {name: (sums[name] / count if count else 0.0) for name in names}
-    return EvalReport(metrics=metrics, users=count, per_user=per_user)
+    report = EvalReport(metrics={name: 0.0 for name in names}, users=count,
+                        per_user=[] if keep_per_user else None)
+    ndcg100 = np.zeros(0)
+    if count:
+        width = max(cutoffs + ((100,) if by_history_length else ()), default=0)
+        hit, sizes = _hit_matrix(rankings, [user.fold_out for user in users], width)
+        discounts, ideal = _discounts(max(width, int(sizes.max())))
+        dcg = np.cumsum(np.where(hit, discounts[:width], 0.0), axis=1)
+        hits = np.cumsum(hit, axis=1)
+        at = np.array(cutoffs, dtype=np.int64)
+        terms = np.minimum(sizes[:, None], at) if idcg_cap_at_n else sizes[:, None]
+        # NDCG, Precision and Recall of each cutoff in turn: [U, 3 * cutoffs]
+        values = np.stack([dcg[:, at - 1] / ideal[terms - 1], hits[:, at - 1] / at,
+                           hits[:, at - 1] / sizes[:, None]], axis=2).reshape(count, -1)
+        report.metrics = dict(zip(names, (np.cumsum(values, axis=0)[-1] / count).tolist()))
+        if keep_per_user:
+            report.per_user = [
+                {"user_index": user.user_index, "fold_in_length": len(user.fold_in),
+                 **dict(zip(names, row))}
+                for user, row in zip(users, values.tolist())
+            ]
+        if by_history_length:
+            # over the full relevant set, whatever the report's convention
+            ndcg100 = dcg[:, 99] / ideal[sizes - 1]
+    if by_history_length:
+        lengths = np.array([len(user.fold_in) for user in users], dtype=np.int64)
+        report.history = []
+        for lo, hi in HISTORY_BUCKETS:
+            member = lengths >= lo
+            if hi is not None:
+                member &= lengths <= hi
+            total = np.cumsum(ndcg100[member])  # a left-to-right sum
+            report.history.append({
+                "low": lo, "high": hi, "users": total.shape[0],
+                "ndcg100": float(total[-1] / total.shape[0]) if total.shape[0] else None,
+            })
+    return report
 
 
 def batch_rank_fn(
@@ -165,27 +243,10 @@ def batch_rank_fn(
     return rank
 
 
-HISTORY_BUCKETS = ((1, 10), (11, 20), (21, 40), (41, 80), (81, None))
-
-
 def ndcg_by_history_length(
     rank_fn: Callable[[Sequence[int], AbstractSet[int]], np.ndarray],
     heldout: Sequence[HeldoutUser],
 ) -> list[dict]:
     """Mean NDCG@100 per ``HISTORY_BUCKETS`` fold-in-length bucket, one row
     per bucket."""
-    rows = []
-    for lo, hi in HISTORY_BUCKETS:
-        members = [
-            u for u in heldout
-            if len(u.fold_in) >= lo and (hi is None or len(u.fold_in) <= hi)
-        ]
-        if members:
-            report = evaluate(rank_fn, members, n_values=(100,))
-            value = report.metrics["NDCG@100"]
-        else:
-            value = None
-        rows.append(
-            {"low": lo, "high": hi, "users": len(members), "ndcg100": value}
-        )
-    return rows
+    return evaluate(rank_fn, heldout, n_values=(), by_history_length=True).history

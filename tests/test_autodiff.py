@@ -344,6 +344,42 @@ class TestLogSoftmaxAt:
 
         _check(loss_fn, store, tol=1e-6)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.sampled_from(["pairs", "repeats", "windows"]),
+           st.booleans(), st.sampled_from(["C", "F"]), st.integers(0, 2**32 - 1))
+    def test_scatter_matches_two_array_add_at(self, n_rows, n_items, kind, negative, order,
+                                              seed):
+        # the oracle: np.add.at on the (rows, cols) pair of index arrays
+        rng = np.random.default_rng(seed)
+        x = np.asarray(rng.normal(size=(n_rows, n_items)) * 5.0, order=order)
+        if kind == "pairs":
+            size = int(rng.integers(0, 20))
+            rows, cols = rng.integers(n_rows, size=size), rng.integers(n_items, size=size)
+        elif kind == "repeats":
+            rows = np.repeat(rng.integers(n_rows, size=3), 4)
+            cols = np.repeat(rng.integers(n_items, size=3), 4)
+        else:
+            # the mixture likelihood's broadcast [T, k] windows
+            k = int(rng.integers(1, 4))
+            rows = np.maximum(np.arange(n_rows)[:, None] + np.arange(k) - (k - 1), 0)
+            cols = rng.integers(n_items, size=(n_rows, 1))
+        if negative:
+            # x[r, c] reads negative indices from the end
+            rows, cols = rows - n_rows, cols - n_items
+        logits = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ad.log_softmax_at(logits, rows, cols)
+        g = rng.normal(size=out.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        want = np.zeros_like(x)
+        np.add.at(want, (rows, cols), g)
+        want -= np.exp(x - ad._log_sum_exp(x)) * want.sum(axis=1, keepdims=True)
+        out.grad = g
+        for o, rule in reversed(tape._records):
+            rule(o.grad)
+        # a gradient not yet started is a zero array plus the scatter
+        assert logits.grad.tobytes() == (np.zeros_like(x) + want).tobytes()
+
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
     def test_logits_must_be_two_dimensional(self, shape):
         with pytest.raises(ShapeError, match="log_softmax_at"):

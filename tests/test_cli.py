@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from vaerec import data as dp
 from vaerec.cli import build_parser, config_digest, main, read_config_file
 from vaerec.data import Vocabulary, load_split
 from vaerec.evaluation import (
+    HISTORY_BUCKETS,
     PopularityRanker,
     batch_rank_fn,
     evaluate,
@@ -638,8 +640,10 @@ def test_eval_with_empty_cutoffs_reports_no_metrics(tmp_path, ratings_file, caps
         assert payload["users"] > 1
 
 
-def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
-    # a 40-item catalog, where fold-out items often rank below 10th
+def varied_ratings(tmp_path):
+    """80 users with 4-29 distinct items of a 40-item catalog: fold-out
+    items often rank below 10th, and the fold-ins fill several
+    history-length buckets."""
     rng = np.random.default_rng(2)
     ratings = tmp_path / "ratings.csv"
     ratings.write_text("".join(
@@ -647,7 +651,11 @@ def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
         for u in range(80)
         for t, item in enumerate(rng.choice(40, size=int(rng.integers(4, 30)), replace=False))
     ))
-    split = prepare(tmp_path, ratings)
+    return ratings
+
+
+def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
+    split = prepare(tmp_path, varied_ratings(tmp_path))
     loaded, _ = load_split(split)
     ranker = PopularityRanker(loaded.train, loaded.n_items)
     assert loaded.n_items > 10
@@ -665,6 +673,58 @@ def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
     # a series cut to the top 10 would read otherwise
     assert want != ndcg_by_history_length(
         lambda fold_in, exclude: ranker.rank(fold_in, exclude)[:10], loaded.test)
+
+
+@pytest.mark.parametrize("kind", ["pop", "mvae", "svae"])
+@pytest.mark.parametrize("argv", [["--n", "10,100"], ["--n", "10", "--idcg-cap"]])
+def test_history_csv_matches_per_bucket_evaluate(tmp_path, capsys, kind, argv):
+    split = prepare(tmp_path, varied_ratings(tmp_path))
+    loaded, _ = load_split(split)
+    if kind == "pop":
+        ranker, source = PopularityRanker(loaded.train, loaded.n_items), ["--pop"]
+    else:
+        base = train_tiny(tmp_path, split, model=kind) / "checkpoint"
+        ranker, source = load_checkpoint(str(base))[0], ["--checkpoint", base]
+    csv_path = tmp_path / "by_length.csv"
+    assert run_cli("eval", *source, "--split-dir", split, *argv,
+                   "--by-history-length", csv_path) == 0
+    # one evaluation at n = 100 per bucket, over the full relevant set
+    lines = ["low,high,users,ndcg100"]
+    for lo, hi in HISTORY_BUCKETS:
+        members = [u for u in loaded.test
+                   if len(u.fold_in) >= lo and (hi is None or len(u.fold_in) <= hi)]
+        value = (repr(evaluate(ranker.rank, members, n_values=(100,)).metrics["NDCG@100"])
+                 if members else "")
+        lines.append(f"{lo},{'' if hi is None else hi},{len(members)},{value}")
+    assert csv_path.read_text() == "\n".join(lines) + "\n"
+    assert sum(line.split(",")[3] != "" for line in lines[1:]) > 1
+
+
+def test_eval_with_history_ranks_each_heldout_user_once(tmp_path, capsys, monkeypatch):
+    split = prepare(tmp_path, varied_ratings(tmp_path))
+    loaded, _ = load_split(split)
+    excluded = []
+    rank_items = components.rank_items
+
+    def recording(scores, exclude, n=None):
+        excluded.append(frozenset(exclude))
+        return rank_items(scores, exclude, n)
+
+    monkeypatch.setattr(components, "rank_items", recording)
+    assert run_cli("eval", "--pop", "--split-dir", split,
+                   "--by-history-length", tmp_path / "by_length.csv") == 0
+    assert Counter(excluded) == Counter(frozenset(u.fold_in) for u in loaded.test)
+
+
+def test_repeated_cutoff_reports_as_one(tmp_path, ratings_file, capsys):
+    split = prepare(tmp_path, ratings_file)
+    capsys.readouterr()
+    reports = []
+    for n in ("10,10", "10"):
+        assert run_cli("eval", "--pop", "--split-dir", split, "--n", n) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["metrics"]["Precision@10"] > 0.0
 
 
 @pytest.mark.parametrize("argv, cutoff", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vaerec.data import HeldoutUser, UserSequence
 from vaerec.evaluation import (
+    HISTORY_BUCKETS,
     PopularityRanker,
     batch_rank_fn,
     evaluate,
@@ -123,6 +124,75 @@ class TestOracleEquivalence:
         tail_permuted = ranked[:10] + ranked[10:][::-1]
         for n in (5, 10):
             assert ndcg_at_n(ranked, relevant, n) == ndcg_at_n(tail_permuted, relevant, n)
+
+
+def reference_evaluate(rank_fn, heldout, n_values=(10, 100), idcg_cap_at_n=False):
+    """The oracle: ``ndcg_at_n``, ``precision_at_n`` and ``recall_at_n`` per
+    user, added into running sums in user_index order. Returns (metrics,
+    per-user rows)."""
+    users = sorted(heldout, key=lambda u: u.user_index)
+    names = []
+    for n in n_values:
+        names.extend([f"NDCG@{n}", f"Precision@{n}", f"Recall@{n}"])
+    sums = {name: 0.0 for name in names}
+    per_user = []
+    for user in users:
+        ranked = rank_fn(list(user.fold_in), set(user.fold_in))
+        relevant = user.fold_out_set
+        row = {"user_index": user.user_index, "fold_in_length": len(user.fold_in)}
+        for n in n_values:
+            row[f"NDCG@{n}"] = ndcg_at_n(ranked, relevant, n, idcg_cap_at_n)
+            row[f"Precision@{n}"] = precision_at_n(ranked, relevant, n)
+            row[f"Recall@{n}"] = recall_at_n(ranked, relevant, n)
+        for name in names:
+            sums[name] += row[name]
+        per_user.append(row)
+    count = len(users)
+    metrics = {name: (sums[name] / count if count else 0.0) for name in names}
+    return metrics, per_user
+
+
+def reference_history(rank_fn, heldout):
+    """The oracle of the history-length series: one reference evaluation at
+    n = 100 per bucket."""
+    rows = []
+    for lo, hi in HISTORY_BUCKETS:
+        members = [u for u in heldout
+                   if len(u.fold_in) >= lo and (hi is None or len(u.fold_in) <= hi)]
+        value = reference_evaluate(rank_fn, members, (100,))[0]["NDCG@100"] if members else None
+        rows.append({"low": lo, "high": hi, "users": len(members), "ndcg100": value})
+    return rows
+
+
+def bits(value):
+    """``value`` with every float spelled out in hex, so that == compares
+    bytes (and tells 0.0 from -0.0)."""
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [bits(item) for item in value]
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    return (type(value).__name__, value)
+
+
+@st.composite
+def heldout_cases(draw):
+    """Held-out users over a small catalog in any input order, and a ranking
+    per fold-in that may stop short of the catalog (and of the cutoffs)."""
+    n_items = draw(st.integers(1, 60))
+    item = st.integers(0, n_items - 1)
+    indices = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    users, rankings = [], {}
+    for index in indices:
+        fold_in = tuple(draw(st.lists(item, min_size=1, max_size=5)))
+        # up to 40 relevant items, often more than a cutoff
+        fold_out = tuple(draw(st.lists(item, min_size=1, max_size=40)))
+        users.append(HeldoutUser(index, fold_in, fold_out))
+        if fold_in not in rankings:
+            order = draw(st.permutations(range(n_items)))
+            rankings[fold_in] = np.array(order[:draw(st.integers(0, n_items))], dtype=np.int64)
+    return draw(st.permutations(users)), rankings
 
 
 class TestPopularity:
@@ -328,3 +398,112 @@ class TestBatchedRanking:
         assert not scores.flags.writeable
         assert np.shares_memory(scores, pop.scores(()))
         np.testing.assert_array_equal(scores[2], [1.0, 0.0, 2.0, 0.0])
+
+
+class TestOneHitMatrix:
+    """``evaluate`` against ``reference_evaluate``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(heldout_cases(),
+           st.lists(st.integers(1, 80), min_size=1, max_size=4, unique=True),
+           st.booleans())
+    def test_matches_the_per_user_loop(self, case, cutoffs, cap):
+        users, rankings = case
+
+        def rank_fn(fold_in, exclude):
+            return rankings[tuple(fold_in)]
+
+        want, want_rows = reference_evaluate(rank_fn, users, cutoffs, cap)
+        got = evaluate(rank_fn, users, cutoffs, cap, keep_per_user=True,
+                       by_history_length=True)
+        assert bits(got.metrics) == bits(want)
+        assert got.users == len(users)
+        assert bits(got.per_user) == bits(want_rows)
+        # the series reads NDCG@100 over the full relevant set, whatever the cap
+        assert bits(got.history) == bits(reference_history(rank_fn, users))
+
+    @pytest.mark.parametrize("split_name", sorted(SPLITS))
+    @pytest.mark.parametrize("kind", ["mvae", "svae", "pop"])
+    @pytest.mark.parametrize("cap", [False, True])
+    def test_unsorted_cutoffs_on_model_rankings(self, kind, split_name, cap):
+        split = SPLITS[split_name]()
+        ranker = ranker_for(kind, split)
+        cutoffs = (5, 20, 10)
+        want, want_rows = reference_evaluate(ranker.rank, split.test, cutoffs, cap)
+        got = evaluate(batch_rank_fn(ranker, split.test, 20), split.test[::-1], cutoffs, cap,
+                       keep_per_user=True)
+        assert bits(got.metrics) == bits(want)
+        assert bits(got.per_user) == bits(want_rows)
+
+    def test_a_repeated_cutoff_is_scored_once(self):
+        split = SPLITS["burst"]()
+        pop = PopularityRanker(split.train, split.n_items)
+        once = evaluate(pop.rank, split.test, n_values=(10,), keep_per_user=True)
+        twice = evaluate(pop.rank, split.test, n_values=(10, 10), keep_per_user=True)
+        assert twice.to_json() == once.to_json()
+        assert twice.per_user == once.per_user
+        assert once.metrics["Precision@10"] > 0.0
+
+    def test_empty_heldout(self):
+        report = evaluate(OracleRanker(4, []).rank, [], n_values=(10,), keep_per_user=True,
+                          by_history_length=True)
+        assert report.metrics == {"NDCG@10": 0.0, "Precision@10": 0.0, "Recall@10": 0.0}
+        assert report.users == 0 and report.per_user == []
+        assert [row["users"] for row in report.history] == [0] * len(HISTORY_BUCKETS)
+        assert all(row["ndcg100"] is None for row in report.history)
+
+    def test_ids_of_any_sign_do_not_collide_across_rows(self):
+        # user 0's relevant id equals user 1's ranked id; no row keys meet
+        users = [HeldoutUser(0, (9,), (-3, 7)), HeldoutUser(1, (8,), (1,))]
+        rankings = {(9,): np.array([1, -3]), (8,): np.array([-3, 7, 0])}
+
+        def rank_fn(fold_in, exclude):
+            return rankings[tuple(fold_in)]
+
+        want, want_rows = reference_evaluate(rank_fn, users, (1, 2, 3))
+        got = evaluate(rank_fn, users, (1, 2, 3), keep_per_user=True)
+        assert bits(got.metrics) == bits(want)
+        assert bits(got.per_user) == bits(want_rows)
+
+    @pytest.mark.parametrize("user, message", [
+        (HeldoutUser(0, fold_in=(1,), fold_out=()), "user 0 has an empty fold-out set"),
+        (HeldoutUser(3, fold_in=(), fold_out=(1,)), "user 3 has an empty fold-in"),
+    ])
+    def test_empty_user_sets_rejected(self, user, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(OracleRanker(4, []).rank, [user])
+
+    def test_cutoff_below_one_rejected(self):
+        user = HeldoutUser(0, fold_in=(0,), fold_out=(1,))
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            evaluate(OracleRanker(4, [1]).rank, [user], n_values=(10, 0))
+
+    def test_history_reads_the_full_relevant_set_under_a_cap(self):
+        # 150 relevant items: NDCG@100 differs between the two conventions
+        rng = np.random.default_rng(3)
+        users = [HeldoutUser(u, fold_in=(u,), fold_out=tuple(range(10, 160)))
+                 for u in range(3)]
+        order = {(u,): rng.permutation(300) for u in range(3)}
+
+        def rank_fn(fold_in, exclude):
+            return order[tuple(fold_in)]
+
+        got = evaluate(rank_fn, users, (100,), idcg_cap_at_n=True, by_history_length=True)
+        want = reference_history(rank_fn, users)
+        assert bits(got.history) == bits(want)
+        assert want[0]["ndcg100"] != got.metrics["NDCG@100"]
+
+    def test_discounts_deep_in_the_list_follow_math_log2(self):
+        # 1 / np.log2(p + 2) differs from 1 / math.log2(p + 2) in its last
+        # bit at list positions 1619 and 3240, among others
+        users = [HeldoutUser(0, fold_in=(4000,), fold_out=(1619, 3240)),
+                 HeldoutUser(1, fold_in=(4001,), fold_out=tuple(range(1700)))]
+
+        def rank_fn(fold_in, exclude):
+            return np.arange(4000)
+
+        for cap in (False, True):
+            want, want_rows = reference_evaluate(rank_fn, users, (4000,), cap)
+            got = evaluate(rank_fn, users, (4000,), cap, keep_per_user=True)
+            assert bits(got.metrics) == bits(want)
+            assert bits(got.per_user) == bits(want_rows)
