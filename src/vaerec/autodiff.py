@@ -26,18 +26,18 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array with an optional gradient slot.
 
-    ``grad`` is lazily allocated on first accumulation and has the same shape
-    as ``data``. A Tensor may be read from many threads, but must not take
-    part in a backward pass concurrently.
+    ``grad`` has the same shape as ``data``. A parameter's is a fixed view
+    into its store's gradient vector; any other tensor's is allocated on
+    first accumulation. A Tensor may be read from many threads, but must not
+    take part in a backward pass concurrently.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,8 +54,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -91,19 +90,18 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor, params: "ParameterStore | None" = None) -> None:
+    def backward(self, loss: Tensor, params: "ParameterStore") -> None:
         """Populate grads of everything reachable from ``loss``.
 
-        ``loss`` must be scalar. Parameters in ``params`` without a grad get
-        one in the store's gradient vector before the replay, so those not
-        reachable from the loss end up with an explicit zero grad.
+        ``loss`` must be scalar. The gradient vector of ``params`` is zeroed
+        in one call before the replay, so parameters the loss does not reach
+        read zero.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss.requires_grad and not any(out is loss for out, _ in self._records):
             raise ValueError("loss tensor was not produced on this tape")
-        if params is not None:
-            params.attach_grads()
+        params._zero_grads()
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
             for out, rule in reversed(self._records):
@@ -600,10 +598,11 @@ class ParameterStore:
     """Named trainable tensors in one flat float64 arena, plus Adam state.
 
     ``values`` holds every parameter in the order they were added, and each
-    parameter's ``data`` is a reshaped view into it. Gradients and both Adam
-    moments are vectors with the same layout, allocated on the first
-    backward or ``adam_step``, so a model that only predicts holds one
-    vector. The arena is laid out once, after every parameter has been
+    parameter's ``data`` is a reshaped view into it. ``grads`` and both Adam
+    moments are vectors with the same layout: the first backward allocates
+    ``grads`` and makes each parameter's ``grad`` a fixed view into it, and
+    the first ``adam_step`` the moments, so a model that only predicts holds
+    one vector. The arena is laid out once, after every parameter has been
     added. Names are unique; the step counter is shared across all
     parameters and increases by one per ``adam_step``.
     """
@@ -612,8 +611,7 @@ class ParameterStore:
         self._params: dict[str, Tensor] = {}
         self._unset: set[str] = set()  # added by shape only; they start at zero
         self._values: np.ndarray | None = None  # the arena, once laid out
-        self._grads: np.ndarray | None = None
-        self._grad_views: list[np.ndarray] = []
+        self.grads: np.ndarray | None = None
         self._moment1: np.ndarray | None = None
         self._moment2: np.ndarray | None = None
         self.step_count = 0
@@ -629,7 +627,7 @@ class ParameterStore:
         if values is None:
             values = np.broadcast_to(np.float64(0.0), shape)
             self._unset.add(name)
-        t = Tensor(values, requires_grad=True, name=name)
+        t = Tensor(values, requires_grad=True)
         self._params[name] = t
         return t
 
@@ -648,10 +646,6 @@ class ParameterStore:
             offset += p.data.size
         return out
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
     def n_values(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
@@ -663,8 +657,8 @@ class ParameterStore:
 
     def lay_out(self, arena: np.ndarray | None = None) -> None:
         """Gather the parameters into the arena and rebind each one's
-        ``data`` to its view. ``values``, a backward pass and a step do this
-        on first use; after it, ``add`` raises.
+        ``data`` to its view. ``values`` and a backward pass do this on
+        first use; after it, ``add`` raises.
 
         Given ``arena``, a float64 vector of ``n_values()`` entries, the
         parameters become views into it as it is, with no allocation; every
@@ -687,42 +681,30 @@ class ParameterStore:
             p.data = view
         self._values = values
 
-    def _grad_arena(self) -> list[np.ndarray]:
-        """Per-parameter views into the gradient vector, allocated once."""
-        values = self.values
-        if self._grads is None:
-            self._grads = np.zeros_like(values)
-            self._grad_views = [
-                self._grads[offset : offset + math.prod(shape)].reshape(shape)
-                for _, shape, offset in self.layout()
-            ]
-        return self._grad_views
-
-    def attach_grads(self) -> None:
-        """Give each parameter without a gradient a zeroed view into the
-        gradient vector; a backward pass then accumulates into it."""
-        for p, view in zip(self._params.values(), self._grad_arena()):
-            if p.grad is None:
-                view.fill(0.0)
-                p.grad = view
+    def _zero_grads(self) -> None:
+        """Zero ``grads`` in one call; the first call allocates it and binds
+        each parameter's ``grad`` to its view."""
+        if self.grads is not None:
+            self.grads.fill(0.0)
+            return
+        self.grads = np.zeros(self.values.size)
+        for name, shape, offset in self.layout():
+            p = self._params[name]
+            p.grad = self.grads[offset : offset + p.data.size].reshape(shape)
 
     def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
         """One Adam update with bias correction, at the usual beta1 = 0.9,
         beta2 = 0.999 and eps = 1e-8.
 
-        Weight decay is added to the raw gradient before the moment updates
-        (plain additive decay, not the decoupled variant). Grads are cleared
-        after the step. Each value sees the same operations in the same
-        order as a per-tensor update, so the result is bit-identical to it.
+        It reads ``grads`` as the last backward left it. Weight decay is
+        added to it in place before the moment updates (plain additive
+        decay, not the decoupled variant). Each value sees the same
+        operations in the same order as a per-tensor update, so the result
+        is bit-identical to it.
         """
-        for name, p in self._params.items():
-            if p.grad is None:
-                raise ValueError(f"adam_step before backward: no gradient for {name}")
-        views = self._grad_arena()
-        for p, view in zip(self._params.values(), views):
-            if p.grad is not view:
-                view[...] = p.grad
-        values, grads = self._values, self._grads
+        if self.grads is None:
+            raise ValueError("adam_step before backward: no gradient vector")
+        values, grads = self._values, self.grads
         if self._moment1 is None:
             self._moment1 = np.zeros_like(values)
             self._moment2 = np.zeros_like(values)
@@ -751,8 +733,6 @@ class ParameterStore:
             np.sqrt(b, out=b)
             b += _EPS
             x -= np.divide(a, b, out=a)
-        for p in self._params.values():
-            p.grad = None
 
     def snapshot(self, out: np.ndarray | None = None) -> np.ndarray:
         """A copy of the arena, written into ``out`` when given (it must have
@@ -780,25 +760,19 @@ def gradient_check(
     ``loss_fn`` must be deterministic (fix any noise inputs outside). Returns
     the max of |a - n| / max(|a|, |n|, 1e-8) over every coordinate.
     """
-    store.zero_grad()
     with Tape() as tape:
         loss = loss_fn()
     tape.backward(loss, store)
-    analytic = {name: p.grad.copy() for name, p in store.items()}
-    store.zero_grad()
-
+    analytic, values = store.grads.copy(), store.values
     worst = 0.0
-    for name, p in store.items():
-        flat = p.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = loss_fn().item()
-            flat[i] = orig - epsilon
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
+    for i in range(values.size):
+        orig = values[i]
+        values[i] = orig + epsilon
+        f_plus = loss_fn().item()
+        values[i] = orig - epsilon
+        f_minus = loss_fn().item()
+        values[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * epsilon)
+        err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, err)
     return worst

@@ -74,10 +74,6 @@ class HeldoutUser:
     fold_in: tuple[int, ...]
     fold_out: tuple[int, ...]
 
-    @property
-    def fold_out_set(self) -> frozenset[int]:
-        return frozenset(self.fold_out)
-
 
 def _vocabulary_text(raw_ids: Sequence[str]) -> str:
     """The ``raw<TAB>index`` lines of ``vocabulary.tsv``."""
@@ -627,7 +623,8 @@ def _read_sequences(path: str, n_items: int, min_items: int) -> list[tuple[int, 
 def _check_manifest(split_dir: str, manifest: dict, vocab: Vocabulary, folds: dict) -> None:
     """Compare the manifest with the vocabulary and the folds read (fold name
     -> rows of ``_read_sequences``), the users and interactions totals only
-    when every fold was read, and require a numeric ``fold_ratio``."""
+    when every fold was read, and require ``PipelineConfig``'s rule for
+    ``fold_ratio``: a number strictly between 0 and 1."""
     counts = manifest.get("counts")
     counts = counts if isinstance(counts, dict) else {}
     checks = [("format", manifest.get("format"), SPLIT_FORMAT),
@@ -646,8 +643,9 @@ def _check_manifest(split_dir: str, manifest: dict, vocab: Vocabulary, folds: di
         if found != expected:
             raise ValueError(f"{path}: {field} is {found!r}, but the split has {expected!r}")
     ratio = manifest.get("fold_ratio")
-    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
-        raise ValueError(f"{path}: fold_ratio is {ratio!r}, expected a number")
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0.0 < ratio < 1.0:
+        raise ValueError(
+            f"{path}: fold_ratio is {ratio!r}, expected a number strictly between 0 and 1")
 
 
 def _read_folds(split_dir: str | os.PathLike, folds: Sequence[str]):
@@ -673,7 +671,8 @@ def load_split(split_dir: str | os.PathLike) -> tuple[DatasetSplit, dict]:
     Malformed lines, item ids outside the vocabulary and held-out
     histories too short to fold (under 2 items) raise ParseError naming the
     file and line; after those, a manifest whose format, counts
-    or vocabulary digest disagree with the files raises ValueError naming
+    or vocabulary digest disagree with the files, or whose ``fold_ratio``
+    is not a number strictly between 0 and 1, raises ValueError naming
     ``manifest.json`` and the field."""
     manifest, vocab, rows = _read_folds(split_dir, FOLDS)
     ratio = manifest["fold_ratio"]

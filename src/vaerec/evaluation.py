@@ -87,7 +87,6 @@ class EvalReport:
     users: int
     model: str = ""
     config_digest: str = ""
-    per_user: list[dict] | None = None
     history: list[dict] | None = None
 
     def to_json(self) -> str:
@@ -146,7 +145,6 @@ def evaluate(
     heldout: Sequence[HeldoutUser],
     n_values: Sequence[int] = (10, 100),
     idcg_cap_at_n: bool = False,
-    keep_per_user: bool = False,
     by_history_length: bool = False,
 ) -> EvalReport:
     """Score every held-out user's ranking against its fold-out set.
@@ -158,8 +156,9 @@ def evaluate(
     is a fixed-order fold over users. The values are those of
     ``ndcg_at_n``, ``precision_at_n`` and ``recall_at_n``, added in the same
     order, so the report is bit-reproducible. A repeated cutoff is scored
-    once. With ``by_history_length`` the report's ``history`` holds the
-    ``ndcg_by_history_length`` rows, read from the same rankings.
+    once. With ``by_history_length`` the report's ``history`` holds one row
+    per ``HISTORY_BUCKETS`` fold-in-length bucket: its users and their mean
+    NDCG@100, read from the same rankings.
     """
     cutoffs = tuple(dict.fromkeys(n_values))
     for n in cutoffs:
@@ -175,8 +174,7 @@ def evaluate(
         rankings.append(np.asarray(rank_fn(list(user.fold_in), set(user.fold_in))))
     names = [f"{metric}@{n}" for n in cutoffs for metric in ("NDCG", "Precision", "Recall")]
     count = len(users)
-    report = EvalReport(metrics={name: 0.0 for name in names}, users=count,
-                        per_user=[] if keep_per_user else None)
+    report = EvalReport(metrics={name: 0.0 for name in names}, users=count)
     ndcg100 = np.zeros(0)
     if count:
         width = max(cutoffs + ((100,) if by_history_length else ()), default=0)
@@ -190,12 +188,6 @@ def evaluate(
         values = np.stack([dcg[:, at - 1] / ideal[terms - 1], hits[:, at - 1] / at,
                            hits[:, at - 1] / sizes[:, None]], axis=2).reshape(count, -1)
         report.metrics = dict(zip(names, (np.cumsum(values, axis=0)[-1] / count).tolist()))
-        if keep_per_user:
-            report.per_user = [
-                {"user_index": user.user_index, "fold_in_length": len(user.fold_in),
-                 **dict(zip(names, row))}
-                for user, row in zip(users, values.tolist())
-            ]
         if by_history_length:
             # over the full relevant set, whatever the report's convention
             ndcg100 = dcg[:, 99] / ideal[sizes - 1]
@@ -221,8 +213,8 @@ def batch_rank_fn(
     from one ``ranker.score_batch`` call over their fold-ins.
 
     The batch is scored on the first call, so inside the evaluation that
-    uses it, and later calls (such as ``ndcg_by_history_length`` over the
-    same users) reuse those scores. Each call finds its row by the fold-in
+    uses it, and later calls (such as a second ``evaluate`` over the same
+    users) reuse those scores. Each call finds its row by the fold-in
     and ranks it with ``rank_items``; a fold-in that is not in ``heldout``
     raises ValueError. Given ``n``, each ranking is the first ``n`` items of
     the full one, which is all that metrics at cutoffs up to ``n`` read.
@@ -241,12 +233,3 @@ def batch_rank_fn(
         return components.rank_items(scores[row], exclude, n)
 
     return rank
-
-
-def ndcg_by_history_length(
-    rank_fn: Callable[[Sequence[int], AbstractSet[int]], np.ndarray],
-    heldout: Sequence[HeldoutUser],
-) -> list[dict]:
-    """Mean NDCG@100 per ``HISTORY_BUCKETS`` fold-in-length bucket, one row
-    per bucket."""
-    return evaluate(rank_fn, heldout, n_values=(), by_history_length=True).history

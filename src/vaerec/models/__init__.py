@@ -3,7 +3,7 @@ import numpy as np
 from vaerec.models.config import ModelConfig
 from vaerec.models.mvae import MultinomialVAE
 from vaerec.models.rvae import PairwiseRankingVAE
-from vaerec.models.svae import SequentialVAE, next_k_targets
+from vaerec.models.svae import SequentialVAE
 
 MODEL_KINDS = ("mvae", "rvae", "svae")
 

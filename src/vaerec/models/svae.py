@@ -34,13 +34,6 @@ from vaerec.models.components import (
 from vaerec.models.config import ModelConfig
 
 
-def next_k_targets(items: Sequence[int], t: int, k: int) -> tuple[int, ...]:
-    """Items at positions t .. t+k-1 (1-based), truncated at the end."""
-    if not 1 <= t <= len(items):
-        raise ValueError(f"step {t} out of range for length {len(items)}")
-    return tuple(items[t - 1 : t - 1 + k])
-
-
 # A block's recurrence keeps about (2 d + 8 H) floats per row and step: the
 # looked-up inputs and their concatenation, the [T, B, 3H] pre-activations,
 # both gates, the candidate, r * h and the state. Blocks are cut so that

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +99,6 @@ def composed_gru(x, h0, p):
 def run_with_grads(gru, store, x, h0, p, probe):
     """Output of ``gru`` and the grads of sum(out * probe) for every tensor
     in ``store``, plus the tape length."""
-    store.zero_grad()
     with Tape() as tape:
         out = gru(x, h0, p)
         loss = ad.sum_all(ad.mul(out, probe))
@@ -185,7 +186,6 @@ def one_row_call(p, store, x_row, h0_row, probe_row):
     grads."""
     x = Tensor(x_row, requires_grad=True)
     h0 = Tensor(h0_row, requires_grad=True)
-    store.zero_grad()
     with Tape() as tape:
         out = gru_sequence(x, h0, p)
         loss = ad.sum_all(ad.mul(out, Tensor(probe_row)))
@@ -510,11 +510,20 @@ class TestBackward:
         np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
 
+def backward_with(store, **grads):
+    """One backward pass of the sum of p * g over the named parameters, so
+    that each one's grad reads exactly its g and every other one's zero."""
+    with Tape() as tape:
+        terms = [ad.sum_all(ad.mul(store[name], Tensor(g))) for name, g in grads.items()]
+        loss = functools.reduce(ad.add, terms, Tensor(0.0))
+    tape.backward(loss, store)
+
+
 class TestAdam:
     def test_first_step_matches_closed_form(self):
         store = ParameterStore()
         w = store.add("w", np.array([1.0]))
-        w.grad = np.array([0.5])
+        backward_with(store, w=[0.5])
         store.adam_step(lr=1e-3)
         delta = w.data[0] - 1.0
         assert abs(delta + 1e-3 * 0.5 / (0.5 + 1e-8)) < 1e-9
@@ -522,14 +531,14 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         store = ParameterStore()
         w = store.add("w", np.array([1.0]))
-        w.grad = np.zeros(1)
+        backward_with(store)
         store.adam_step(lr=1e-3)
         np.testing.assert_array_equal(w.data, [1.0])
 
     def test_weight_decay_shrinks(self):
         store = ParameterStore()
         w = store.add("w", np.array([1.0]))
-        w.grad = np.zeros(1)
+        backward_with(store)
         store.adam_step(lr=1e-3, weight_decay=0.01)
         assert w.data[0] < 1.0
 
@@ -544,11 +553,10 @@ class TestAdam:
         a = store.add("a", np.ones(2))
         b = store.add("b", np.ones(3))
         for expected in (1, 2, 3):
-            a.grad = np.ones(2)
-            b.grad = np.ones(3)
+            backward_with(store, a=np.ones(2), b=np.ones(3))
             store.adam_step(lr=1e-3)
             assert store.step_count == expected
-        assert a.grad is None and b.grad is None
+        assert a.data[0] < 1.0 and b.data[0] < 1.0
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
@@ -614,6 +622,35 @@ class TestParameterArena:
             assert p.data.tobytes() == params[name].tobytes(), name
         # the zero-gradient parameter still moved, by weight decay alone
         assert store["unused"].data.tobytes() != self.make_store()[0]["unused"].data.tobytes()
+
+    def test_gradients_are_fixed_views_of_one_vector(self):
+        store, w, b = self.make_store()
+        assert store.grads is None and w.grad is None
+        steps = self.train_steps(store, w, b, steps=3)
+        next(steps)
+        vector = store.grads
+        assert vector.shape == store.values.shape
+        views = {name: p.grad for name, p in store.items()}
+        for name, shape, offset in store.layout():
+            assert views[name].shape == shape
+            assert np.shares_memory(views[name], vector)
+            views[name].reshape(-1)[0] = 7.0
+            assert vector[offset] == 7.0
+        for _ in steps:
+            assert store.grads is vector
+            assert all(p.grad is views[name] for name, p in store.items())
+        assert store.grads is vector and w.grad is views["w"]
+
+    def test_a_parameter_the_next_backward_misses_reads_zero(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([1.0, -2.0]))
+        v = store.add("v", np.array([[3.0], [0.5]]))
+        backward_with(store, w=[0.5, 0.25], v=[[2.0], [-1.0]])
+        store.adam_step(lr=0.1, weight_decay=0.01)
+        assert v.grad.all()
+        backward_with(store, w=[1.0, 1.0])
+        assert v.grad.tobytes() == np.zeros((2, 1)).tobytes()
+        assert w.grad.tobytes() == np.ones(2).tobytes()
 
     def test_snapshot_then_restore_gives_back_exact_bytes(self):
         store, w, b = self.make_store()
@@ -682,8 +719,8 @@ class TestParameterArena:
 
     def test_add_after_layout_raises(self):
         store = ParameterStore()
-        w = store.add("w", np.ones(2))
-        w.grad = np.ones(2)
+        store.add("w", np.ones(2))
+        backward_with(store, w=np.ones(2))
         store.adam_step(lr=0.1)
         with pytest.raises(ValueError, match="cannot add parameter v: the arena is already laid"):
             store.add("v", np.full(3, 2.0))

@@ -13,7 +13,6 @@ from vaerec.evaluation import (
     PopularityRanker,
     batch_rank_fn,
     evaluate,
-    ndcg_by_history_length,
 )
 from vaerec.models import MultinomialVAE, PairwiseRankingVAE, SequentialVAE, components
 from vaerec.models.checkpoint import load_checkpoint
@@ -330,6 +329,21 @@ def test_eval_by_history_length(tmp_path, ratings_file, capsys):
     assert len(lines) == 6  # header + one row per bucket
 
 
+@pytest.mark.parametrize("ratio", ["Infinity", "NaN", "5.0", "0", "-1"])
+def test_eval_rejects_a_manifest_fold_ratio_outside_0_1(tmp_path, ratings_file, capsys, ratio):
+    split = prepare(tmp_path, ratings_file)
+    manifest = split / "manifest.json"
+    text = manifest.read_text()
+    assert '"fold_ratio": 0.8' in text
+    manifest.write_text(text.replace('"fold_ratio": 0.8', f'"fold_ratio": {ratio}'))
+    capsys.readouterr()
+    assert run_cli("eval", "--pop", "--split-dir", split) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "manifest.json: fold_ratio is " in err
+    assert "expected a number strictly between 0 and 1" in err
+
+
 def test_eval_catalog_mismatch(tmp_path, ratings_file, capsys):
     split = prepare(tmp_path, ratings_file)
     run = train_tiny(tmp_path, split)
@@ -534,7 +548,7 @@ def whole_split_eval(split_dir, fold, checkpoint=None):
     lines = ["low,high,users,ndcg100"] + [
         f"{row['low']},{'' if row['high'] is None else row['high']},{row['users']},"
         f"{'' if row['ndcg100'] is None else repr(row['ndcg100'])}"
-        for row in ndcg_by_history_length(rank_fn, heldout)
+        for row in evaluate(rank_fn, heldout, n_values=(), by_history_length=True).history
     ]
     return report.to_json(), "\n".join(lines) + "\n"
 
@@ -666,13 +680,13 @@ def test_history_series_ranks_past_the_reported_cutoff(tmp_path, capsys):
                        "--by-history-length", csv_path) == 0
         series[n] = csv_path.read_text()
     assert series["10"] == series["10,100"]
-    want = ndcg_by_history_length(ranker.rank, loaded.test)
+    want = evaluate(ranker.rank, loaded.test, n_values=(), by_history_length=True).history
     rows = series["10"].splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == [
         "" if r["ndcg100"] is None else repr(r["ndcg100"]) for r in want]
     # a series cut to the top 10 would read otherwise
-    assert want != ndcg_by_history_length(
-        lambda fold_in, exclude: ranker.rank(fold_in, exclude)[:10], loaded.test)
+    assert want != evaluate(lambda fold_in, exclude: ranker.rank(fold_in, exclude)[:10],
+                            loaded.test, n_values=(), by_history_length=True).history
 
 
 @pytest.mark.parametrize("kind", ["pop", "mvae", "svae"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -637,6 +638,15 @@ class TestSplitManifest:
         edit_manifest(out, edit)
         with pytest.raises(ValueError, match=r"manifest\.json: fold_ratio is .*, expected a num"):
             load_split(out)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, 5.0, 1.0, 0, 0.0, -1])
+    @pytest.mark.parametrize("whole", [True, False], ids=["load_split", "load_heldout"])
+    def test_fold_ratio_must_lie_strictly_between_0_and_1(self, tmp_path, ratio, whole):
+        out = self.saved_split(tmp_path)
+        edit_manifest(out, lambda manifest: manifest.update(fold_ratio=ratio))
+        with pytest.raises(ValueError, match=r"manifest\.json: fold_ratio is .*, expected a "
+                                             r"number strictly between 0 and 1"):
+            load_split(out) if whole else load_heldout(out, "test")
 
     def test_manifest_must_be_a_json_object(self, tmp_path):
         out = self.saved_split(tmp_path)

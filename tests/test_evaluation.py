@@ -12,7 +12,6 @@ from vaerec.evaluation import (
     batch_rank_fn,
     evaluate,
     ndcg_at_n,
-    ndcg_by_history_length,
     precision_at_n,
     recall_at_n,
 )
@@ -129,27 +128,27 @@ class TestOracleEquivalence:
 def reference_evaluate(rank_fn, heldout, n_values=(10, 100), idcg_cap_at_n=False):
     """The oracle: ``ndcg_at_n``, ``precision_at_n`` and ``recall_at_n`` per
     user, added into running sums in user_index order. Returns (metrics,
-    per-user rows)."""
+    each user's metrics)."""
     users = sorted(heldout, key=lambda u: u.user_index)
     names = []
     for n in n_values:
         names.extend([f"NDCG@{n}", f"Precision@{n}", f"Recall@{n}"])
     sums = {name: 0.0 for name in names}
-    per_user = []
+    rows = []
     for user in users:
         ranked = rank_fn(list(user.fold_in), set(user.fold_in))
-        relevant = user.fold_out_set
-        row = {"user_index": user.user_index, "fold_in_length": len(user.fold_in)}
+        relevant = frozenset(user.fold_out)
+        row = {}
         for n in n_values:
             row[f"NDCG@{n}"] = ndcg_at_n(ranked, relevant, n, idcg_cap_at_n)
             row[f"Precision@{n}"] = precision_at_n(ranked, relevant, n)
             row[f"Recall@{n}"] = recall_at_n(ranked, relevant, n)
         for name in names:
             sums[name] += row[name]
-        per_user.append(row)
+        rows.append(row)
     count = len(users)
     metrics = {name: (sums[name] / count if count else 0.0) for name in names}
-    return metrics, per_user
+    return metrics, rows
 
 
 def reference_history(rank_fn, heldout):
@@ -162,6 +161,18 @@ def reference_history(rank_fn, heldout):
         value = reference_evaluate(rank_fn, members, (100,))[0]["NDCG@100"] if members else None
         rows.append({"low": lo, "high": hi, "users": len(members), "ndcg100": value})
     return rows
+
+
+def history(rank_fn, heldout):
+    """The history-length series of ``evaluate``."""
+    return evaluate(rank_fn, heldout, n_values=(), by_history_length=True).history
+
+
+def per_user(rank_fn, heldout, n_values=(10, 100), idcg_cap_at_n=False):
+    """Each user's metrics, in user_index order, from an ``evaluate`` over
+    that user alone: a mean over one user is its value, exactly."""
+    return [evaluate(rank_fn, [user], n_values, idcg_cap_at_n).metrics
+            for user in sorted(heldout, key=lambda u: u.user_index)]
 
 
 def bits(value):
@@ -289,7 +300,7 @@ class TestEvaluate:
             HeldoutUser(0, fold_in=tuple(range(5)), fold_out=(40,)),
             HeldoutUser(1, fold_in=tuple(range(15)), fold_out=(41,)),
         ]
-        rows = ndcg_by_history_length(OracleRanker(50, [40, 41]).rank, users)
+        rows = history(OracleRanker(50, [40, 41]).rank, users)
         assert len(rows) == 5
         assert rows[0]["users"] == 1 and rows[1]["users"] == 1
         assert rows[2]["users"] == 0 and rows[2]["ndcg100"] is None
@@ -328,16 +339,16 @@ class TestBatchedRanking:
             # repeated fold-ins share one row of the batch
             assert len({u.fold_in for u in users}) < len(users)
         batched = batch_rank_fn(ranker, users)
-        want = evaluate(ranker.rank, users, n_values=(1, 5, 10, 100), keep_per_user=True)
-        got = evaluate(batched, users, n_values=(1, 5, 10, 100), keep_per_user=True)
+        want = evaluate(ranker.rank, users, n_values=(1, 5, 10, 100))
+        got = evaluate(batched, users, n_values=(1, 5, 10, 100))
         assert got.to_json() == want.to_json()
-        assert got.per_user == want.per_user
+        assert per_user(batched, users, (1, 5, 10, 100)) == per_user(
+            ranker.rank, users, (1, 5, 10, 100))
         if kind in ("mvae", "svae"):
             rankings = {tuple(ranker.rank(list(u.fold_in), set())) for u in users}
             assert len(rankings) > 1
         # the same scores serve the history-length series
-        assert ndcg_by_history_length(batched, users) == ndcg_by_history_length(
-            ranker.rank, users)
+        assert history(batched, users) == history(ranker.rank, users)
         for user in users:
             exclude = set(user.fold_in)
             np.testing.assert_array_equal(
@@ -358,10 +369,10 @@ class TestBatchedRanking:
                     top(list(user.fold_in), exclude), ranker.rank(list(user.fold_in), exclude)[:n])
             # a report at cutoffs up to n reads only the head
             cutoffs = tuple(c for c in (1, 5, 10, 100) if c <= n)
-            want = evaluate(ranker.rank, users, n_values=cutoffs, keep_per_user=True)
-            got = evaluate(top, users, n_values=cutoffs, keep_per_user=True)
+            want = evaluate(ranker.rank, users, n_values=cutoffs)
+            got = evaluate(top, users, n_values=cutoffs)
             assert got.to_json() == want.to_json()
-            assert got.per_user == want.per_user
+            assert per_user(top, users, cutoffs) == per_user(ranker.rank, users, cutoffs)
 
     def test_scores_one_batch_on_first_use(self):
         split = SPLITS["burst"]()
@@ -377,7 +388,7 @@ class TestBatchedRanking:
         rank_fn = batch_rank_fn(pop, split.test)
         assert batches == []
         evaluate(rank_fn, split.test)
-        ndcg_by_history_length(rank_fn, split.test)
+        history(rank_fn, split.test)
         assert batches == [[u.fold_in for u in split.test]]
 
     def test_unknown_fold_in_rejected(self):
@@ -414,11 +425,10 @@ class TestOneHitMatrix:
             return rankings[tuple(fold_in)]
 
         want, want_rows = reference_evaluate(rank_fn, users, cutoffs, cap)
-        got = evaluate(rank_fn, users, cutoffs, cap, keep_per_user=True,
-                       by_history_length=True)
+        got = evaluate(rank_fn, users, cutoffs, cap, by_history_length=True)
         assert bits(got.metrics) == bits(want)
         assert got.users == len(users)
-        assert bits(got.per_user) == bits(want_rows)
+        assert bits(per_user(rank_fn, users, cutoffs, cap)) == bits(want_rows)
         # the series reads NDCG@100 over the full relevant set, whatever the cap
         assert bits(got.history) == bits(reference_history(rank_fn, users))
 
@@ -430,25 +440,24 @@ class TestOneHitMatrix:
         ranker = ranker_for(kind, split)
         cutoffs = (5, 20, 10)
         want, want_rows = reference_evaluate(ranker.rank, split.test, cutoffs, cap)
-        got = evaluate(batch_rank_fn(ranker, split.test, 20), split.test[::-1], cutoffs, cap,
-                       keep_per_user=True)
+        rank_fn = batch_rank_fn(ranker, split.test, 20)
+        got = evaluate(rank_fn, split.test[::-1], cutoffs, cap)
         assert bits(got.metrics) == bits(want)
-        assert bits(got.per_user) == bits(want_rows)
+        assert bits(per_user(rank_fn, split.test, cutoffs, cap)) == bits(want_rows)
 
     def test_a_repeated_cutoff_is_scored_once(self):
         split = SPLITS["burst"]()
         pop = PopularityRanker(split.train, split.n_items)
-        once = evaluate(pop.rank, split.test, n_values=(10,), keep_per_user=True)
-        twice = evaluate(pop.rank, split.test, n_values=(10, 10), keep_per_user=True)
+        once = evaluate(pop.rank, split.test, n_values=(10,))
+        twice = evaluate(pop.rank, split.test, n_values=(10, 10))
         assert twice.to_json() == once.to_json()
-        assert twice.per_user == once.per_user
+        assert per_user(pop.rank, split.test, (10, 10)) == per_user(pop.rank, split.test, (10,))
         assert once.metrics["Precision@10"] > 0.0
 
     def test_empty_heldout(self):
-        report = evaluate(OracleRanker(4, []).rank, [], n_values=(10,), keep_per_user=True,
-                          by_history_length=True)
+        report = evaluate(OracleRanker(4, []).rank, [], n_values=(10,), by_history_length=True)
         assert report.metrics == {"NDCG@10": 0.0, "Precision@10": 0.0, "Recall@10": 0.0}
-        assert report.users == 0 and report.per_user == []
+        assert report.users == 0
         assert [row["users"] for row in report.history] == [0] * len(HISTORY_BUCKETS)
         assert all(row["ndcg100"] is None for row in report.history)
 
@@ -461,9 +470,9 @@ class TestOneHitMatrix:
             return rankings[tuple(fold_in)]
 
         want, want_rows = reference_evaluate(rank_fn, users, (1, 2, 3))
-        got = evaluate(rank_fn, users, (1, 2, 3), keep_per_user=True)
+        got = evaluate(rank_fn, users, (1, 2, 3))
         assert bits(got.metrics) == bits(want)
-        assert bits(got.per_user) == bits(want_rows)
+        assert bits(per_user(rank_fn, users, (1, 2, 3))) == bits(want_rows)
 
     @pytest.mark.parametrize("user, message", [
         (HeldoutUser(0, fold_in=(1,), fold_out=()), "user 0 has an empty fold-out set"),
@@ -504,6 +513,6 @@ class TestOneHitMatrix:
 
         for cap in (False, True):
             want, want_rows = reference_evaluate(rank_fn, users, (4000,), cap)
-            got = evaluate(rank_fn, users, (4000,), cap, keep_per_user=True)
+            got = evaluate(rank_fn, users, (4000,), cap)
             assert bits(got.metrics) == bits(want)
-            assert bits(got.per_user) == bits(want_rows)
+            assert bits(per_user(rank_fn, users, (4000,), cap)) == bits(want_rows)

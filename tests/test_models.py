@@ -26,7 +26,6 @@ from vaerec.models.components import (
     reparameterize,
 )
 from vaerec.models import svae as svae_module
-from vaerec.models.svae import next_k_targets
 from vaerec.models import training
 from vaerec.models.training import TrainingError, _rvae_triples, train
 from vaerec.synthetic import burst_split, cycle_split
@@ -126,25 +125,6 @@ class TestKL:
         assert kl.item() >= -1e-12
 
 
-class TestNextKTargets:
-    def test_window(self):
-        assert next_k_targets(["a", "b", "c", "d"], t=2, k=2) == ("b", "c")
-
-    def test_k1_recovers_next_item(self):
-        items = [5, 9, 3]
-        for t in range(1, 4):
-            assert next_k_targets(items, t, 1) == (items[t - 1],)
-
-    def test_truncation_at_end(self):
-        assert next_k_targets([1, 2, 3], t=3, k=10) == (3,)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            next_k_targets([1, 2], t=3, k=1)
-        with pytest.raises(ValueError):
-            next_k_targets([1, 2], t=0, k=1)
-
-
 def dense_log_softmax(logits):
     """Row-wise log softmax on the tape over a whole [rows, N] matrix, with
     its dense backward: the chain that ``log_softmax_at`` replaced, kept
@@ -184,12 +164,11 @@ def reference_mvae_loss(model, bags, noise, beta):
 
 def loss_and_grads(model, loss_fn, *args):
     """The loss of ``loss_fn(model, *args)`` and every parameter's grad,
-    concatenated in store order."""
-    model.store.zero_grad()
+    in store order: a copy of the gradient vector."""
     with Tape() as tape:
         loss = loss_fn(model, *args)
     tape.backward(loss, model.store)
-    return loss.item(), np.concatenate([p.grad.ravel() for _, p in model.store.items()])
+    return loss.item(), model.store.grads.copy()
 
 
 def zero_decoder_output(model):
@@ -378,15 +357,16 @@ class TestSVAEForward:
 
 def reference_svae_loss(model, items, noise, beta, k, mode):
     """svae's loss built one step at a time over the dense [T, N]
-    log-probabilities: next-k counts from ``next_k_targets`` and, in mixture
-    mode, one gather and log-sum-exp per step, added up left to right."""
+    log-probabilities: counts of the next k items (fewer at the end) and,
+    in mixture mode, one gather and log-sum-exp per step, added up left to
+    right."""
     out = model.forward(items, noise)
     log_pi = dense_log_softmax(out.logits)
     T = len(items)
     if mode == "next-k-multiset":
         counts = np.zeros((T, model.n_items))
         for t in range(1, T + 1):
-            for i in next_k_targets(items, t, k):
+            for i in items[t - 1 : t - 1 + k]:
                 counts[t - 1, i] += 1.0
         recon = ad.sum_all(ad.mul(Tensor(counts), log_pi))
     else:
@@ -1142,14 +1122,26 @@ class TestCheckpoint:
         assert loaded.score_batch(fold_ins).tobytes() == oracle.score_batch(fold_ins).tobytes()
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_a_loaded_model_that_only_scores_allocates_no_gradients(self, tmp_path, kind):
+        _, base, _ = self.saved_random(tmp_path, kind)
+        loaded, _ = load_checkpoint(base)
+        loaded.score_batch([[0, 3, 5], [7]])
+        loaded.scores([2, 9])
+        assert loaded.store.grads is None
+        assert all(p.grad is None for _, p in loaded.store.items())
+        with pytest.raises(ValueError, match="no gradient"):
+            loaded.store.adam_step(lr=0.1)
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_writes_to_a_loaded_arena_leave_the_file_unchanged(self, tmp_path, kind):
         model, base, blob = self.saved_random(tmp_path, kind)
         digest = hashlib.sha256(blob.read_bytes()).hexdigest()
         loaded, _ = load_checkpoint(base)
         loaded.store.values[...] = 0.25
-        loaded.store.attach_grads()
-        for _, p in loaded.store.items():
-            p.grad[...] = 1.0
+        with Tape() as tape:
+            pass
+        tape.backward(Tensor(0.0), loaded.store)
+        loaded.store.grads[...] = 1.0
         loaded.store.adam_step(lr=0.1)
         assert np.all(loaded.store.values != 0.25)
         del loaded
