@@ -353,13 +353,19 @@ def logsumexp_rows(t: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatters gradients additively."""
+    """Gather rows of ``table``: [B] ids give the [B, d] rows, and [B, k]
+    ids the [B, k * d] rows with each id's k rows side by side. Backward
+    scatters gradients additively."""
     idx = np.asarray(ids, dtype=np.int64)
     n = table.shape[0]
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise IndexError(f"embedding id {bad[0]} out of range [0, {n})")
-    out = Tensor(table.data[idx])
+    width = math.prod(table.shape[1:])
+    rows = table.data[idx]
+    if idx.ndim == 2:
+        rows = rows.reshape(idx.shape[0], idx.shape[1] * width)
+    out = Tensor(rows)
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
@@ -367,44 +373,14 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
                 table.grad = np.zeros(table.shape)
             grad = table.grad
             if not grad.flags.c_contiguous:
-                np.add.at(grad, idx, g)
+                np.add.at(grad, idx, g.reshape(idx.shape + table.shape[1:]))
                 return
             # the same scalar additions, in the same order, as np.add.at
             # over rows, on numpy's several times faster 1-D index path
-            width = math.prod(grad.shape[1:])
             cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
             np.add.at(grad.reshape(-1), cells, g.reshape(-1))
 
     return _trace(out, (table,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors along axis 0."""
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[lo:hi])
-
-    return _trace(out, tuple(parts), backward)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Join two [batch, d] tensors along the feature axis."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    split = a.shape[1]
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g[:, :split])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, split:])
-
-    return _trace(out, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------

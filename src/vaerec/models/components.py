@@ -57,6 +57,15 @@ def add_embedding(store: ParameterStore, name: str, rows: int, dim: int,
     return add_drawn(store, name, embedding_normal, rng, rows, dim)
 
 
+def check_ids(ids: np.ndarray, stop: int, what: str = "item id") -> None:
+    """``IndexError`` naming the first of ``ids`` outside [0, ``stop``). A
+    model that keeps several kinds of rows in one embedding table checks
+    each kind's ids here, since the table's own range spans them all."""
+    bad = ids[(ids < 0) | (ids >= stop)]
+    if bad.size:
+        raise IndexError(f"{what} {bad[0]} out of range [0, {stop})")
+
+
 def add_gru(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
             rng: np.random.Generator | None) -> GRUCellParams:
     def dense(gate: str, fan_in: int) -> Tensor:

@@ -1,16 +1,18 @@
 """Pairwise ranking VAE (score-difference form).
 
-Each (user, item) pair gets a latent Gaussian inferred from the
-concatenation of user and item embeddings; a scalar scorer maps the latent
+Each (user, item) pair gets a latent Gaussian inferred from the user's
+and the item's embeddings side by side; a scalar scorer maps the latent
 to a rank score, and a preferred/non-preferred pair is modeled as a
 Bernoulli on the sigmoid of the score difference. The preferred item takes
 the positive sign, so training pushes its score up. Items sort directly by
 score at prediction time, which cannot produce rank inconsistencies.
 
-Users unseen at training time (all held-out users) go through a reserved
-embedding row, so the model still ranks for them. That row ignores the
-fold-in: every held-out user gets the same scores, and so the same ranking
-up to the exclusion of their own fold-in items. ``score_batch`` therefore
+Users and items share one embedding table: the user rows come first, then
+a reserved row at ``n_users``, and item i is row ``n_users + 1 + i``.
+Users unseen at training time (all held-out users) go through the reserved
+row, so the model still ranks for them. That row ignores the fold-in: every
+held-out user gets the same scores, and so the same ranking up to the
+exclusion of their own fold-in items. ``score_batch`` therefore
 scores the catalog once per batch.
 """
 
@@ -28,6 +30,7 @@ from vaerec.models.components import (
     GaussianParams,
     add_dense,
     add_embedding,
+    check_ids,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
@@ -45,9 +48,8 @@ class PairwiseRankingVAE:
         self.config = config
         self.store = ParameterStore()
         dim = config.rvae_embedding_dim
-        # one extra user row for users never seen in training
-        self.user_embedding = add_embedding(self.store, "user_embedding", n_users + 1, dim, rng)
-        self.item_embedding = add_embedding(self.store, "item_embedding", n_items, dim, rng)
+        # the user rows, one extra for users never seen in training, then the items
+        self.embedding = add_embedding(self.store, "embedding", n_users + 1 + n_items, dim, rng)
         enc_widths = (2 * dim,) + config.rvae_encoder_widths
         self.encoder_stack = DenseStack(self.store, "encoder", enc_widths, rng)
         self.head = GaussianHead(
@@ -59,10 +61,18 @@ class PairwiseRankingVAE:
     def unseen_user_row(self) -> int:
         return self.n_users
 
+    def _pair_inputs(self, user_rows: Sequence[int], item_ids: Sequence[int]) -> Tensor:
+        """The [B, 2 d] encoder inputs, each user row's embedding beside its
+        item's, from one lookup of the [B, 2] table rows."""
+        users = np.asarray(user_rows, dtype=np.int64)
+        items = np.asarray(item_ids, dtype=np.int64)
+        check_ids(users, self.n_users + 1, "user row")
+        check_ids(items, self.n_items)
+        rows = np.stack([users, self.n_users + 1 + items], axis=1)
+        return ad.embedding_lookup(self.embedding, rows)
+
     def encode(self, user_rows: Sequence[int], item_ids: Sequence[int]) -> GaussianParams:
-        u = ad.embedding_lookup(self.user_embedding, user_rows)
-        i = ad.embedding_lookup(self.item_embedding, item_ids)
-        return self.head(self.encoder_stack(ad.concat_cols(u, i)))
+        return self.head(self.encoder_stack(self._pair_inputs(user_rows, item_ids)))
 
     def score(self, z: Tensor) -> Tensor:
         return ad.linear(z, *self.scorer)
@@ -90,17 +100,11 @@ class PairwiseRankingVAE:
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
         """Score every catalog item through the reserved-user row; the
-        fold-in does not enter.
-
-        The encoder input is built as one block, the reserved row beside
-        each item row: the bytes ``encode`` would concatenate from its two
-        lookups, without gathering either table. Only the head's mean is
-        computed, since scoring reads nothing else."""
-        dim = self.config.rvae_embedding_dim
-        block = np.empty((self.n_items, 2 * dim))
-        block[:, :dim] = self.user_embedding.data[self.unseen_user_row]
-        block[:, dim:] = self.item_embedding.data
-        features = self.encoder_stack(Tensor(block))
+        fold-in does not enter. The encoder inputs are ``encode``'s, the
+        reserved row beside every item; only the head's mean is computed,
+        since scoring reads nothing else."""
+        features = self.encoder_stack(self._pair_inputs(
+            np.full(self.n_items, self.unseen_user_row), np.arange(self.n_items)))
         return self.score(ad.linear(features, *self.head.mu)).data[:, 0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Sequential VAE: a recurrent latent-variable model over item sequences.
 
 At step t the GRU has consumed items 1..t-1 (step 1 consumes a learned
-start-of-sequence embedding), a Gaussian head on the hidden state proposes
-the step-t latent, and the decoder turns the latent into a softmax over the
-catalog. The per-step target is either the multiset of the next k items or
-a mixture over the k most recent latent states.
+start token, row ``n_items`` of the item embedding table), a Gaussian head
+on the hidden state proposes the step-t latent, and the decoder turns the
+latent into a softmax over the catalog. The per-step target is either the
+multiset of the next k items or a mixture over the k most recent latent
+states.
 
 The recurrence is strictly causal: everything emitted at step t is
 invariant to items at positions after t.
@@ -27,6 +28,7 @@ from vaerec.models.components import (
     add_dense,
     add_embedding,
     add_gru,
+    check_ids,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
@@ -34,9 +36,10 @@ from vaerec.models.components import (
 from vaerec.models.config import ModelConfig
 
 
-# A block's recurrence keeps about (2 d + 8 H) floats per row and step: the
-# looked-up inputs and their concatenation, the [T, B, 3H] pre-activations,
-# both gates, the candidate, r * h and the state. Blocks are cut so that
+# A block's recurrence keeps about (d + 8 H) floats per row and step: the
+# looked-up inputs, the [T, B, 3H] pre-activations, both gates, the
+# candidate, r * h and the state. Blocks are costed at (2 d + 8 H), which
+# leaves d floats of headroom a row and step, and cut so that
 # rows x (T_max + 1) x (2 d + 8 H) stays within this many floats (32 MiB),
 # whatever the fold-in lengths; a fold-in that needs more on its own is
 # scored alone, as the one-sequence path would.
@@ -82,9 +85,8 @@ class SequentialVAE:
         self.store = ParameterStore()
         emb = config.item_embedding_dim
         hid = config.gru_hidden
-        self.item_embedding = add_embedding(self.store, "item_embedding", n_items, emb, rng)
-        # step 1 has no previous item; it consumes this learned row instead
-        self.start_embedding = add_embedding(self.store, "start_embedding", 1, emb, rng)
+        # step 1 has no previous item; it consumes row n_items, the start token
+        self.item_embedding = add_embedding(self.store, "item_embedding", n_items + 1, emb, rng)
         self.gru = add_gru(self.store, "gru", emb, hid, rng)
         enc_widths = (hid,) + config.encoder_widths
         self.encoder_stack = DenseStack(self.store, "encoder", enc_widths, rng)
@@ -100,17 +102,18 @@ class SequentialVAE:
         """GRU states of the B sequences in ``consumed`` from one recurrence
         over each one's start token and then its items, right-padded to the
         longest (T items): the [(T + 1) * B, H] step-major rows, where row
-        t * B + b has seen the start token and consumed[b][:t]. Padding reads
-        item 0; the recurrence is causal, so no state up to a row's last real
-        step sees it."""
+        t * B + b has seen the start token and consumed[b][:t]. The inputs
+        are one lookup of a [T + 1, B] id block whose first row is the start
+        token. Padding reads item 0; the recurrence is causal, so no state up
+        to a row's last real step sees it."""
         n_rows = len(consumed)
-        ids = np.zeros((max(map(len, consumed), default=0), n_rows), dtype=np.int64)
+        ids = np.zeros((max(map(len, consumed), default=0) + 1, n_rows), dtype=np.int64)
         for b, items in enumerate(consumed):
-            ids[: len(items), b] = items
-        x = ad.concat_rows([
-            ad.embedding_lookup(self.start_embedding, np.zeros(n_rows, dtype=np.int64)),
-            ad.embedding_lookup(self.item_embedding, ids.reshape(-1)),
-        ])
+            ids[1 : len(items) + 1, b] = items
+        # an item id of n_items would read the start token
+        check_ids(ids[1:], self.n_items)
+        ids[0] = self.n_items
+        x = ad.embedding_lookup(self.item_embedding, ids.reshape(-1))
         h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
         return ad.gru_sequence(x, h0, self.gru)
 
@@ -141,9 +144,7 @@ class SequentialVAE:
         k = self.config.k_horizon if k is None else k
         mode = self.config.likelihood_mode if mode is None else mode
         ids = np.asarray(items, dtype=np.int64)
-        bad = ids[(ids < 0) | (ids >= self.n_items)]
-        if bad.size:
-            raise IndexError(f"item id {bad[0]} out of range [0, {self.n_items})")
+        check_ids(ids, self.n_items)
         out = self.forward(items, noise)
         T = len(items)
         # row t, column j: position t + j, the j-th of the next k items

@@ -87,24 +87,32 @@ class TestGRUCell:
             gru_cell(Tensor(np.zeros((1, 2))), Tensor(np.zeros((3, 2))), p)
 
 
-def composed_gru(x, h0, p):
-    """The oracle: chained ``gru_cell`` steps, stacked into [T, H]."""
-    h, states = h0, []
+def sequence_loss(x, h0, p, probe):
+    """``gru_sequence``'s [T, H] states and sum(states * probe)."""
+    out = gru_sequence(x, h0, p)
+    return out.data, ad.sum_all(ad.mul(out, probe))
+
+
+def composed_loss(x, h0, p, probe):
+    """The oracle: chained ``gru_cell`` steps, each state summed against its
+    probe row; the states stacked into [T, H], and the sum of those sums."""
+    h, states, terms = h0, [], []
     for t in range(x.shape[0]):
         h = gru_cell(ad.embedding_lookup(x, [t]), h, p)
-        states.append(h)
-    return ad.concat_rows(states)
+        states.append(h.data)
+        terms.append(ad.sum_all(ad.mul(h, Tensor(probe.data[[t]]))))
+    return np.concatenate(states), functools.reduce(ad.add, terms)
 
 
-def run_with_grads(gru, store, x, h0, p, probe):
-    """Output of ``gru`` and the grads of sum(out * probe) for every tensor
-    in ``store``, plus the tape length."""
+def run_with_grads(forward, store, x, h0, p, probe):
+    """The states and loss from ``forward`` (``sequence_loss`` or
+    ``composed_loss``): the states, the loss's grads for every tensor in
+    ``store``, and the tape length."""
     with Tape() as tape:
-        out = gru(x, h0, p)
-        loss = ad.sum_all(ad.mul(out, probe))
+        out, loss = forward(x, h0, p, probe)
     tape.backward(loss, store)
     grads = {name: t.grad.copy() for name, t in store.items()}
-    return out.data, grads, len(tape)
+    return out, grads, len(tape)
 
 
 class TestGRUSequence:
@@ -126,7 +134,7 @@ class TestGRUSequence:
 
     def test_one_tape_record_per_sequence(self):
         store, p, x, h0, probe = self.make(9, 3, 4, seed=0)
-        *_, records = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        *_, records = run_with_grads(sequence_loss, store, x, h0, p, probe)
         # gru_sequence, mul, sum_all
         assert records == 3
 
@@ -147,8 +155,8 @@ class TestGRUSequence:
     )
     def test_matches_composed_cell(self, steps, in_dim, hid, seed):
         store, p, x, h0, probe = self.make(steps, in_dim, hid, seed)
-        out, grads, _ = run_with_grads(gru_sequence, store, x, h0, p, probe)
-        want, want_grads, _ = run_with_grads(composed_gru, store, x, h0, p, probe)
+        out, grads, _ = run_with_grads(sequence_loss, store, x, h0, p, probe)
+        want, want_grads, _ = run_with_grads(composed_loss, store, x, h0, p, probe)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         for name, grad in want_grads.items():
             np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
@@ -156,7 +164,7 @@ class TestGRUSequence:
     def test_empty_sequence(self):
         store, p, _, h0, _ = self.make(1, 3, 4, seed=0)
         x = store.add("empty", np.zeros((0, 3)))
-        out, grads, _ = run_with_grads(gru_sequence, store, x, h0, p, Tensor(np.zeros((0, 4))))
+        out, grads, _ = run_with_grads(sequence_loss, store, x, h0, p, Tensor(np.zeros((0, 4))))
         assert out.shape == (0, 4)
         assert all(not grad.any() for grad in grads.values())
 
@@ -226,7 +234,7 @@ class TestBatchedGRUSequence:
     )
     def test_each_row_matches_its_one_sequence_call(self, lengths, in_dim, hid, seed):
         store, p, x, h0, probe = self.make(lengths, in_dim, hid, seed)
-        out, grads, records = run_with_grads(gru_sequence, store, x, h0, p, probe)
+        out, grads, records = run_with_grads(sequence_loss, store, x, h0, p, probe)
         steps, rows = max(lengths), len(lengths)
         assert out.shape == (steps * rows, hid)
         assert records == 3
@@ -402,9 +410,17 @@ class TestEmbedding:
         expected[1] = 2.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    def test_id_pairs_gather_rows_side_by_side(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        out = ad.embedding_lookup(table, [[2, 0], [1, 1]])
+        np.testing.assert_array_equal(out.data, [[6.0, 7.0, 8.0, 0.0, 1.0, 2.0],
+                                                 [3.0, 4.0, 5.0, 3.0, 4.0, 5.0]])
+
     def test_empty_ids(self):
         out = ad.embedding_lookup(Tensor(np.ones((4, 3))), [])
         assert out.shape == (0, 3)
+        out = ad.embedding_lookup(Tensor(np.ones((4, 3))), np.zeros((0, 2), dtype=np.int64))
+        assert out.shape == (0, 6)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError, match="7"):
@@ -422,19 +438,21 @@ class TestEmbedding:
         np.testing.assert_allclose(table.grad.sum(), weights.data.sum(), atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 12),
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 12), st.integers(0, 3),
            st.sampled_from([None, "C", "F"]), st.integers(0, 2**32 - 1))
-    def test_scatter_matches_row_add_at(self, rows, width, n_ids, start, seed):
+    def test_scatter_matches_row_add_at(self, rows, width, n_ids, k, start, seed):
         # the oracle: np.add.at over rows, into the gradient as it stands
-        # (none yet, a C-ordered one or a Fortran-ordered one)
+        # (none yet, a C-ordered one or a Fortran-ordered one); k > 0 looks
+        # up [n_ids, k] ids, whose output is [n_ids, k * width]
         rng = np.random.default_rng(seed)
         table = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
-        ids = rng.integers(rows, size=n_ids)
-        g = rng.normal(size=(n_ids, width))
+        ids = rng.integers(rows, size=(n_ids, k) if k else n_ids)
+        g = rng.normal(size=ids.shape + (width,))
         g[rng.random(g.shape) < 0.3] = -0.0
         grad = None if start is None else np.asarray(rng.normal(size=(rows, width)), order=start)
         want = np.zeros((rows, width)) if grad is None else grad.copy()
         np.add.at(want, ids, g)
+        g = g.reshape(n_ids, max(k, 1) * width)
         table.grad = grad
         with Tape() as tape:
             out = ad.embedding_lookup(table, ids)
@@ -825,12 +843,12 @@ class TestPrimitiveGradients:
         ids = [1, 3, 3, 0]
         _check(lambda: ad.sum_all(ad.mul(ad.embedding_lookup(table, ids), probe)), store)
 
-    def test_concat_rows(self):
+    def test_embedding_lookup_of_id_pairs(self):
         store = ParameterStore()
-        a = store.add("a", self.rng.normal(size=(2, 3)))
-        b = store.add("b", self.rng.normal(size=(3, 3)))
-        probe = Tensor(self.rng.normal(size=(5, 3)))
-        _check(lambda: ad.sum_all(ad.mul(ad.concat_rows([a, b]), probe)), store)
+        table = store.add("emb", self.rng.normal(size=(8, 3)))
+        probe = Tensor(self.rng.normal(size=(4, 6)))
+        ids = [[1, 5], [3, 3], [3, 0], [7, 1]]
+        _check(lambda: ad.sum_all(ad.mul(ad.embedding_lookup(table, ids), probe)), store)
 
     def test_gru_cell(self):
         rng = np.random.default_rng(7)

@@ -604,13 +604,12 @@ class TestBatchedScoring:
         model = build_model("svae", split.n_items, toy_config())
         randomize_params(model, seed=5, scale=1.0)
         fold_in = split.test[0].fold_in
-        # the oracle: chained gru_cell steps over the start token and then
-        # each fold-in item, the last state encoded and decoded
+        # the oracle: chained gru_cell steps over the start token (row
+        # n_items) and then each fold-in item, the last state encoded and
+        # decoded
         h = Tensor(np.zeros((1, model.config.gru_hidden)))
-        rows = [model.start_embedding.data[:1]] + [model.item_embedding.data[[i]]
-                                                   for i in fold_in]
-        for x in rows:
-            h = ad.gru_cell(Tensor(x), h, model.gru)
+        for i in [model.n_items, *fold_in]:
+            h = ad.gru_cell(Tensor(model.item_embedding.data[[i]]), h, model.gru)
         want = ad.log_softmax(model.logits(model._encode_states(h).mu).data)[0]
         np.testing.assert_allclose(model.score_batch([fold_in])[0], want, rtol=0, atol=1e-12)
 
@@ -639,6 +638,57 @@ class TestBatchedScoring:
     def test_no_fold_ins(self, kind):
         model = build_model(kind, 6, toy_config())
         assert model.score_batch([]).shape == (0, 6)
+
+
+class TestEmbeddingIdRanges:
+    """svae keeps its start token, and rvae its user and item rows, in one
+    embedding table, whose own range check spans them all. Each entry point
+    checks its ids itself: a bad one is an ``IndexError`` naming it, never
+    another row read in its place."""
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("batched", [False, True], ids=["scores", "score_batch"])
+    def test_svae_fold_in(self, batched, bad):
+        model = build_model("svae", 6, toy_config())
+        fold_in = [1, bad, 2]
+        with pytest.raises(IndexError, match=rf"item id {bad} out of range \[0, 6\)"):
+            if batched:
+                model.score_batch([(0, 1), fold_in])
+            else:
+                model.scores(fold_in)
+
+    # build_model("rvae", 6, toy_config(), n_users=3): user rows 0..3, the
+    # last one reserved, and items 0..5
+    RVAE_CASES = {
+        "item -1": ([0, 1], [2, -1], r"item id -1 out of range \[0, 6\)"),
+        "item n_items": ([0, 1], [6, 2], r"item id 6 out of range \[0, 6\)"),
+        "user row -1": ([-1, 1], [2, 3], r"user row -1 out of range \[0, 4\)"),
+        "user row n_users + 1": ([0, 4], [2, 3], r"user row 4 out of range \[0, 4\)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RVAE_CASES))
+    def test_rvae_encode(self, case):
+        users, items, message = self.RVAE_CASES[case]
+        model = build_model("rvae", 6, toy_config(), n_users=3)
+        with pytest.raises(IndexError, match=message):
+            model.encode(users, items)
+
+    @pytest.mark.parametrize("case", sorted(RVAE_CASES))
+    @pytest.mark.parametrize("slot", ["preferred", "other"])
+    def test_rvae_pair_loss(self, case, slot):
+        users, items, message = self.RVAE_CASES[case]
+        model = build_model("rvae", 6, toy_config(), n_users=3)
+        pairs = {"preferred": items, "other": [5, 4]}
+        if slot == "other":
+            pairs = {"preferred": [5, 4], "other": items}
+        noise = np.zeros((2, 3))
+        with pytest.raises(IndexError, match=message):
+            model.pair_loss(users, pairs["preferred"], pairs["other"], noise, noise, beta=1.0)
+
+    def test_rvae_reserved_row_is_a_user_row(self):
+        model = build_model("rvae", 6, toy_config(), n_users=3)
+        noise = np.zeros((2, 3))
+        assert np.isfinite(model.pair_loss([3, 0], [5, 0], [4, 1], noise, noise, 1.0).item())
 
 
 class TestOneUserPerStepTraining:
@@ -992,8 +1042,36 @@ class TestCheckpoint:
 
     def test_missing_tensor_rejected(self, tmp_path):
         _, base = self.saved(tmp_path)
-        self.edit_tensors(base, lambda tensors: tensors.pop(3))
-        with pytest.raises(ValueError, match="gru.u_reset"):
+        self.edit_tensors(base, lambda tensors: tensors.pop(2))
+        with pytest.raises(ValueError,
+                           match="tensor 2 is 'gru.b_reset', the model expects 'gru.u_reset'"):
+            load_checkpoint(base)
+
+    # the two-table layout: svae's start token, and rvae's user rows, once
+    # had tables of their own; the blob bytes are the same, the manifest is
+    # not, and such a checkpoint is refused rather than read
+    TWO_TABLE_LAYOUTS = {
+        "svae": ([("item_embedding", 6), ("start_embedding", 1)],
+                 r"'item_embedding' has shape \[6, 4\] and size 24, the model expects \[7, 4\]"),
+        "rvae": ([("user_embedding", 4), ("item_embedding", 6)],
+                 "tensor 0 is 'user_embedding', the model expects 'embedding'"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TWO_TABLE_LAYOUTS))
+    def test_two_table_layout_rejected(self, tmp_path, kind):
+        parts, message = self.TWO_TABLE_LAYOUTS[kind]
+        _, base = self.saved(tmp_path, kind)
+
+        def two_tables(tensors):
+            width = tensors[0]["shape"][1]
+            offset = tensors.pop(0)["offset"]
+            for at, (name, rows) in enumerate(parts):
+                tensors.insert(at, {"name": name, "shape": [rows, width], "offset": offset,
+                                    "size": rows * width})
+                offset += rows * width
+
+        self.edit_tensors(base, two_tables)
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(base)
 
     def test_missing_last_tensor_rejected(self, tmp_path):
@@ -1067,7 +1145,7 @@ class TestCheckpoint:
         path.write_text(json.dumps({**json.loads(path.read_text()), "n_users": 10**12}))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="'user_embedding' has shape"):
+            with pytest.raises(ValueError, match="'embedding' has shape"):
                 load_checkpoint(base)
             _, peak = tracemalloc.get_traced_memory()
         finally:
