@@ -1,6 +1,10 @@
 """Reverse-mode differentiable tensor core.
 
-Everything is dense float64 numpy. Gradients flow through an explicit Tape:
+Everything is dense numpy, and every primitive keeps its inputs' dtype:
+models train and serve in float32, and gradient checks run in float64
+(central differences at epsilon = 1e-5 mean nothing in float32). Each
+``ParameterStore`` fixes the dtype of its parameters, gradients and Adam
+state. Gradients flow through an explicit Tape:
 operations executed while a Tape is active record a backward rule, and
 ``Tape.backward`` replays the rules in exact reverse execution order,
 accumulating (never overwriting) into input gradients. Tapes are created per
@@ -26,16 +30,18 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array with an optional gradient slot.
 
-    ``grad`` has the same shape as ``data``. A parameter's is a fixed view
-    into its store's gradient vector; any other tensor's is allocated on
-    first accumulation. A Tensor may be read from many threads, but must not
-    take part in a backward pass concurrently.
+    ``data`` keeps a floating-point array's dtype; anything else becomes
+    float64. ``grad`` has the same shape and dtype as ``data``. A
+    parameter's is a fixed view into its store's gradient vector; any other
+    tensor's is allocated on first accumulation. A Tensor may be read from
+    many threads, but must not take part in a backward pass concurrently.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
@@ -370,7 +376,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros(table.shape)
+                table.grad = np.zeros_like(table.data)
             grad = table.grad
             if not grad.flags.c_contiguous:
                 np.add.at(grad, idx, g.reshape(idx.shape + table.shape[1:]))
@@ -390,8 +396,9 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 def reparameterize(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
     """z = mu + exp(log_sigma) * noise in one tape record; backward repeats
     the ``exp``, ``mul``, ``add`` chain's arithmetic, zero-started link
-    gradients included (see ``linear``)."""
-    noise = np.asarray(noise, dtype=np.float64)
+    gradients included (see ``linear``). ``noise`` is cast to ``mu``'s
+    dtype, so callers draw it in float64 whatever the model's dtype."""
+    noise = np.asarray(noise, dtype=mu.data.dtype)
     if noise.shape != mu.shape or log_sigma.shape != mu.shape:
         raise ShapeError(f"noise shape {noise.shape} and log sigma shape {log_sigma.shape} "
                          f"vs mu shape {mu.shape}")
@@ -499,10 +506,11 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
     u_cand = p.u_cand.data
     # input part of every gate pre-activation, [T, B, 3H]
     pre = (x @ w + b).reshape(n_steps, n_rows, 3 * hid)
-    gates = np.empty((n_steps, n_rows, 2 * hid))  # r | u per step
-    cand = np.empty((n_steps, n_rows, hid))
-    reset_h = np.empty((n_steps, n_rows, hid))  # r * h_prev, the input of U_c
-    states = np.empty((n_steps, n_rows, hid))
+    dtype = pre.dtype  # every buffer, forward and backward, follows the data
+    gates = np.empty((n_steps, n_rows, 2 * hid), dtype)  # r | u per step
+    cand = np.empty((n_steps, n_rows, hid), dtype)
+    reset_h = np.empty((n_steps, n_rows, hid), dtype)  # r * h_prev, the input of U_c
+    states = np.empty((n_steps, n_rows, hid), dtype)
     # per-gate views, so that each step indexes only its first axis
     pre_gates, pre_cand = pre[..., : 2 * hid], pre[..., 2 * hid :]
     r_all, u_all = gates[..., :hid], gates[..., hid:]
@@ -525,12 +533,12 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
         uc_factor = np.stack([(h_prev - cand) * u * (1.0 - u),
                               (1.0 - u) * (1.0 - cand * cand)], axis=2)
         r_factor = h_prev * r * (1.0 - r)
-        d_pre = np.empty((n_steps, n_rows, 3 * hid))
+        d_pre = np.empty((n_steps, n_rows, 3 * hid), dtype)
         d_pre4 = d_pre.reshape(n_steps, n_rows, 3, hid)
         d_reset, d_uc, d_cand = d_pre4[:, :, 0], d_pre4[:, :, 1:], d_pre4[:, :, 2]
         d_gates = d_pre[..., : 2 * hid]
         u_gates_t, u_cand_t = u_gates.T, u_cand.T
-        dh = np.zeros((n_rows, hid))
+        dh = np.zeros((n_rows, hid), dtype)
         for t in range(n_steps - 1, -1, -1):
             dh += g[t]
             np.multiply(dh[:, None], uc_factor[t], out=d_uc[t])
@@ -565,25 +573,35 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
 
 
 # Adam updates the arena in slices of this many values, so its temporaries
-# stay small (two 256 KiB buffers) whatever the model size.
+# stay small (two 128 KiB buffers in float32) whatever the model size.
 _ADAM_CHUNK = 1 << 15
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# the dtypes a ParameterStore takes, by name
+DTYPES = ("float32", "float64")
 
 
 class ParameterStore:
-    """Named trainable tensors in one flat float64 arena, plus Adam state.
+    """Named trainable tensors in one flat arena of ``dtype``, plus Adam
+    state.
 
     ``values`` holds every parameter in the order they were added, and each
-    parameter's ``data`` is a reshaped view into it. ``grads`` and both Adam
-    moments are vectors with the same layout: the first backward allocates
+    parameter's ``data`` is a reshaped view into it. ``grads``, both Adam
+    moments and Adam's temporaries are vectors of the same dtype; the
+    gradients and moments also share the layout: the first backward allocates
     ``grads`` and makes each parameter's ``grad`` a fixed view into it, and
     the first ``adam_step`` the moments, so a model that only predicts holds
     one vector. The arena is laid out once, after every parameter has been
     added. Names are unique; the step counter is shared across all
     parameters and increases by one per ``adam_step``.
+
+    Models train and serve in float32, the default. A float64 store keeps
+    the arithmetic of the float64 core exactly; ``gradient_check`` needs one.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype=np.float32) -> None:
+        self.dtype = np.dtype(dtype)
+        if self.dtype.name not in DTYPES:
+            raise ValueError(f"parameter dtype must be one of {DTYPES}, got {self.dtype}")
         self._params: dict[str, Tensor] = {}
         self._unset: set[str] = set()  # added by shape only; they start at zero
         self._values: np.ndarray | None = None  # the arena, once laid out
@@ -595,15 +613,16 @@ class ParameterStore:
     def add(self, name: str, values=None, shape: tuple[int, ...] | None = None) -> Tensor:
         """Add a parameter holding ``values``, or, given only ``shape``, one
         that starts at zero without allocating anything of its own. The
-        latter reads as zero but is written only after ``lay_out``."""
+        latter reads as zero but is written only after ``lay_out``. Values
+        are cast to the store's dtype."""
         if self._values is not None:
             raise ValueError(f"cannot add parameter {name}: the arena is already laid out")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         if values is None:
-            values = np.broadcast_to(np.float64(0.0), shape)
+            values = np.broadcast_to(self.dtype.type(0.0), shape)
             self._unset.add(name)
-        t = Tensor(values, requires_grad=True)
+        t = Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -636,19 +655,21 @@ class ParameterStore:
         ``data`` to its view. ``values`` and a backward pass do this on
         first use; after it, ``add`` raises.
 
-        Given ``arena``, a float64 vector of ``n_values()`` entries, the
-        parameters become views into it as it is, with no allocation; every
-        parameter must then have been added by shape only."""
+        Given ``arena``, a vector of ``n_values()`` entries of the store's
+        dtype, the parameters become views into it as it is, with no
+        allocation; every parameter must then have been added by shape
+        only."""
         if arena is not None:
             if self._values is not None or self._unset != self._params.keys():
                 raise ValueError("an arena can only be given to unset, unlaid parameters")
-            if arena.dtype != np.float64 or arena.shape != (self.n_values(),):
+            if arena.dtype != self.dtype or arena.shape != (self.n_values(),):
                 raise ValueError(
-                    f"arena is {arena.dtype} {arena.shape}, expected float64 ({self.n_values()},)"
+                    f"arena is {arena.dtype} {arena.shape}, expected {self.dtype} "
+                    f"({self.n_values()},)"
                 )
         if self._values is not None:
             return
-        values = np.zeros(self.n_values()) if arena is None else arena
+        values = np.zeros(self.n_values(), self.dtype) if arena is None else arena
         for name, shape, offset in self.layout():
             p = self._params[name]
             view = values[offset : offset + p.data.size].reshape(shape)
@@ -663,7 +684,7 @@ class ParameterStore:
         if self.grads is not None:
             self.grads.fill(0.0)
             return
-        self.grads = np.zeros(self.values.size)
+        self.grads = np.zeros_like(self.values)
         for name, shape, offset in self.layout():
             p = self._params[name]
             p.grad = self.grads[offset : offset + p.data.size].reshape(shape)
@@ -688,7 +709,7 @@ class ParameterStore:
         t = self.step_count
         bc1 = 1.0 - _BETA1**t
         bc2 = 1.0 - _BETA2**t
-        tmp_a = np.empty(min(_ADAM_CHUNK, values.size))
+        tmp_a = np.empty(min(_ADAM_CHUNK, values.size), values.dtype)
         tmp_b = np.empty_like(tmp_a)
         for lo in range(0, values.size, _ADAM_CHUNK):
             hi = min(lo + _ADAM_CHUNK, values.size)
@@ -734,8 +755,12 @@ def gradient_check(
     """Compare analytic grads against central finite differences.
 
     ``loss_fn`` must be deterministic (fix any noise inputs outside). Returns
-    the max of |a - n| / max(|a|, |n|, 1e-8) over every coordinate.
+    the max of |a - n| / max(|a|, |n|, 1e-8) over every coordinate. The
+    store must be float64: in float32 a step of ``epsilon`` is lost to
+    rounding, and the check would measure that, not the gradients.
     """
+    if store.dtype != np.float64:
+        raise ValueError(f"gradient_check needs a float64 parameter store, got {store.dtype}")
     with Tape() as tape:
         loss = loss_fn()
     tape.backward(loss, store)

@@ -1,10 +1,12 @@
-"""Model checkpoints: a JSON manifest plus a flat little-endian float64 blob.
+"""Model checkpoints: a JSON manifest plus a flat little-endian blob, the
+model's parameter arena in its dtype (float32 for a trained model).
 
-The manifest records the model kind, full config, catalog size, the epoch
-and validation score the parameters came from, the item vocabulary (so a
-checkpoint can serve recommendations on its own), and a per-tensor
-name/shape/offset index into the blob. Files are written to a temp path and
-renamed, so an interrupted save leaves no partial checkpoint behind.
+The manifest records the model kind, full config, catalog size, the arena's
+``dtype``, the epoch and validation score the parameters came from, the item
+vocabulary (so a checkpoint can serve recommendations on its own), and a
+per-tensor name/shape/offset index into the blob. Files are written to a
+temp path and renamed, so an interrupted save leaves no partial checkpoint
+behind.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 
 import numpy as np
 
+from vaerec.autodiff import DTYPES
 from vaerec.data import write_json
 from vaerec.models import MODEL_KINDS, build_model
 from vaerec.models.config import ModelConfig
@@ -52,6 +55,7 @@ def save_checkpoint(
         "config": model.config.to_dict(),
         "n_items": model.n_items,
         "n_users": getattr(model, "n_users", 0),
+        "dtype": model.store.dtype.name,
         "epoch": epoch,
         "validation_score": validation_score,
         "vocabulary": vocab_raw_ids,
@@ -61,7 +65,7 @@ def save_checkpoint(
     # the arena is the blob (no copy on a little-endian machine); it goes
     # first: a manifest is the commit point, so a crash in between leaves at
     # most an orphaned blob, never a loadable half-checkpoint
-    blob = np.ascontiguousarray(model.store.values, dtype="<f8")
+    blob = np.ascontiguousarray(model.store.values, dtype=model.store.dtype.newbyteorder("<"))
     _atomic_write_bytes(base + PARAMS_SUFFIX, memoryview(blob))
     write_json(base + MANIFEST_SUFFIX, manifest)
 
@@ -82,6 +86,7 @@ def _check_manifest(manifest) -> None:
         ("model", lambda v: v in MODEL_KINDS, f"one of {MODEL_KINDS}"),
         ("n_items", lambda v: _is_int(v) and v >= 1, "a positive integer"),
         ("n_users", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+        ("dtype", lambda v: v in DTYPES, f"one of {DTYPES}"),
         ("config", lambda v: isinstance(v, dict), "an object"),
         ("tensors", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
          "a list of objects"),
@@ -121,10 +126,11 @@ def _check_tensors(entries, layout) -> None:
             )
 
 
-def _check_blob_size(n_bytes: int, layout) -> None:
-    """The blob must hold exactly the laid-out float64 values."""
+def _check_blob_size(n_bytes: int, layout, itemsize: int) -> None:
+    """The blob must hold exactly the laid-out values, ``itemsize`` bytes
+    each."""
     for name, shape, offset in layout:
-        end = 8 * (offset + math.prod(shape))
+        end = itemsize * (offset + math.prod(shape))
         if end > n_bytes:
             raise ValueError(
                 f"checkpoint blob is truncated: {n_bytes} bytes, "
@@ -144,9 +150,11 @@ def load_checkpoint(base_path: str | os.PathLike):
     it touches, and writes to the arena (a training step on a loaded model)
     go to private pages, never to the file. The manifest's tensor list must
     match that layout exactly and the blob must be exactly as long as the
-    layout; otherwise ``ValueError`` names the offending tensor. A manifest
-    field missing or of the wrong type is a ``ValueError`` naming the
-    field."""
+    layout at the manifest's ``dtype``; otherwise ``ValueError`` names the
+    offending tensor and byte count. A manifest field missing or of the
+    wrong type, ``dtype`` included, is a ``ValueError`` naming the field, so
+    a checkpoint saved before the manifest recorded a dtype must be
+    retrained."""
     base = str(base_path)
     with open(base + MANIFEST_SUFFIX, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -154,20 +162,22 @@ def load_checkpoint(base_path: str | os.PathLike):
         raise ValueError(f"not a checkpoint manifest: {base + MANIFEST_SUFFIX}")
     _check_manifest(manifest)
     config = ModelConfig.from_mapping(manifest["config"])
+    blob_dtype = np.dtype(manifest["dtype"]).newbyteorder("<")
     model = build_model(
         manifest["model"], manifest["n_items"], config, n_users=manifest["n_users"],
-        init=False,
+        init=False, dtype=manifest["dtype"],
     )
     layout = model.store.layout()
     _check_tensors(manifest["tensors"], layout)
     with open(base + PARAMS_SUFFIX, "rb") as fh:
-        _check_blob_size(os.fstat(fh.fileno()).st_size, layout)
+        _check_blob_size(os.fstat(fh.fileno()).st_size, layout, blob_dtype.itemsize)
         try:
-            mapping = mmap.mmap(fh.fileno(), 8 * model.store.n_values(), access=mmap.ACCESS_COPY)
+            mapping = mmap.mmap(fh.fileno(), blob_dtype.itemsize * model.store.n_values(),
+                                access=mmap.ACCESS_COPY)
         except ValueError as err:  # shortened since the size check
             raise ValueError(f"checkpoint blob changed while being read: {fh.name}") from err
-    arena = np.frombuffer(mapping, dtype="<f8")
+    arena = np.frombuffer(mapping, dtype=blob_dtype)
     if sys.byteorder != "little":
-        arena = arena.astype(np.float64)
+        arena = arena.astype(model.store.dtype)
     model.store.lay_out(arena)
     return model, manifest

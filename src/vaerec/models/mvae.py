@@ -30,10 +30,11 @@ from vaerec.models.config import ModelConfig
 class MultinomialVAE:
     kind = "mvae"
 
-    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None,
+                 dtype):
         self.n_items = n_items
         self.config = config
-        self.store = ParameterStore()
+        self.store = ParameterStore(dtype)
         enc_widths = (n_items,) + config.encoder_widths
         self.encoder_stack = DenseStack(self.store, "encoder", enc_widths, rng)
         self.head = GaussianHead(
@@ -45,7 +46,7 @@ class MultinomialVAE:
             self.store, "decoder.out.0", config.decoder_widths[-1], n_items, rng)
 
     def bag_vector(self, items: Sequence[int]) -> np.ndarray:
-        bag = np.zeros(self.n_items)
+        bag = np.zeros(self.n_items, self.store.dtype)
         for i in items:
             if not 0 <= i < self.n_items:
                 raise IndexError(f"item id {i} out of range [0, {self.n_items})")
@@ -53,7 +54,8 @@ class MultinomialVAE:
         return bag
 
     def encode(self, bags: np.ndarray) -> GaussianParams:
-        return self.head(self.encoder_stack(Tensor(np.atleast_2d(bags))))
+        bags = np.atleast_2d(np.asarray(bags, dtype=self.store.dtype))
+        return self.head(self.encoder_stack(Tensor(bags)))
 
     def logits(self, z: Tensor) -> Tensor:
         return ad.linear(self.decoder_stack(z), *self.output)
@@ -77,7 +79,7 @@ class MultinomialVAE:
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
         """[U, N] ``scores`` rows: the bags of ``SCORE_BLOCK`` fold-ins at a
         time are encoded and decoded as one matrix."""
-        out = np.empty((len(fold_ins), self.n_items))
+        out = np.empty((len(fold_ins), self.n_items), self.store.dtype)
         for lo in range(0, len(fold_ins), SCORE_BLOCK):
             bags = np.stack([self.bag_vector(f) for f in fold_ins[lo : lo + SCORE_BLOCK]])
             out[lo : lo + len(bags)] = ad.log_softmax(self.logits(self.encode(bags).mu).data)

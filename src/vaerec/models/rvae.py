@@ -42,11 +42,11 @@ class PairwiseRankingVAE:
     kind = "rvae"
 
     def __init__(self, n_items: int, n_users: int, config: ModelConfig,
-                 rng: np.random.Generator | None):
+                 rng: np.random.Generator | None, dtype):
         self.n_items = n_items
         self.n_users = n_users
         self.config = config
-        self.store = ParameterStore()
+        self.store = ParameterStore(dtype)
         dim = config.rvae_embedding_dim
         # the user rows, one extra for users never seen in training, then the items
         self.embedding = add_embedding(self.store, "embedding", n_users + 1 + n_items, dim, rng)

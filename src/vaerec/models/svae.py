@@ -79,10 +79,11 @@ class StepOutputs:
 class SequentialVAE:
     kind = "svae"
 
-    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, n_items: int, config: ModelConfig, rng: np.random.Generator | None,
+                 dtype):
         self.n_items = n_items
         self.config = config
-        self.store = ParameterStore()
+        self.store = ParameterStore(dtype)
         emb = config.item_embedding_dim
         hid = config.gru_hidden
         # step 1 has no previous item; it consumes row n_items, the start token
@@ -114,7 +115,7 @@ class SequentialVAE:
         check_ids(ids[1:], self.n_items)
         ids[0] = self.n_items
         x = ad.embedding_lookup(self.item_embedding, ids.reshape(-1))
-        h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden)))
+        h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden), self.store.dtype))
         return ad.gru_sequence(x, h0, self.gru)
 
     def _encode_states(self, states: Tensor) -> GaussianParams:
@@ -158,8 +159,9 @@ class SequentialVAE:
             # clamped to 0 and masked out of the log-sum-exp
             back = ahead - (k - 1)
             window = ad.log_softmax_at(out.logits, np.maximum(back, 0), ids[:, None])
-            masked = ad.add(window, Tensor(np.where(back >= 0, 0.0, -np.inf)))
-            sizes = Tensor(np.log((back >= 0).sum(axis=1)))
+            dtype = self.store.dtype
+            masked = ad.add(window, Tensor(np.where(back >= 0, 0.0, -np.inf).astype(dtype)))
+            sizes = Tensor(np.log((back >= 0).sum(axis=1)).astype(dtype))
             recon = ad.sum_all(ad.sub(ad.logsumexp_rows(masked), sizes))
         else:
             raise ValueError(f"unknown likelihood mode {mode!r}")
@@ -179,7 +181,7 @@ class SequentialVAE:
         if 0 in lengths:
             raise ValueError("fold-in must not be empty")
         step_floats = 2 * self.config.item_embedding_dim + 8 * self.config.gru_hidden
-        out = np.empty((len(fold_ins), self.n_items))
+        out = np.empty((len(fold_ins), self.n_items), self.store.dtype)
         for rows in length_blocks(lengths, step_floats):
             out[rows] = self._score_block([fold_ins[r] for r in rows])
         return out

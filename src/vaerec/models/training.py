@@ -128,16 +128,19 @@ def train(
     split: DatasetSplit,
     config: ModelConfig,
     callback: Callable[[EpochStats], None] | None = None,
+    dtype=np.float32,
 ):
     """Train a model of ``kind`` on the split; returns (model, curve).
 
     The returned model carries the parameters of the epoch with the best
     validation NDCG@100 (earliest on ties). With epochs=0 the initial model
-    comes back untouched and the curve is empty.
+    comes back untouched and the curve is empty. ``dtype`` is the model's
+    parameter dtype (see ``build_model``); noise is drawn in float64 either
+    way, so the generator's draws do not depend on it.
     """
     if not split.train:
         raise ValueError("empty training split")
-    model = build_model(kind, split.n_items, config, n_users=len(split.train))
+    model = build_model(kind, split.n_items, config, n_users=len(split.train), dtype=dtype)
     epoch_fn = _EPOCH_FNS[kind]
     ss = np.random.SeedSequence(config.seed)
     rng = np.random.default_rng(ss.spawn(1)[0])

@@ -72,7 +72,7 @@ def test_criterion_1_gradient_fidelity():
     errors = {}
     rng = np.random.default_rng(3)
 
-    mvae = build_model("mvae", 6, toy_config())
+    mvae = build_model("mvae", 6, toy_config(), dtype=np.float64)
     randomize_params(mvae, seed=14)
     bags = rng.integers(0, 2, size=(2, 6)).astype(float)
     bags[:, 0] = 1.0
@@ -81,7 +81,7 @@ def test_criterion_1_gradient_fidelity():
         lambda: mvae.loss(bags, noise, beta=0.8), mvae.store, epsilon=1e-5
     )
 
-    rvae = build_model("rvae", 6, toy_config(), n_users=3)
+    rvae = build_model("rvae", 6, toy_config(), n_users=3, dtype=np.float64)
     randomize_params(rvae, seed=15)
     noise_i = rng.standard_normal((2, 3))
     noise_j = rng.standard_normal((2, 3))
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_fidelity():
     items = [0, 2, 4, 1]
     noise_s = rng.standard_normal((4, 3))
     for mode in ("next-k-multiset", "mixture"):
-        svae = build_model("svae", 6, toy_config())
+        svae = build_model("svae", 6, toy_config(), dtype=np.float64)
         randomize_params(svae, seed=13)
         errors[f"svae/{mode}"] = gradient_check(
             lambda: svae.loss(items, noise_s, beta=0.9, k=2, mode=mode),

@@ -118,7 +118,7 @@ def run_with_grads(forward, store, x, h0, p, probe):
 class TestGRUSequence:
     def make(self, steps, in_dim, hid, seed):
         rng = np.random.default_rng(seed)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = make_gru_params(store, in_dim, hid, rng=rng)
         x = store.add("x", rng.normal(size=(steps, in_dim)))
         h0 = store.add("h0", rng.normal(size=(1, hid)))
@@ -209,7 +209,7 @@ class TestBatchedGRUSequence:
         probe that is zero at every padded step, so a loss of
         sum(out * probe) sees real steps only."""
         rng = np.random.default_rng(seed)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = make_gru_params(store, in_dim, hid, rng=rng)
         steps, rows = max(lengths), len(lengths)
         x = store.add("x", rng.normal(size=(steps, rows, in_dim)).reshape(-1, in_dim))
@@ -321,7 +321,7 @@ class TestLogSoftmaxAt:
         assert len(tape) == 1
 
     def test_gradient_with_repeated_pairs(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         logits = store.add("logits", self.rng.normal(size=(4, 8)))
         rows, cols = [0, 2, 2, 2, 3, 0], [5, 1, 1, 1, 0, 5]
         probe = Tensor(self.rng.normal(size=6))
@@ -329,7 +329,7 @@ class TestLogSoftmaxAt:
                store, tol=1e-6)
 
     def test_gradient_with_broadcast_index_arrays(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         logits = store.add("logits", self.rng.normal(size=(5, 7)))
         rows = np.array([[0], [4], [4]])
         cols = np.array([[6, 1, 1, 0]])
@@ -340,7 +340,7 @@ class TestLogSoftmaxAt:
     def test_gradient_through_a_masked_logsumexp(self):
         # the mixture likelihood's shape: windows over earlier rows, the
         # clamped ones masked to -inf before the log-sum-exp
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         logits = store.add("logits", self.rng.normal(size=(4, 6)))
         back = np.arange(4)[:, None] + np.arange(3) - 2
         ids = np.array([[3], [0], [5], [3]])
@@ -428,7 +428,7 @@ class TestEmbedding:
 
     def test_gradient_mass_conserved(self):
         rng = np.random.default_rng(3)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         table = store.add("emb", rng.normal(size=(6, 4)))
         weights = Tensor(rng.normal(size=(5, 4)))
         ids = [0, 2, 2, 5, 1]
@@ -539,7 +539,7 @@ def backward_with(store, **grads):
 
 class TestAdam:
     def test_first_step_matches_closed_form(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         w = store.add("w", np.array([1.0]))
         backward_with(store, w=[0.5])
         store.adam_step(lr=1e-3)
@@ -660,7 +660,7 @@ class TestParameterArena:
         assert store.grads is vector and w.grad is views["w"]
 
     def test_a_parameter_the_next_backward_misses_reads_zero(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         w = store.add("w", np.array([1.0, -2.0]))
         v = store.add("v", np.array([[3.0], [0.5]]))
         backward_with(store, w=[0.5, 0.25], v=[[2.0], [-1.0]])
@@ -707,7 +707,7 @@ class TestParameterArena:
         assert store.values[1] == 4.0
 
     def test_given_arena_is_used_as_it_is(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         a, b = store.add("a", shape=(2, 2)), store.add("b", shape=(3,))
         arena = np.arange(7.0)
         store.lay_out(arena)
@@ -718,7 +718,7 @@ class TestParameterArena:
     @pytest.mark.parametrize("arena", [np.zeros(6), np.zeros(7, dtype=np.float32),
                                        np.zeros((7, 1))])
     def test_given_arena_must_fit_the_layout(self, arena):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         store.add("a", shape=(2, 2))
         store.add("b", shape=(3,))
         with pytest.raises(ValueError, match=r"expected float64 \(7,\)"):
@@ -747,6 +747,70 @@ class TestParameterArena:
         assert store.n_values() == 2
 
 
+class TestStoreDtype:
+    """A store is float32 unless asked otherwise; a float64 store keeps the
+    float64 arithmetic and is the oracle of the float32 one."""
+
+    def test_default_store_is_float32_throughout(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([1.0, -2.0]))
+        z = store.add("z", shape=(3,))
+        assert w.data.dtype == z.data.dtype == np.float32
+        backward_with(store, w=[0.5, 0.25], z=np.ones(3))
+        store.adam_step(lr=0.1, weight_decay=0.01)
+        for array in (store.values, store.grads, store._moment1, store._moment2,
+                      store.snapshot(), w.grad, z.grad):
+            assert array.dtype == np.float32
+
+    def test_float32_adam_follows_the_float64_oracle(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=40_000)  # more than one Adam chunk
+        stores = [ParameterStore(dtype) for dtype in (np.float64, np.float32)]
+        for store in stores:
+            store.add("w", values)
+        for _ in range(3):
+            g = rng.normal(size=values.size)
+            for store in stores:
+                backward_with(store, w=g)
+                store.adam_step(lr=1e-3, weight_decay=0.01)
+        assert stores[0].values.tobytes() != values.tobytes()
+        np.testing.assert_allclose(stores[1].values, stores[0].values, rtol=0, atol=1e-6)
+
+    def test_gradient_check_needs_a_float64_store(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([1.5, -2.0]))
+        with pytest.raises(ValueError, match="float64 parameter store, got float32"):
+            gradient_check(lambda: ad.sum_all(ad.mul(w, w)), store)
+
+    def test_unsupported_dtype_rejected(self):
+        with pytest.raises(ValueError, match="float16"):
+            ParameterStore(np.float16)
+
+    def test_given_arena_must_have_the_store_dtype(self):
+        store = ParameterStore()
+        store.add("a", shape=(2, 2))
+        with pytest.raises(ValueError, match=r"expected float32 \(4,\)"):
+            store.lay_out(np.zeros(4))
+        arena = np.zeros(4, dtype=np.float32)
+        store.lay_out(arena)
+        assert store.values is arena
+
+    def test_primitives_keep_float32(self):
+        rng = np.random.default_rng(1)
+        store = ParameterStore()
+        p = make_gru_params(store, 3, 4, rng=rng)
+        table = Tensor(rng.normal(size=(5, 3)).astype(np.float32), requires_grad=True)
+        h0 = Tensor(np.zeros((2, 4), np.float32), requires_grad=True)
+        with Tape() as tape:
+            x = ad.embedding_lookup(table, [0, 3, 3, 1])
+            states = gru_sequence(x, h0, p)
+            loss = ad.sum_all(ad.log_softmax_at(states, [0, 1, 3], [2, 0, 1]))
+        tape.backward(loss, store)
+        assert Tensor([1, 2]).data.dtype == np.float64
+        for array in (x.data, states.data, loss.data, table.grad, h0.grad, x.grad, store.grads):
+            assert array.dtype == np.float32
+
+
 class TestTapeStack:
     def test_exit_out_of_order_rejected(self):
         outer, inner = Tape(), Tape()
@@ -763,7 +827,7 @@ class TestTapeStack:
 
 class TestGradientCheck:
     def test_quadratic(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         w = store.add("w", np.array([1.5, -2.0]))
 
         def loss_fn():
@@ -772,7 +836,7 @@ class TestGradientCheck:
         assert gradient_check(loss_fn, store) < 1e-7
 
     def test_zero_parameter_model(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         x = Tensor([[1.0, 2.0]])
 
         def loss_fn():
@@ -791,7 +855,7 @@ class TestPrimitiveGradients:
     rng = np.random.default_rng(42)
 
     def test_linear_chain(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         w = store.add("w", self.rng.normal(size=(5, 7)))
         b = store.add("b", self.rng.normal(size=7))
         x = Tensor(self.rng.normal(size=(3, 5)))
@@ -799,7 +863,7 @@ class TestPrimitiveGradients:
         _check(lambda: ad.sum_all(ad.mul(ad.tanh(linear(x, w, b)), probe)), store)
 
     def test_elementwise_ops(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         a = store.add("a", self.rng.normal(size=(4, 4)))
         b = store.add("b", self.rng.normal(size=(4, 4)))
         probe = Tensor(self.rng.normal(size=(4, 4)))
@@ -812,14 +876,14 @@ class TestPrimitiveGradients:
         _check(loss_fn, store)
 
     def test_sigmoid_softplus(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         a = store.add("a", self.rng.normal(size=(6,)))
         probe = Tensor(self.rng.normal(size=(6,)))
         _check(lambda: ad.sum_all(ad.mul(ad.sigmoid(a), probe)), store)
         _check(lambda: ad.sum_all(ad.mul(ad.softplus(a), probe)), store)
 
     def test_logsumexp(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         v = store.add("v", self.rng.normal(size=(3, 7)))
         # row 1 keeps three finite entries; its -inf ones take no part
         mask = np.zeros((3, 7))
@@ -837,14 +901,14 @@ class TestPrimitiveGradients:
         assert np.all(v.grad[1, [0, 2, 3, 6]] == 0.0)
 
     def test_embedding_lookup(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         table = store.add("emb", self.rng.normal(size=(8, 3)))
         probe = Tensor(self.rng.normal(size=(4, 3)))
         ids = [1, 3, 3, 0]
         _check(lambda: ad.sum_all(ad.mul(ad.embedding_lookup(table, ids), probe)), store)
 
     def test_embedding_lookup_of_id_pairs(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         table = store.add("emb", self.rng.normal(size=(8, 3)))
         probe = Tensor(self.rng.normal(size=(4, 6)))
         ids = [[1, 5], [3, 3], [3, 0], [7, 1]]
@@ -852,7 +916,7 @@ class TestPrimitiveGradients:
 
     def test_gru_cell(self):
         rng = np.random.default_rng(7)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = make_gru_params(store, 3, 4, rng=rng)
         x = Tensor(rng.normal(size=(2, 3)))
         h = Tensor(rng.normal(size=(2, 4)))
@@ -861,7 +925,7 @@ class TestPrimitiveGradients:
 
     def test_gru_two_steps_through_state(self):
         rng = np.random.default_rng(11)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = make_gru_params(store, 2, 3, rng=rng)
         x1 = Tensor(rng.normal(size=(1, 2)))
         x2 = Tensor(rng.normal(size=(1, 2)))
@@ -999,7 +1063,7 @@ class TestOneRecordOps:
     @pytest.mark.parametrize("tanh", [False, True])
     def test_linear_gradient_check(self, tanh):
         rng = np.random.default_rng(5)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         x = store.add("x", rng.normal(size=(3, 4)))
         w = store.add("w", rng.normal(size=(4, 5)))
         b = store.add("b", rng.normal(size=5))
@@ -1009,7 +1073,7 @@ class TestOneRecordOps:
 
     def test_reparameterize_gradient_check(self):
         rng = np.random.default_rng(6)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         mu = store.add("mu", rng.normal(size=(3, 4)))
         log_sigma = store.add("log_sigma", rng.normal(size=(3, 4)))
         noise = rng.normal(size=(3, 4))
@@ -1020,7 +1084,7 @@ class TestOneRecordOps:
 
     def test_kl_gradient_check(self):
         rng = np.random.default_rng(7)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         mu = store.add("mu", rng.normal(size=(3, 4)))
         log_sigma = store.add("log_sigma", rng.normal(size=(3, 4)))
         err = gradient_check(lambda: ad.scale(ad.kl_standard_normal(mu, log_sigma), 1.3), store)

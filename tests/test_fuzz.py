@@ -6,6 +6,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,18 +46,23 @@ def _checkpoint_files(kind: str) -> dict[str, bytes]:
 CHECKPOINTS = {kind: _checkpoint_files(kind) for kind in MODEL_KINDS}
 
 
-def load_or_reject(files: dict[str, bytes]) -> None:
-    """Write ``files`` as a checkpoint and load it; a rejection is fine,
-    any other exception fails the test."""
+def load_files(files: dict[str, bytes]):
+    """Write ``files`` as a checkpoint and load it; returns the model."""
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "model")
         for suffix, blob in files.items():
             with open(base + suffix, "wb") as fh:
                 fh.write(blob)
-        try:
-            load_checkpoint(base)
-        except REJECTIONS:
-            pass
+        return load_checkpoint(base)[0]
+
+
+def load_or_reject(files: dict[str, bytes]) -> None:
+    """Load ``files`` as a checkpoint; a rejection is fine, any other
+    exception fails the test."""
+    try:
+        load_files(files)
+    except REJECTIONS:
+        pass
 
 
 json_values = st.recursive(
@@ -107,6 +114,54 @@ class TestCheckpointFuzz:
         files = dict(CHECKPOINTS[kind])
         files[MANIFEST_SUFFIX] = json.dumps(manifest).encode()
         load_or_reject(files)
+
+
+def with_manifest(kind: str, **fields) -> dict[str, bytes]:
+    """``kind``'s checkpoint files with manifest ``fields`` set, or removed
+    where the value is None."""
+    manifest = json.loads(CHECKPOINTS[kind][MANIFEST_SUFFIX])
+    for field, value in fields.items():
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+    return {**CHECKPOINTS[kind], MANIFEST_SUFFIX: json.dumps(manifest).encode()}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+class TestCheckpointDtype:
+    """The manifest's "dtype" names the blob's element type; a checkpoint
+    without one, with another, or whose blob does not hold that many bytes
+    fails naming the field or the byte count."""
+
+    def test_a_float32_arena_maps_back_byte_for_byte(self, kind):
+        model = build_model(kind, 5, TOY, n_users=2)
+        files = CHECKPOINTS[kind]
+        assert json.loads(files[MANIFEST_SUFFIX])["dtype"] == "float32"
+        assert files[PARAMS_SUFFIX] == model.store.values.astype("<f4").tobytes()
+        assert len(files[PARAMS_SUFFIX]) == 4 * model.store.n_values()
+        loaded = load_files(files)
+        assert loaded.store.values.dtype == np.float32
+        assert loaded.store.values.tobytes() == model.store.values.tobytes()
+
+    @pytest.mark.parametrize("dtype", [None, "float16", 64, ["float32"]])
+    def test_missing_or_unknown_dtype_rejected(self, kind, dtype):
+        with pytest.raises(ValueError, match="field 'dtype'"):
+            load_files(with_manifest(kind, dtype=dtype))
+
+    def test_float64_manifest_over_a_float32_blob_rejected(self, kind):
+        n_bytes = len(CHECKPOINTS[kind][PARAMS_SUFFIX])
+        with pytest.raises(ValueError, match=f"truncated: {n_bytes} bytes, tensor .* ends "
+                                             f"at byte"):
+            load_files(with_manifest(kind, dtype="float64"))
+
+    def test_truncated_float32_blob_rejected(self, kind):
+        files = dict(CHECKPOINTS[kind])
+        n_bytes = len(files[PARAMS_SUFFIX])
+        files[PARAMS_SUFFIX] = files[PARAMS_SUFFIX][:-2]
+        with pytest.raises(ValueError, match=f"truncated: {n_bytes - 2} bytes.* ends at byte "
+                                             f"{n_bytes}"):
+            load_files(files)
 
 
 CONFIGS = (ModelConfig, PipelineConfig)

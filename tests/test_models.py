@@ -202,7 +202,7 @@ class TestMVAE:
 
     def test_gradients(self):
         cfg = toy_config()
-        model = build_model("mvae", 5, cfg)
+        model = build_model("mvae", 5, cfg, dtype=np.float64)
         randomize_params(model, seed=14)
         rng = np.random.default_rng(0)
         bags = rng.integers(0, 2, size=(2, 5)).astype(float)
@@ -257,7 +257,7 @@ class TestRVAE:
 
     def test_gradients(self):
         cfg = toy_config()
-        model = build_model("rvae", 6, cfg, n_users=3)
+        model = build_model("rvae", 6, cfg, n_users=3, dtype=np.float64)
         randomize_params(model, seed=15)
         rng = np.random.default_rng(1)
         noise_i = rng.standard_normal((2, cfg.latent_dim))
@@ -430,7 +430,7 @@ class TestSVAELoss:
     @pytest.mark.parametrize("repeats", [False, True])
     def test_loss_matches_the_per_step_reference(self, mode, k, steps, repeats):
         cfg = toy_config()
-        model = build_model("svae", 64, cfg)
+        model = build_model("svae", 64, cfg, dtype=np.float64)
         randomize_params(model, seed=17)
         rng = np.random.default_rng(steps * 10 + k)
         items = (rng.integers(0, 4, steps) if repeats else rng.permutation(64)[:steps]).tolist()
@@ -444,7 +444,7 @@ class TestSVAELoss:
     @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
     def test_gradients(self, mode):
         cfg = toy_config()
-        model = build_model("svae", 6, cfg)
+        model = build_model("svae", 6, cfg, dtype=np.float64)
         randomize_params(model, seed=13)
         rng = np.random.default_rng(3)
         items = [0, 2, 4, 1]
@@ -521,7 +521,7 @@ class TestRankItems:
 class TestBatchedScoring:
     """``score_batch`` against one ``scores`` call per fold-in. A multi-row
     matmul may round differently from a one-row one, so rows agree to 1e-12
-    and rankings exactly."""
+    in float64 (1e-5 in float32) and rankings exactly."""
 
     SPLITS = {
         "cycle": lambda: cycle_split(n_items=16, n_train=4, n_val=35, n_test=35, length=12,
@@ -544,20 +544,21 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("kind", ["mvae", "svae"])
     def test_rows_match_one_fold_in_at_a_time(self, kind, split_name):
         split = self.SPLITS[split_name]()
-        model = build_model(kind, split.n_items, toy_config())
-        randomize_params(model, seed=5, scale=1.0)
         fold_ins = self.fold_ins(split)
-        batch = model.score_batch(fold_ins)
-        assert batch.shape == (len(fold_ins), split.n_items)
-        rankings = set()
-        for row, fold_in in zip(batch, fold_ins):
-            want = model.scores(fold_in)
-            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
-            exclude = set(fold_in)
-            ranked = rank_items(row, exclude)
-            np.testing.assert_array_equal(ranked, rank_items(want, exclude))
-            rankings.add(tuple(rank_items(row, set())))
-        assert len(rankings) > 1
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            model = build_model(kind, split.n_items, toy_config(), dtype=dtype)
+            randomize_params(model, seed=5, scale=1.0)
+            batch = model.score_batch(fold_ins)
+            assert batch.shape == (len(fold_ins), split.n_items)
+            rankings = set()
+            for row, fold_in in zip(batch, fold_ins):
+                want = model.scores(fold_in)
+                np.testing.assert_allclose(row, want, rtol=0, atol=atol)
+                exclude = set(fold_in)
+                ranked = rank_items(row, exclude)
+                np.testing.assert_array_equal(ranked, rank_items(want, exclude))
+                rankings.add(tuple(rank_items(row, set())))
+            assert len(rankings) > 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 400), max_size=150), st.integers(1, 40),
@@ -601,7 +602,7 @@ class TestBatchedScoring:
 
     def test_one_fold_in_is_the_scores_row(self):
         split = self.SPLITS["cycle"]()
-        model = build_model("svae", split.n_items, toy_config())
+        model = build_model("svae", split.n_items, toy_config(), dtype=np.float64)
         randomize_params(model, seed=5, scale=1.0)
         fold_in = split.test[0].fold_in
         # the oracle: chained gru_cell steps over the start token (row
@@ -619,7 +620,7 @@ class TestBatchedScoring:
         """Row b of a ragged block, up to its last real step, is what the
         recurrence gives for sequence b alone; one sequence is empty."""
         consumed = consumed[: at] + [[]] + consumed[at:]
-        model = build_model("svae", 12, toy_config())
+        model = build_model("svae", 12, toy_config(), dtype=np.float64)
         randomize_params(model, seed=5, scale=1.0)
         rows = len(consumed)
         states = model._states(consumed).data
@@ -736,7 +737,8 @@ class TestOneUserPerStepTraining:
     @pytest.mark.parametrize("mode", sorted(PINNED))
     def test_two_epochs_match_the_pinned_run(self, mode):
         split = cycle_split(n_items=12, n_train=20, n_val=6, n_test=6, length=9, seed=3)
-        model, curve = train("svae", split, toy_config(epochs=2, likelihood_mode=mode))
+        model, curve = train("svae", split, toy_config(epochs=2, likelihood_mode=mode),
+                             dtype=np.float64)
         digest, losses, ndcgs = self.PINNED[mode]
         np.testing.assert_allclose([s.train_loss for s in curve], losses, rtol=1e-9)
         if self.float_kernel_probe() != self.PINNED_PROBE:
@@ -746,6 +748,80 @@ class TestOneUserPerStepTraining:
         assert [s.val_ndcg100 for s in curve] == ndcgs
         blob = np.ascontiguousarray(model.store.values, dtype="<f8").tobytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestFloat32Arena:
+    """Models train and serve in float32 by default: no float64 array
+    reaches a tape, a gradient or Adam's moments, although noise is drawn in
+    float64 and callers may pass float64 bags."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        """Every Tensor the test makes, so that inputs off the tape count."""
+        tensors = []
+        init = Tensor.__init__
+
+        def recording(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            tensors.append(tensor)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        return tensors
+
+    def step(self, model, loss_fn, *args) -> dict:
+        """One training step; every array it leaves behind, by name."""
+        with Tape() as tape:
+            loss = loss_fn(*args)
+        tape.backward(loss, model.store)
+        model.store.adam_step(1e-3, weight_decay=0.01)
+        store = model.store
+        arrays = {"values": store.values, "grads": store.grads,
+                  "moment1": store._moment1, "moment2": store._moment2}
+        for i, (out, _) in enumerate(tape._records):
+            arrays[f"record {i} output"] = out.data
+            arrays[f"record {i} grad"] = out.grad
+        for name, p in store.items():
+            arrays[f"{name}.grad"] = p.grad
+        return arrays
+
+    def one_step(self, kind, mode):
+        cfg = toy_config(likelihood_mode=mode)
+        model = build_model(kind, 8, cfg, n_users=3)
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal((3, cfg.latent_dim))
+        if kind == "mvae":
+            bags = np.stack([model.bag_vector(f) for f in ([0, 2], [1, 5, 7], [3])])
+            return model, self.step(model, model.loss, bags, noise, 0.5)
+        if kind == "rvae":
+            other = rng.standard_normal((3, cfg.latent_dim))
+            return model, self.step(model, model.pair_loss, [0, 1, 2], [1, 2, 3], [4, 5, 6],
+                                    noise, other, 0.5)
+        return model, self.step(model, model.loss, [0, 2, 4], noise, 0.5)
+
+    @pytest.mark.parametrize("kind, mode", [("mvae", "next-k-multiset"),
+                                            ("rvae", "next-k-multiset"),
+                                            ("svae", "next-k-multiset"), ("svae", "mixture")])
+    def test_no_float64_on_a_training_step(self, kind, mode, created):
+        model, arrays = self.one_step(kind, mode)
+        assert any(name.startswith("record") for name in arrays)
+        arrays.update({f"tensor {i}": t.data for i, t in enumerate(created)})
+        wrong = {name: a.dtype for name, a in arrays.items()
+                 if a is not None and a.dtype != np.float32}
+        assert not wrong
+        assert model.store.grads is not None and model.store._moment2 is not None
+
+    @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
+    def test_scores_are_float32(self, kind):
+        model = build_model(kind, 8, toy_config(), n_users=3)
+        assert model.scores([1, 4]).dtype == np.float32
+        assert model.score_batch([[1, 4], [0], [2, 3, 7]]).dtype == np.float32
+
+    def test_float64_bags_are_cast_to_the_store_dtype(self):
+        model = build_model("mvae", 8, toy_config())
+        bags = np.stack([model.bag_vector(f) for f in ([0, 2], [1, 5, 7])])
+        as64 = bags.astype(np.float64)
+        assert model.encode(as64).mu.data.dtype == np.float32
+        np.testing.assert_array_equal(model.encode(as64).mu.data, model.encode(bags).mu.data)
 
 
 def reference_svae_epoch(model, train, rng, beta, config):
@@ -892,10 +968,12 @@ class TestTraining:
     def test_trajectory_bit_identical(self, kind):
         split = self.small_split()
         cfg = toy_config(epochs=2, batch_size=8)
-        _, curve_a = train(kind, split, cfg)
-        _, curve_b = train(kind, split, cfg)
+        model_a, curve_a = train(kind, split, cfg)
+        model_b, curve_b = train(kind, split, cfg)
         assert [s.train_loss for s in curve_a] == [s.train_loss for s in curve_b]
         assert [s.val_ndcg100 for s in curve_a] == [s.val_ndcg100 for s in curve_b]
+        assert model_a.store.values.dtype == np.float32
+        assert model_a.store.values.tobytes() == model_b.store.values.tobytes()
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_curve_validation_equals_full_ranking_of_the_selected_model(self, kind):
@@ -1005,8 +1083,9 @@ class TestTraining:
 
 class TestSeededInitialisation:
     # sha256 of the parameters in store order as little-endian float64, for
-    # build_model(kind, 6, toy_config(), n_users=3); they pin the draws that
-    # every same-seed training run and checkpoint start from
+    # build_model(kind, 6, toy_config(), n_users=3, dtype=np.float64); they
+    # pin the draws that every same-seed training run and checkpoint start
+    # from (a float32 model starts from these values rounded)
     PINNED = {
         "mvae": "6be9f155cc3922d9830de5f6f0606c9b3e138388b1184b3f7fe7090fc082c47d",
         "rvae": "3d32a12bad74f6d2614644e1f9949fff516f416b99f225c0687c87c443567d23",
@@ -1015,7 +1094,7 @@ class TestSeededInitialisation:
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_parameters_match_pinned_digest(self, kind):
-        model = build_model(kind, 6, toy_config(), n_users=3)
+        model = build_model(kind, 6, toy_config(), n_users=3, dtype=np.float64)
         h = hashlib.sha256()
         for _, p in model.store.items():
             h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
@@ -1178,9 +1257,9 @@ class TestCheckpoint:
         # the parameters once; no random init, gradients or Adam moments
         assert peak < 1.5 * blob_bytes
 
-    def saved_random(self, tmp_path, kind, n_items=40):
+    def saved_random(self, tmp_path, kind, n_items=40, dtype=np.float32):
         """A saved model at a generic parameter point, and its blob path."""
-        model = build_model(kind, n_items, toy_config(), n_users=3)
+        model = build_model(kind, n_items, toy_config(), n_users=3, dtype=dtype)
         randomize_params(model, seed=3, scale=1.0)
         base = tmp_path / "model"
         save_model(base, model)
@@ -1188,16 +1267,20 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_mapped_load_matches_a_read_into_load(self, tmp_path, kind):
-        model, base, blob = self.saved_random(tmp_path, kind)
-        oracle = build_model(kind, model.n_items, toy_config(), n_users=3, init=False)
-        oracle.store.values[...] = np.fromfile(blob, dtype="<f8")
-        loaded, _ = load_checkpoint(base)
-        values = loaded.store.values
-        assert type(values) is np.ndarray and isinstance(values.base.obj, mmap.mmap)
-        assert values.tobytes() == oracle.store.values.tobytes()
-        rng = np.random.default_rng(4)
-        fold_ins = [list(rng.choice(40, size=int(rng.integers(2, 9)))) for _ in range(7)]
-        assert loaded.score_batch(fold_ins).tobytes() == oracle.score_batch(fold_ins).tobytes()
+        for dtype in (np.float32, np.float64):
+            model, base, blob = self.saved_random(tmp_path, kind, dtype=dtype)
+            oracle = build_model(kind, model.n_items, toy_config(), n_users=3, init=False,
+                                 dtype=dtype)
+            oracle.store.values[...] = np.fromfile(blob, dtype=np.dtype(dtype).newbyteorder("<"))
+            loaded, _ = load_checkpoint(base)
+            values = loaded.store.values
+            assert values.dtype == dtype
+            assert type(values) is np.ndarray and isinstance(values.base.obj, mmap.mmap)
+            assert values.tobytes() == oracle.store.values.tobytes()
+            rng = np.random.default_rng(4)
+            fold_ins = [list(rng.choice(40, size=int(rng.integers(2, 9)))) for _ in range(7)]
+            assert (loaded.score_batch(fold_ins).tobytes()
+                    == oracle.score_batch(fold_ins).tobytes())
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_a_loaded_model_that_only_scores_allocates_no_gradients(self, tmp_path, kind):
@@ -1250,9 +1333,9 @@ class TestCheckpoint:
         _, base, blob = self.saved_random(tmp_path, "svae")
         check_size = checkpoint_module._check_blob_size
 
-        def check_then_truncate(n_bytes, layout):
-            check_size(n_bytes, layout)
-            os.truncate(blob, n_bytes - 8)
+        def check_then_truncate(n_bytes, layout, itemsize):
+            check_size(n_bytes, layout, itemsize)
+            os.truncate(blob, n_bytes - itemsize)
 
         monkeypatch.setattr(checkpoint_module, "_check_blob_size", check_then_truncate)
         with pytest.raises(ValueError, match="changed while being read"):
