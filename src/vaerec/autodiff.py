@@ -80,6 +80,8 @@ class Tape:
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        # (output, table, ids) of each recorded embedding lookup
+        self._lookups: list[tuple[Tensor, Tensor, np.ndarray]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -101,7 +103,8 @@ class Tape:
 
         ``loss`` must be scalar. The gradient vector of ``params`` is zeroed
         in one call before the replay, so parameters the loss does not reach
-        read zero.
+        read zero. The rows of ``params``' tables that the replayed lookups
+        read are handed to it after the replay, for ``adam_step``.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -113,6 +116,9 @@ class Tape:
             for out, rule in reversed(self._records):
                 if out.grad is not None:
                     rule(out.grad)
+        # a lookup's rule ran when its output got a gradient
+        params._read_rows([(table, ids) for out, table, ids in self._lookups
+                           if out.grad is not None])
 
 
 def _trace(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -361,7 +367,8 @@ def logsumexp_rows(t: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows of ``table``: [B] ids give the [B, d] rows, and [B, k]
     ids the [B, k * d] rows with each id's k rows side by side. Backward
-    scatters gradients additively."""
+    scatters gradients additively; the tape keeps the ids, so that its
+    backward can tell the store which table rows the replay reached."""
     idx = np.asarray(ids, dtype=np.int64)
     n = table.shape[0]
     bad = idx[(idx < 0) | (idx >= n)]
@@ -386,7 +393,10 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
             cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
             np.add.at(grad.reshape(-1), cells, g.reshape(-1))
 
-    return _trace(out, (table,), backward)
+    _trace(out, (table,), backward)
+    if out.requires_grad:
+        _active_tape()._lookups.append((out, table, idx))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +500,9 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
     reverse loop carries only the [B, H] state gradient and fills a
     [T, B, 3H] array of gate pre-activation gradients, from which the
     weight, bias, input and ``h0`` gradients come in a few matmuls.
+
+    Every buffer and gradient takes the dtype that the inputs and weights
+    compute in; an ``h0`` of another dtype is a ``TypeError``.
     """
     d, hid = p.w_reset.shape
     x = x_rows.data
@@ -507,6 +520,9 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
     # input part of every gate pre-activation, [T, B, 3H]
     pre = (x @ w + b).reshape(n_steps, n_rows, 3 * hid)
     dtype = pre.dtype  # every buffer, forward and backward, follows the data
+    if h0.data.dtype != dtype:
+        raise TypeError(f"gru_sequence h0 is {h0.data.dtype}, but its inputs and weights "
+                        f"compute in {dtype}")
     gates = np.empty((n_steps, n_rows, 2 * hid), dtype)  # r | u per step
     cand = np.empty((n_steps, n_rows, hid), dtype)
     reset_h = np.empty((n_steps, n_rows, hid), dtype)  # r * h_prev, the input of U_c
@@ -573,11 +589,32 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
 
 
 # Adam updates the arena in slices of this many values, so its temporaries
-# stay small (two 128 KiB buffers in float32) whatever the model size.
+# stay small (two 128 KiB buffers in float32) whatever the model size; an
+# embedding table's rows are gathered in blocks of at most as many values.
 _ADAM_CHUNK = 1 << 15
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # the dtypes a ParameterStore takes, by name
 DTYPES = ("float32", "float64")
+
+
+def _adam_update(x, g, m, v, a, b, lr, weight_decay, bc1, bc2) -> None:
+    """Adam on the values ``x`` in place, from their gradient ``g`` (weight
+    decay is added to it in place) and moments ``m`` and ``v``; ``a`` and
+    ``b`` are temporaries of the same shape."""
+    if weight_decay != 0.0:
+        g += np.multiply(weight_decay, x, out=a)
+    m *= _BETA1
+    m += np.multiply(1.0 - _BETA1, g, out=a)
+    v *= _BETA2
+    np.multiply(1.0 - _BETA2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(m, bc1, out=a)
+    np.multiply(lr, a, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += _EPS
+    x -= np.divide(a, b, out=a)
 
 
 class ParameterStore:
@@ -594,6 +631,10 @@ class ParameterStore:
     added. Names are unique; the step counter is shared across all
     parameters and increases by one per ``adam_step``.
 
+    A parameter added with ``table=True`` is an embedding table, which Adam
+    updates row by row: only the rows that the last backward's lookups read
+    take a step (see ``adam_step``).
+
     Models train and serve in float32, the default. A float64 store keeps
     the arithmetic of the float64 core exactly; ``gradient_check`` needs one.
     """
@@ -604,17 +645,24 @@ class ParameterStore:
             raise ValueError(f"parameter dtype must be one of {DTYPES}, got {self.dtype}")
         self._params: dict[str, Tensor] = {}
         self._unset: set[str] = set()  # added by shape only; they start at zero
+        # each table's name and the sorted rows the last backward read
+        self._tables: dict[str, np.ndarray] = {}
         self._values: np.ndarray | None = None  # the arena, once laid out
         self.grads: np.ndarray | None = None
         self._moment1: np.ndarray | None = None
         self._moment2: np.ndarray | None = None
+        self._dense: list[tuple[int, int]] = []  # Adam's slices outside the tables
+        # each table's [rows, dim] views of the two moments
+        self._table_moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step_count = 0
 
-    def add(self, name: str, values=None, shape: tuple[int, ...] | None = None) -> Tensor:
+    def add(self, name: str, values=None, shape: tuple[int, ...] | None = None,
+            table: bool = False) -> Tensor:
         """Add a parameter holding ``values``, or, given only ``shape``, one
         that starts at zero without allocating anything of its own. The
         latter reads as zero but is written only after ``lay_out``. Values
-        are cast to the store's dtype."""
+        are cast to the store's dtype. ``table`` marks a [rows, dim] embedding
+        table."""
         if self._values is not None:
             raise ValueError(f"cannot add parameter {name}: the arena is already laid out")
         if name in self._params:
@@ -623,6 +671,10 @@ class ParameterStore:
             values = np.broadcast_to(self.dtype.type(0.0), shape)
             self._unset.add(name)
         t = Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
+        if table:
+            if t.data.ndim != 2:
+                raise ValueError(f"table {name} must be [rows, dim], got shape {t.shape}")
+            self._tables[name] = np.empty(0, np.int64)
         self._params[name] = t
         return t
 
@@ -631,6 +683,11 @@ class ParameterStore:
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
+
+    @property
+    def tables(self) -> tuple[str, ...]:
+        """Names of the embedding tables, in the order they were added."""
+        return tuple(self._tables)
 
     def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
         """``(name, shape, offset)`` of each parameter within ``values``."""
@@ -670,12 +727,17 @@ class ParameterStore:
         if self._values is not None:
             return
         values = np.zeros(self.n_values(), self.dtype) if arena is None else arena
+        lo = 0  # start of the dense run being built
         for name, shape, offset in self.layout():
             p = self._params[name]
             view = values[offset : offset + p.data.size].reshape(shape)
             if name not in self._unset:
                 view[...] = p.data
             p.data = view
+            if name in self._tables:
+                self._dense.extend(_slices(lo, offset))
+                lo = offset + p.data.size
+        self._dense.extend(_slices(lo, values.size))
         self._values = values
 
     def _zero_grads(self) -> None:
@@ -689,15 +751,32 @@ class ParameterStore:
             p = self._params[name]
             p.grad = self.grads[offset : offset + p.data.size].reshape(shape)
 
+    def _read_rows(self, lookups: Sequence[tuple[Tensor, np.ndarray]]) -> None:
+        """Keep, for each table, the sorted distinct rows of the (table, ids)
+        pairs in ``lookups``, the lookups one backward pass reached."""
+        for name in self._tables:
+            table = self._params[name]
+            mask = np.zeros(table.shape[0], bool)
+            for t, ids in lookups:
+                if t is table:
+                    mask[ids] = True
+            self._tables[name] = np.flatnonzero(mask)
+
     def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
         """One Adam update with bias correction, at the usual beta1 = 0.9,
         beta2 = 0.999 and eps = 1e-8.
 
         It reads ``grads`` as the last backward left it. Weight decay is
-        added to it in place before the moment updates (plain additive
+        added to the gradient before the moment updates (plain additive
         decay, not the decoupled variant). Each value sees the same
         operations in the same order as a per-tensor update, so the result
         is bit-identical to it.
+
+        Embedding tables are lazy, as TF's LazyAdam and torch's SparseAdam
+        are: a row that the last backward's lookups read takes the full
+        update once, however often it was read, and every other row keeps
+        its value and both moments. The step count, and so the bias
+        correction, is the one shared by every parameter.
         """
         if self.grads is None:
             raise ValueError("adam_step before backward: no gradient vector")
@@ -705,31 +784,31 @@ class ParameterStore:
         if self._moment1 is None:
             self._moment1 = np.zeros_like(values)
             self._moment2 = np.zeros_like(values)
+            for name, shape, offset in self.layout():
+                if name in self._tables:
+                    self._table_moments[name] = tuple(
+                        m[offset : offset + math.prod(shape)].reshape(shape)
+                        for m in (self._moment1, self._moment2))
+        m1, m2 = self._moment1, self._moment2
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - _BETA1**t
-        bc2 = 1.0 - _BETA2**t
+        step = (lr, weight_decay, 1.0 - _BETA1**t, 1.0 - _BETA2**t)
         tmp_a = np.empty(min(_ADAM_CHUNK, values.size), values.dtype)
         tmp_b = np.empty_like(tmp_a)
-        for lo in range(0, values.size, _ADAM_CHUNK):
-            hi = min(lo + _ADAM_CHUNK, values.size)
-            x, g = values[lo:hi], grads[lo:hi]
-            m, v = self._moment1[lo:hi], self._moment2[lo:hi]
-            a, b = tmp_a[: hi - lo], tmp_b[: hi - lo]
-            if weight_decay != 0.0:
-                g += np.multiply(weight_decay, x, out=a)
-            m *= _BETA1
-            m += np.multiply(1.0 - _BETA1, g, out=a)
-            v *= _BETA2
-            np.multiply(1.0 - _BETA2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=a)
-            np.multiply(lr, a, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += _EPS
-            x -= np.divide(a, b, out=a)
+        for lo, hi in self._dense:
+            _adam_update(values[lo:hi], grads[lo:hi], m1[lo:hi], m2[lo:hi],
+                         tmp_a[: hi - lo], tmp_b[: hi - lo], *step)
+        for name, rows in self._tables.items():
+            table = self._params[name]
+            x_rows, g_rows = table.data, table.grad
+            m_rows, v_rows = self._table_moments[name]
+            per_block = max(1, _ADAM_CHUNK // max(table.shape[1], 1))
+            for lo in range(0, rows.size, per_block):
+                block = rows[lo : lo + per_block]
+                # the gathered gradient is a copy, so it serves as a temporary
+                x, g, m, v = x_rows[block], g_rows[block], m_rows[block], v_rows[block]
+                _adam_update(x, g, m, v, np.empty_like(x), g, *step)
+                x_rows[block], m_rows[block], v_rows[block] = x, m, v
 
     def snapshot(self, out: np.ndarray | None = None) -> np.ndarray:
         """A copy of the arena, written into ``out`` when given (it must have
@@ -745,6 +824,11 @@ class ParameterStore:
 
     def restore(self, snap: np.ndarray) -> None:
         self.values[...] = snap
+
+
+def _slices(lo: int, hi: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into Adam's slices of at most ``_ADAM_CHUNK`` values."""
+    return [(start, min(start + _ADAM_CHUNK, hi)) for start in range(lo, hi, _ADAM_CHUNK)]
 
 
 def gradient_check(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
 
 from vaerec import data as dp
@@ -298,9 +300,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The whole parser, or, when ``command`` names a subcommand, one that
     holds only that subcommand: it parses, helps and fails for that command
     exactly as the whole parser does, without building the other three."""
+    # argparse makes a formatter per argument, and each one would read the
+    # terminal width; it is read once here, by argparse's own rule
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="vaerec",
         description="Sequence recommenders built on variational autoencoders.",
+        formatter_class=formatter,
     )
     whole = command not in _SUBCOMMANDS
     # one subcommand alone keeps the whole parser's usage line, which the
@@ -308,6 +315,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if whole else "{" + ",".join(_SUBCOMMANDS) + "}",
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
     )
     for name in _SUBCOMMANDS if whole else [command]:
         _SUBCOMMANDS[name](sub)

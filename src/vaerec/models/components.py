@@ -37,12 +37,13 @@ def embedding_normal(rng: np.random.Generator, rows: int, dim: int) -> np.ndarra
 
 
 def add_drawn(store: ParameterStore, name: str, draw, rng: np.random.Generator | None,
-              *shape: int) -> Tensor:
+              *shape: int, table: bool = False) -> Tensor:
     """Add ``name`` holding ``draw(rng, *shape)``. Without an RNG nothing is
-    drawn: the parameter starts at zero, for a checkpoint load to fill."""
+    drawn: the parameter starts at zero, for a checkpoint load to fill.
+    ``table`` is passed on to ``ParameterStore.add``."""
     if rng is None:
-        return store.add(name, shape=shape)
-    return store.add(name, draw(rng, *shape))
+        return store.add(name, shape=shape, table=table)
+    return store.add(name, draw(rng, *shape), table=table)
 
 
 def add_dense(store: ParameterStore, name: str, fan_in: int, fan_out: int,
@@ -54,7 +55,9 @@ def add_dense(store: ParameterStore, name: str, fan_in: int, fan_out: int,
 
 def add_embedding(store: ParameterStore, name: str, rows: int, dim: int,
                   rng: np.random.Generator | None) -> Tensor:
-    return add_drawn(store, name, embedding_normal, rng, rows, dim)
+    """A [rows, dim] embedding table: Adam steps only the rows that a
+    training step's lookups read."""
+    return add_drawn(store, name, embedding_normal, rng, rows, dim, table=True)
 
 
 def check_ids(ids: np.ndarray, stop: int, what: str = "item id") -> None:

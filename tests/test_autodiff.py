@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -747,6 +748,151 @@ class TestParameterArena:
         assert store.n_values() == 2
 
 
+def reference_lazy_adam(params, grads, m1, m2, t, lr, read, weight_decay=0.0):
+    """``reference_adam`` on every parameter but the tables in ``read``, and
+    on only the ``read[name]`` rows of each of those."""
+    dense = [name for name in params if name not in read]
+    reference_adam(*({name: d[name] for name in dense} for d in (params, grads, m1, m2)), t,
+                   lr, weight_decay=weight_decay)
+    for name, rows in read.items():
+        rows = np.unique(rows)
+        parts = [{name: d[name][rows]} for d in (params, grads, m1, m2)]
+        reference_adam(*parts, t, lr, weight_decay=weight_decay)
+        for d, part in zip((params, m1, m2), (parts[0], parts[2], parts[3])):
+            d[name][rows] = part[name]
+
+
+class TestLazyTables:
+    """Adam steps only the rows of an embedding table that the step's
+    lookups read; float64 stores against the per-tensor reference."""
+
+    def make_store(self):
+        rng = np.random.default_rng(8)
+        store = ParameterStore(np.float64)
+        store.add("w", rng.normal(size=(3, 2)))
+        store.add("table", rng.normal(size=(7, 3)), table=True)
+        store.add("b", rng.normal(size=4))
+        return store
+
+    def lookup_step(self, store, ids, seed):
+        """Backward through a lookup of ``ids`` plus every dense parameter
+        and an Adam step; returns the gradients it read, by name."""
+        rng = np.random.default_rng(seed)
+        table = store["table"]
+        with Tape() as tape:
+            rows = ad.embedding_lookup(table, ids)
+            terms = [ad.sum_all(ad.mul(rows, Tensor(rng.normal(size=rows.shape))))]
+            terms += [ad.sum_all(ad.mul(store[name], Tensor(rng.normal(size=store[name].shape))))
+                      for name in ("w", "b")]
+            loss = functools.reduce(ad.add, terms)
+        tape.backward(loss, store)
+        grads = {name: p.grad.copy() for name, p in store.items()}
+        store.adam_step(lr=1e-2, weight_decay=0.01)
+        return grads
+
+    def moments(self, store):
+        return {name: (store._moment1[offset : offset + math.prod(shape)].reshape(shape),
+                       store._moment2[offset : offset + math.prod(shape)].reshape(shape))
+                for name, shape, offset in store.layout()}
+
+    def oracle_state(self, store):
+        params = {name: p.data.copy() for name, p in store.items()}
+        return params, *({name: np.zeros_like(p) for name, p in params.items()} for _ in "mv")
+
+    def test_reading_every_row_matches_the_reference(self):
+        store = self.make_store()
+        params, m1, m2 = self.oracle_state(store)
+        for t, ids in enumerate([[6, 0, 5, 1, 4, 2, 3], [[3, 3], [0, 1], [2, 4], [5, 6]],
+                                 np.arange(7)[::-1]], start=1):
+            grads = self.lookup_step(store, ids, seed=t)
+            reference_adam(params, grads, m1, m2, t, lr=1e-2, weight_decay=0.01)
+        moments = self.moments(store)
+        for name, p in store.items():
+            assert p.data.tobytes() == params[name].tobytes(), name
+            assert moments[name][0].tobytes() == m1[name].tobytes(), name
+            assert moments[name][1].tobytes() == m2[name].tobytes(), name
+
+    def table_state(self, store):
+        """The table's values and both moments, copied; zero moments before
+        the first step."""
+        table = store["table"].data
+        if store._moment1 is None:
+            return table.copy(), np.zeros_like(table), np.zeros_like(table)
+        return table.copy(), *(m.copy() for m in self.moments(store)["table"])
+
+    def test_rows_no_lookup_read_keep_value_and_moments(self):
+        store = self.make_store()
+        params, m1, m2 = self.oracle_state(store)
+        initial = self.table_state(store)
+        for t, ids in enumerate([[1, 4], [4, 2, 2], [0], [2, 1, 4]], start=1):
+            before = self.table_state(store)
+            grads = self.lookup_step(store, ids, seed=10 + t)
+            reference_lazy_adam(params, grads, m1, m2, t, 1e-2, {"table": np.asarray(ids)},
+                                weight_decay=0.01)
+            unread = np.setdiff1d(np.arange(7), ids)
+            for old, new in zip(before, self.table_state(store)):
+                assert new[unread].tobytes() == old[unread].tobytes()
+        moments = self.moments(store)
+        for name, p in store.items():
+            assert p.data.tobytes() == params[name].tobytes(), name
+            assert moments[name][0].tobytes() == m1[name].tobytes(), name
+            assert moments[name][1].tobytes() == m2[name].tobytes(), name
+        # rows 3, 5 and 6 were never read: initial values, zero moments
+        never = [3, 5, 6]
+        for old, new in zip(initial, self.table_state(store)):
+            assert new[never].tobytes() == old[never].tobytes()
+
+    def test_a_row_read_twice_is_updated_once(self):
+        twice, once = self.make_store(), self.make_store()
+        self.lookup_step(twice, [[2, 2]], seed=1)
+        # one read of row 2 with the summed gradient of both reads
+        row_grad = twice["table"].grad[2].copy()
+        with Tape() as tape:
+            rows = ad.embedding_lookup(once["table"], [2])
+            loss = ad.sum_all(ad.mul(rows, Tensor(row_grad[None])))
+        tape.backward(loss, once)
+        once.adam_step(lr=1e-2, weight_decay=0.01)
+        assert twice["table"].data.tobytes() == once["table"].data.tobytes()
+        assert twice["table"].data[2].tobytes() != self.make_store()["table"].data[2].tobytes()
+        assert (self.moments(twice)["table"][1].tobytes()
+                == self.moments(once)["table"][1].tobytes())
+
+    def test_step_count_is_shared(self):
+        store = self.make_store()
+        params, m1, m2 = self.oracle_state(store)
+        # row 5 is first read at step 3: its first update uses step 3's
+        # bias correction, not step 1's
+        for t, ids in enumerate([[0], [1, 0], [5]], start=1):
+            grads = self.lookup_step(store, ids, seed=20 + t)
+            assert store.step_count == t
+            reference_lazy_adam(params, grads, m1, m2, t, 1e-2, {"table": np.asarray(ids)},
+                                weight_decay=0.01)
+        assert store["table"].data[5].tobytes() == params["table"][5].tobytes()
+        first_step = {"table": self.make_store()["table"].data[5:6].copy()}
+        reference_adam(first_step, {"table": grads["table"][5:6]},
+                       {"table": np.zeros((1, 3))}, {"table": np.zeros((1, 3))}, 1, 1e-2,
+                       weight_decay=0.01)
+        assert store["table"].data[5].tobytes() != first_step["table"].tobytes()
+
+    def test_a_backward_without_lookups_leaves_the_table(self):
+        store = self.make_store()
+        self.lookup_step(store, [0, 1], seed=1)
+        before = self.table_state(store)
+        backward_with(store, w=np.ones((3, 2)))
+        store.grads[...] = 1.0
+        store.adam_step(lr=1e-2, weight_decay=0.01)
+        assert store.step_count == 2
+        for old, new in zip(before, self.table_state(store)):
+            assert new.tobytes() == old.tobytes()
+
+    def test_a_table_is_two_dimensional(self):
+        store = ParameterStore()
+        with pytest.raises(ValueError, match=r"table t must be \[rows, dim\], got shape \(3,\)"):
+            store.add("t", np.ones(3), table=True)
+        assert store.add("u", shape=(3, 2), table=True).shape == (3, 2)
+        assert store.tables == ("u",)
+
+
 class TestStoreDtype:
     """A store is float32 unless asked otherwise; a float64 store keeps the
     float64 arithmetic and is the oracle of the float32 one."""
@@ -809,6 +955,19 @@ class TestStoreDtype:
         assert Tensor([1, 2]).data.dtype == np.float64
         for array in (x.data, states.data, loss.data, table.grad, h0.grad, x.grad, store.grads):
             assert array.dtype == np.float32
+
+    @pytest.mark.parametrize("h0_dtype, data_dtype", [(np.float64, np.float32),
+                                                      (np.float32, np.float64)])
+    def test_gru_sequence_rejects_an_h0_of_another_dtype(self, h0_dtype, data_dtype):
+        store = ParameterStore(data_dtype)
+        p = make_gru_params(store, 3, 4, rng=np.random.default_rng(2))
+        x = Tensor(np.ones((6, 3), data_dtype))
+        h0 = Tensor(np.zeros((2, 4), h0_dtype))
+        want = (rf"h0 is {np.dtype(h0_dtype)}, but its inputs and weights compute in "
+                rf"{np.dtype(data_dtype)}")
+        with pytest.raises(TypeError, match=want):
+            gru_sequence(x, h0, p)
+        assert gru_sequence(x, Tensor(np.zeros((2, 4), data_dtype)), p).data.dtype == data_dtype
 
 
 class TestTapeStack:

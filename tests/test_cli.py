@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -272,6 +274,40 @@ def test_help_lists_every_command(capsys):
     code, captured = exit_and_output(main, ["--help"], capsys)
     assert code == 0
     assert all(command in captured.out for command in COMMANDS)
+
+
+def argparse_help(parser, command):
+    """The ``--help`` text of ``command`` (None: the top level) as argparse's
+    own formatter renders it, reading the terminal width as it formats."""
+    if command is not None:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    parser.formatter_class = argparse.HelpFormatter
+    return parser.format_help()
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "157"])
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_help_is_argparse_rendering_at_a_fixed_width(command, columns, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, captured = exit_and_output(main, argv, capsys)
+    assert code == 0
+    assert captured.out == argparse_help(build_parser(command), command)
+
+
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_a_parser_reads_the_terminal_width_once(command, monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    build_parser(command).format_help()
+    assert len(calls) == 1
 
 
 def test_train_writes_curve_and_checkpoint(tmp_path, ratings_file):
