@@ -80,6 +80,7 @@ class Tape:
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._replayed = False
         # (output, table, ids) of each recorded embedding lookup
         self._lookups: list[tuple[Tensor, Tensor, np.ndarray]] = []
 
@@ -104,12 +105,17 @@ class Tape:
         ``loss`` must be scalar. The gradient vector of ``params`` is zeroed
         in one call before the replay, so parameters the loss does not reach
         read zero. The rows of ``params``' tables that the replayed lookups
-        read are handed to it after the replay, for ``adam_step``.
+        read are handed to it after the replay, for ``adam_step``. A second
+        call raises ``RuntimeError`` before it zeroes anything: it would add
+        to the sums the first left in every intermediate's ``grad``.
         """
+        if self._replayed:
+            raise RuntimeError("backward already ran on this tape; record a new one")
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss.requires_grad and not any(out is loss for out, _ in self._records):
             raise ValueError("loss tensor was not produced on this tape")
+        self._replayed = True
         params._zero_grads()
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
@@ -335,15 +341,11 @@ def log_softmax_at(logits: Tensor, rows, cols) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            dense = np.zeros_like(x)
-            if dense.flags.c_contiguous:
-                # the same scalar additions, in the same order, as the
-                # two-array np.add.at below, on numpy's faster 1-D index
-                # path; "wrap" reads negative indices as x[r, c] does
-                cells = np.ravel_multi_index((r, c), x.shape, mode="wrap")
-                np.add.at(dense.reshape(-1), cells, g)
-            else:
-                np.add.at(dense, (r, c), g)
+            dense = np.zeros(x.shape, x.dtype)  # C-ordered, whatever x is
+            # a two-array np.add.at's scalar additions, in its order, on the
+            # faster 1-D index path; "wrap" reads negative indices as x[r, c]
+            cells = np.ravel_multi_index((r, c), x.shape, mode="wrap")
+            np.add.at(dense.reshape(-1), cells, g)
             dense -= np.exp(x - lse) * dense.sum(axis=1, keepdims=True)
             logits.accumulate_grad(dense)
 
@@ -453,35 +455,39 @@ def kl_standard_normal(mu: Tensor, log_sigma: Tensor) -> Tensor:
 
 
 @dataclass
-class GRUCellParams:
-    """Reset / update / candidate weights of one gated recurrent unit."""
+class GRUParams:
+    """A GRU's weights as the recurrence multiplies them: ``w`` [d, 3H] and
+    ``b`` [3H] hold the reset, update and candidate columns side by side,
+    ``u_gates`` [H, 2H] the reset and update blocks applied to the state h,
+    and ``u_cand`` [H, H] the block applied to r * h."""
 
-    w_reset: Tensor
-    u_reset: Tensor
-    b_reset: Tensor
-    w_update: Tensor
-    u_update: Tensor
-    b_update: Tensor
-    w_cand: Tensor
+    w: Tensor
+    b: Tensor
+    u_gates: Tensor
     u_cand: Tensor
-    b_cand: Tensor
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
+def gru_cell(x: Tensor, h_prev: Tensor, p: GRUParams) -> Tensor:
     """One GRU step: h' = u * h_prev + (1 - u) * c.
 
-    The update gate preserves the previous state, so with all-zero
-    parameters the cell halves the hidden state exactly.
+    Each gate reads its columns of the products by a matmul against a
+    constant 0/1 selector (columns of an identity), which copies finite
+    values exactly. The update gate preserves the previous state, so with
+    all-zero parameters the cell halves the hidden state exactly.
     """
     if x.shape[0] != h_prev.shape[0]:
         raise ShapeError(f"gru_cell batch mismatch: x {x.shape} vs h {h_prev.shape}")
-    r = sigmoid(add(add(matmul(x, p.w_reset), matmul(h_prev, p.u_reset)), p.b_reset))
-    u = sigmoid(add(add(matmul(x, p.w_update), matmul(h_prev, p.u_update)), p.b_update))
-    c = tanh(add(add(matmul(x, p.w_cand), matmul(mul(r, h_prev), p.u_cand)), p.b_cand))
+    hid = p.u_cand.shape[0]
+    sel = np.eye(3 * hid, dtype=p.w.data.dtype)  # column block k selects gate k
+    x_part, h_part = add(matmul(x, p.w), p.b), matmul(h_prev, p.u_gates)
+    x_r, x_u, x_c = (matmul(x_part, Tensor(sel[:, k * hid : (k + 1) * hid])) for k in range(3))
+    h_r, h_u = (matmul(h_part, Tensor(sel[: 2 * hid, k * hid : (k + 1) * hid])) for k in range(2))
+    r, u = sigmoid(add(x_r, h_r)), sigmoid(add(x_u, h_u))
+    c = tanh(add(x_c, matmul(mul(r, h_prev), p.u_cand)))
     return add(mul(u, h_prev), mul(one_minus(u), c))
 
 
-def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
+def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUParams) -> Tensor:
     """Run the GRU over T steps of B sequences at once. ``x_rows`` is
     [T * B, d] in step-major order, row t * B + b holding sequence b's input
     at step t; ``h0`` is [B, H]; and row t * B + b of the [T * B, H] result
@@ -491,32 +497,31 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
     Computes what T chained ``gru_cell`` calls compute (to rounding) but
     records one tape entry. The recurrence is causal, so sequences of
     different lengths can share a call right-padded: a row's state at its
-    last real step does not depend on the padding after it. The input
-    projection of all T * B rows, biases included, is one matmul against
-    the gate weights concatenated at call time; a step adds
-    ``h @ [U_r|U_u]``, one ``(r*h) @ U_c`` and elementwise work, with
-    ``h`` a [B, H] matrix (with B = 1 this rounds exactly as the one-row
-    product does). Backward is hand-written backprop through time: the
-    reverse loop carries only the [B, H] state gradient and fills a
-    [T, B, 3H] array of gate pre-activation gradients, from which the
-    weight, bias, input and ``h0`` gradients come in a few matmuls.
+    last real step does not depend on the padding after it. The weights are
+    read in place, stored as the recurrence multiplies them (``GRUParams``;
+    a checkpoint of the older nine-tensor layout must be retrained): the
+    input projection of all T * B rows, biases included, is one matmul
+    against ``w``; a step adds ``h @ u_gates``, one ``(r*h) @ u_cand`` and
+    elementwise work, with ``h`` a [B, H] matrix (with B = 1 this rounds
+    exactly as the one-row product does). Backward is hand-written backprop
+    through time: the reverse loop carries only the [B, H] state gradient
+    and fills a [T, B, 3H] array of gate pre-activation gradients, from
+    which the weight, bias, input and ``h0`` gradients come in a few
+    matmuls.
 
     Every buffer and gradient takes the dtype that the inputs and weights
     compute in; an ``h0`` of another dtype is a ``TypeError``.
     """
-    d, hid = p.w_reset.shape
+    w, b, u_gates, u_cand = p.w.data, p.b.data, p.u_gates.data, p.u_cand.data
+    d, hid = w.shape[0], u_cand.shape[0]
     x = x_rows.data
     if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"gru_sequence inputs {x_rows.shape} do not match W {p.w_reset.shape}")
+        raise ShapeError(f"gru_sequence inputs {x_rows.shape} do not match W {p.w.shape}")
     n_rows = h0.shape[0] if h0.data.ndim == 2 and h0.shape[1] == hid else 0
     if n_rows == 0 or x.shape[0] % n_rows:
         raise ShapeError(f"gru_sequence h0 must be [B, {hid}] with B >= 1 dividing the "
                          f"{x.shape[0]} input rows, got {h0.shape}")
     n_steps = x.shape[0] // n_rows
-    w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data], axis=1)
-    b = np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
-    u_gates = np.concatenate([p.u_reset.data, p.u_update.data], axis=1)
-    u_cand = p.u_cand.data
     # input part of every gate pre-activation, [T, B, 3H]
     pre = (x @ w + b).reshape(n_steps, n_rows, 3 * hid)
     dtype = pre.dtype  # every buffer, forward and backward, follows the data
@@ -566,22 +571,16 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUCellParams) -> Tensor:
             x_rows.accumulate_grad(d_pre @ w.T)
         if h0.requires_grad:
             h0.accumulate_grad(dh)
-        d_w = x.T @ d_pre
-        d_b = d_pre.sum(axis=0)
-        d_u_gates = h_prev.reshape(-1, hid).T @ d_pre[:, : 2 * hid]
-        grads = [
-            (p.w_reset, d_w[:, :hid]), (p.w_update, d_w[:, hid : 2 * hid]),
-            (p.w_cand, d_w[:, 2 * hid :]),
-            (p.u_reset, d_u_gates[:, :hid]), (p.u_update, d_u_gates[:, hid:]),
-            (p.u_cand, reset_h.reshape(-1, hid).T @ d_pre[:, 2 * hid :]),
-            (p.b_reset, d_b[:hid]), (p.b_update, d_b[hid : 2 * hid]),
-            (p.b_cand, d_b[2 * hid :]),
-        ]
-        for param, grad in grads:
-            if param.requires_grad:
-                param.accumulate_grad(grad)
+        if p.w.requires_grad:
+            p.w.accumulate_grad(x.T @ d_pre)
+        if p.b.requires_grad:
+            p.b.accumulate_grad(d_pre.sum(axis=0))
+        if p.u_gates.requires_grad:
+            p.u_gates.accumulate_grad(h_prev.reshape(-1, hid).T @ d_pre[:, : 2 * hid])
+        if p.u_cand.requires_grad:
+            p.u_cand.accumulate_grad(reset_h.reshape(-1, hid).T @ d_pre[:, 2 * hid :])
 
-    return _trace(out, (x_rows, h0, *vars(p).values()), backward)
+    return _trace(out, (x_rows, h0, p.w, p.b, p.u_gates, p.u_cand), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,6 @@ class PopularityRanker:
                 counts[item] += 1.0
         self._counts = counts
 
-    def scores(self, fold_in: Sequence[int]) -> np.ndarray:
-        return self._counts
-
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
         """[U, N] scores: the counts broadcast to every fold-in (a read-only
         view, no copy)."""

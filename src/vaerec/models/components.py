@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from vaerec import autodiff as ad
-from vaerec.autodiff import GRUCellParams, ParameterStore, Tensor
+from vaerec.autodiff import GRUParams, ParameterStore, Tensor
 
 
 @dataclass
@@ -70,23 +70,24 @@ def check_ids(ids: np.ndarray, stop: int, what: str = "item id") -> None:
 
 
 def add_gru(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
-            rng: np.random.Generator | None) -> GRUCellParams:
-    def dense(gate: str, fan_in: int) -> Tensor:
-        return add_drawn(store, f"{prefix}.{gate}", glorot_uniform, rng, fan_in, hidden)
-
-    def bias(gate: str) -> Tensor:
-        return store.add(f"{prefix}.{gate}", shape=(hidden,))
-
-    return GRUCellParams(
-        w_reset=dense("w_reset", in_dim),
-        u_reset=dense("u_reset", hidden),
-        b_reset=bias("b_reset"),
-        w_update=dense("w_update", in_dim),
-        u_update=dense("u_update", hidden),
-        b_update=bias("b_update"),
-        w_cand=dense("w_cand", in_dim),
-        u_cand=dense("u_cand", hidden),
-        b_cand=bias("b_cand"),
+            rng: np.random.Generator | None) -> GRUParams:
+    """A GRU's four tensors, stored as ``ad.gru_sequence`` reads them (see
+    ``GRUParams``). With an RNG the weights are six glorot draws, each
+    placed in its block: the reset, update and candidate gates in turn,
+    each its input block and then its state block. The biases start at
+    zero. A checkpoint of the older layout, nine tensors named by gate,
+    fails to load and must be retrained."""
+    w = u_gates = u_cand = None
+    if rng is not None:
+        w_r, u_r, w_u, u_u, w_c, u_cand = (
+            glorot_uniform(rng, fan_in, hidden) for _ in range(3) for fan_in in (in_dim, hidden))
+        w = np.concatenate([w_r, w_u, w_c], axis=1)
+        u_gates = np.concatenate([u_r, u_u], axis=1)
+    return GRUParams(
+        w=store.add(f"{prefix}.w", w, shape=(in_dim, 3 * hidden)),
+        b=store.add(f"{prefix}.b", shape=(3 * hidden,)),
+        u_gates=store.add(f"{prefix}.u_gates", u_gates, shape=(hidden, 2 * hidden)),
+        u_cand=store.add(f"{prefix}.u_cand", u_cand, shape=(hidden, hidden)),
     )
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vaerec import autodiff as ad
 from vaerec.autodiff import (
-    GRUCellParams,
+    GRUParams,
     ParameterStore,
     ShapeError,
     Tape,
@@ -22,22 +22,12 @@ from vaerec.autodiff import (
 
 
 def make_gru_params(store, in_dim, hid, rng=None, prefix="gru"):
-    def init(shape):
-        if rng is None:
-            return np.zeros(shape)
-        return rng.uniform(-0.5, 0.5, size=shape)
+    def init(name, *shape):
+        values = np.zeros(shape) if rng is None else rng.uniform(-0.5, 0.5, size=shape)
+        return store.add(f"{prefix}.{name}", values)
 
-    return GRUCellParams(
-        w_reset=store.add(f"{prefix}.w_reset", init((in_dim, hid))),
-        u_reset=store.add(f"{prefix}.u_reset", init((hid, hid))),
-        b_reset=store.add(f"{prefix}.b_reset", init((hid,))),
-        w_update=store.add(f"{prefix}.w_update", init((in_dim, hid))),
-        u_update=store.add(f"{prefix}.u_update", init((hid, hid))),
-        b_update=store.add(f"{prefix}.b_update", init((hid,))),
-        w_cand=store.add(f"{prefix}.w_cand", init((in_dim, hid))),
-        u_cand=store.add(f"{prefix}.u_cand", init((hid, hid))),
-        b_cand=store.add(f"{prefix}.b_cand", init((hid,))),
-    )
+    return GRUParams(w=init("w", in_dim, 3 * hid), b=init("b", 3 * hid),
+                     u_gates=init("u_gates", hid, 2 * hid), u_cand=init("u_cand", hid, hid))
 
 
 class TestLinear:
@@ -67,11 +57,11 @@ class TestGRUCell:
         np.testing.assert_array_equal(out.data, 0.5 * h)
 
     def test_update_gate_saturated_off(self):
-        # b_update very negative -> u ~ 0 -> h' ~ tanh(b_cand)
+        # update bias very negative -> u ~ 0 -> h' ~ tanh(candidate bias)
         store = ParameterStore()
         p = make_gru_params(store, 2, 2)
-        p.b_update.data[...] = -50.0
-        p.b_cand.data[...] = np.array([0.3, -1.2])
+        p.b.data[2:4] = -50.0
+        p.b.data[4:] = np.array([0.3, -1.2])
         out = gru_cell(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p)
         np.testing.assert_allclose(out.data, np.tanh([[0.3, -1.2]]), atol=1e-15)
 
@@ -358,7 +348,8 @@ class TestLogSoftmaxAt:
            st.booleans(), st.sampled_from(["C", "F"]), st.integers(0, 2**32 - 1))
     def test_scatter_matches_two_array_add_at(self, n_rows, n_items, kind, negative, order,
                                               seed):
-        # the oracle: np.add.at on the (rows, cols) pair of index arrays
+        # the oracle: np.add.at on the (rows, cols) pair of index arrays,
+        # into a C-ordered array whatever the order of the logits
         rng = np.random.default_rng(seed)
         x = np.asarray(rng.normal(size=(n_rows, n_items)) * 5.0, order=order)
         if kind == "pairs":
@@ -380,7 +371,7 @@ class TestLogSoftmaxAt:
             out = ad.log_softmax_at(logits, rows, cols)
         g = rng.normal(size=out.shape)
         g[rng.random(g.shape) < 0.3] = -0.0
-        want = np.zeros_like(x)
+        want = np.zeros(x.shape)
         np.add.at(want, (rows, cols), g)
         want -= np.exp(x - ad._log_sum_exp(x)) * want.sum(axis=1, keepdims=True)
         out.grad = g
@@ -388,6 +379,25 @@ class TestLogSoftmaxAt:
             rule(o.grad)
         # a gradient not yet started is a zero array plus the scatter
         assert logits.grad.tobytes() == (np.zeros_like(x) + want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_f_ordered_logits_give_the_c_ordered_gradient(self, dtype):
+        """The gradient is scattered and summed in a C-ordered array, so the
+        logits' memory order does not reach its bytes (a row sum over an
+        F-ordered array adds in another order)."""
+        x = (self.rng.normal(size=(5, 40)) * 5.0).astype(dtype)
+        rows, cols = self.rng.integers(5, size=30), self.rng.integers(40, size=30)
+        g = self.rng.normal(size=30).astype(dtype)
+        grads = []
+        for data in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            logits = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                out = ad.log_softmax_at(logits, rows, cols)
+            out.grad = g
+            for o, rule in reversed(tape._records):
+                rule(o.grad)
+            grads.append(logits.grad.tobytes())
+        assert grads[0] == grads[1]
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
     def test_logits_must_be_two_dimensional(self, shape):
@@ -510,6 +520,18 @@ class TestBackward:
             pass
         with pytest.raises(ValueError, match="tape"):
             fresh.backward(loss, store)
+
+    def test_second_backward_raises_and_keeps_the_first_grads(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([3.0, -1.0]))
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.tanh(w), w))
+        tape.backward(loss, store)
+        first = store.grads.tobytes()
+        with pytest.raises(RuntimeError, match="already ran"):
+            tape.backward(loss, store)
+        assert store.grads.tobytes() == first
+        assert len(tape) == 3
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import mmap
 import os
 import tracemalloc
@@ -700,15 +701,18 @@ class TestOneUserPerStepTraining:
 
     # sha256 of the trained arena as little-endian float64, and the
     # per-epoch training losses and validation NDCG@100; recorded when Adam
-    # became lazy on the item embedding table, which moved every one
+    # became lazy on the item embedding table, which moved every one. The
+    # digests were re-recorded when the GRU went from nine tensors to four:
+    # that arena, reordered into the nine-tensor layout, still hashes to
+    # a63520aa... (next-k-multiset) and 2197a08b... (mixture)
     PINNED = {
         "next-k-multiset": (
-            "a63520aa1a899ac4bc1a997ac2a079bcf9f78e5525503d3cadb5385bf41130f7",
+            "b317a1e31d27743472c81ceaab097d87176477bac60312193617e29424c605cf",
             [4.792113267544854, 4.732063155366269],
             [0.649652286785407, 0.651047562877841],
         ),
         "mixture": (
-            "2197a08bd911073b9aa4d73de2209f8572f7e2d966af5cc281890df85eb9c0dd",
+            "a2462cf2cc5d1c60e8840a99583746b52cb7f46fc382db764d54963a42e15df5",
             [2.518100537334393, 2.507613080870526],
             [0.663032155260709, 0.6440186536691633],
         ),
@@ -1155,11 +1159,13 @@ class TestSeededInitialisation:
     # sha256 of the parameters in store order as little-endian float64, for
     # build_model(kind, 6, toy_config(), n_users=3, dtype=np.float64); they
     # pin the draws that every same-seed training run and checkpoint start
-    # from (a float32 model starts from these values rounded)
+    # from (a float32 model starts from these values rounded). svae's was
+    # re-recorded when the GRU went from nine tensors to four; reordered
+    # into the nine-tensor layout, its values still hash to a38dc2ea...
     PINNED = {
         "mvae": "6be9f155cc3922d9830de5f6f0606c9b3e138388b1184b3f7fe7090fc082c47d",
         "rvae": "3d32a12bad74f6d2614644e1f9949fff516f416b99f225c0687c87c443567d23",
-        "svae": "a38dc2eae2954adc5652d8e50f3f762b1c2c0cd84678d3aedfa5bccc889f21d4",
+        "svae": "642e8dc3b2bfacd2077bf63ad6c6de4cc4a3b175d3fd3d49f118f82473050fb8",
     }
 
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
@@ -1169,6 +1175,29 @@ class TestSeededInitialisation:
         for _, p in model.store.items():
             h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
         assert h.hexdigest() == self.PINNED[kind]
+
+    def test_svae_gru_is_four_tensors_of_six_glorot_blocks(self):
+        """The GRU is stored as the recurrence reads it, and its blocks hold
+        the draws of the nine-tensor layout: six glorot draws, in the order
+        w_reset, u_reset, w_update, u_update, w_cand, u_cand, taken after
+        the item embedding from the model's generator."""
+        config = toy_config(item_embedding_dim=3, gru_hidden=5)
+        model = build_model("svae", 6, config, dtype=np.float64)
+        d, hid = 3, 5
+        gru = {name: p.data for name, p in model.store.items() if name.startswith("gru.")}
+        assert {name: a.shape for name, a in gru.items()} == {
+            "gru.w": (d, 3 * hid), "gru.b": (3 * hid,),
+            "gru.u_gates": (hid, 2 * hid), "gru.u_cand": (hid, hid)}
+        rng = np.random.default_rng(config.seed)
+        components.embedding_normal(rng, 7, d)
+        w_r, u_r, w_u, u_u, w_c, u_c = (components.glorot_uniform(rng, fan_in, hid)
+                                        for _ in range(3) for fan_in in (d, hid))
+        blocks = [(gru["gru.w"][:, :hid], w_r), (gru["gru.u_gates"][:, :hid], u_r),
+                  (gru["gru.w"][:, hid : 2 * hid], w_u), (gru["gru.u_gates"][:, hid:], u_u),
+                  (gru["gru.w"][:, 2 * hid :], w_c), (gru["gru.u_cand"], u_c)]
+        for stored, drawn in blocks:
+            np.testing.assert_array_equal(stored, drawn)
+        np.testing.assert_array_equal(gru["gru.b"], 0.0)
 
 
 def save_model(base, model):
@@ -1193,7 +1222,29 @@ class TestCheckpoint:
         _, base = self.saved(tmp_path)
         self.edit_tensors(base, lambda tensors: tensors.pop(2))
         with pytest.raises(ValueError,
-                           match="tensor 2 is 'gru.b_reset', the model expects 'gru.u_reset'"):
+                           match="tensor 2 is 'gru.u_gates', the model expects 'gru.b'"):
+            load_checkpoint(base)
+
+    def test_nine_tensor_gru_layout_rejected(self, tmp_path):
+        """A checkpoint of the GRU's nine-tensor layout (a weight, state
+        weight and bias per gate) has the same blob size and is refused by
+        name, not read."""
+        _, base = self.saved(tmp_path)
+
+        def nine_tensors(tensors):
+            at = next(i for i, t in enumerate(tensors) if t["name"] == "gru.w")
+            d, hid = tensors[at]["shape"][0], tensors[at + 3]["shape"][0]
+            offset = tensors[at]["offset"]
+            del tensors[at : at + 4]
+            for gate in ("reset", "update", "cand"):
+                for kind, shape in (("w", [d, hid]), ("u", [hid, hid]), ("b", [hid])):
+                    size = math.prod(shape)
+                    tensors.insert(at, {"name": f"gru.{kind}_{gate}", "shape": shape,
+                                        "offset": offset, "size": size})
+                    at, offset = at + 1, offset + size
+
+        self.edit_tensors(base, nine_tensors)
+        with pytest.raises(ValueError, match="'gru.w_reset', the model expects 'gru.w'"):
             load_checkpoint(base)
 
     # the two-table layout: svae's start token, and rvae's user rows, once
