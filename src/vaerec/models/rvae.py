@@ -13,7 +13,8 @@ Users unseen at training time (all held-out users) go through the reserved
 row, so the model still ranks for them. That row ignores the fold-in: every
 held-out user gets the same scores, and so the same ranking up to the
 exclusion of their own fold-in items. ``score_batch`` therefore
-scores the catalog once per batch.
+scores the catalog once per batch, off the tape and with the reserved
+row's share of the first layer computed once (see ``scores``).
 """
 
 from __future__ import annotations
@@ -61,18 +62,15 @@ class PairwiseRankingVAE:
     def unseen_user_row(self) -> int:
         return self.n_users
 
-    def _pair_inputs(self, user_rows: Sequence[int], item_ids: Sequence[int]) -> Tensor:
-        """The [B, 2 d] encoder inputs, each user row's embedding beside its
-        item's, from one lookup of the [B, 2] table rows."""
+    def encode(self, user_rows: Sequence[int], item_ids: Sequence[int]) -> GaussianParams:
+        """The pair posteriors: each user row's embedding beside its item's,
+        from one lookup of the [B, 2] table rows, through the encoder."""
         users = np.asarray(user_rows, dtype=np.int64)
         items = np.asarray(item_ids, dtype=np.int64)
         check_ids(users, self.n_users + 1, "user row")
         check_ids(items, self.n_items)
         rows = np.stack([users, self.n_users + 1 + items], axis=1)
-        return ad.embedding_lookup(self.embedding, rows)
-
-    def encode(self, user_rows: Sequence[int], item_ids: Sequence[int]) -> GaussianParams:
-        return self.head(self.encoder_stack(self._pair_inputs(user_rows, item_ids)))
+        return self.head(self.encoder_stack(ad.embedding_lookup(self.embedding, rows)))
 
     def score(self, z: Tensor) -> Tensor:
         return ad.linear(z, *self.scorer)
@@ -87,25 +85,39 @@ class PairwiseRankingVAE:
         beta: float,
     ) -> Tensor:
         """Mean negative log Bernoulli likelihood of the orderings plus the
-        KL of both pair posteriors."""
+        KL of both pair posteriors, from one pass over [2B] pairs: the users
+        twice, beside the preferred items and then the others."""
         n = len(preferred)
-        g_i = self.encode(user_rows, preferred)
-        g_j = self.encode(user_rows, other)
-        s_i = self.score(reparameterize(g_i, noise_preferred))
-        s_j = self.score(reparameterize(g_j, noise_other))
-        # -log sigmoid(s_i - s_j) == softplus(s_j - s_i)
-        nll = ad.sum_all(ad.softplus(ad.sub(s_j, s_i)))
-        kl = ad.add(kl_to_standard_normal(g_i), kl_to_standard_normal(g_j))
-        return ad.scale(ad.add(nll, ad.scale(kl, beta)), 1.0 / n)
+        if np.shape(noise_preferred) != np.shape(noise_other):
+            raise ad.ShapeError(f"noise shapes {np.shape(noise_preferred)} and "
+                                f"{np.shape(noise_other)} differ")
+        g = self.encode(np.tile(user_rows, 2), np.concatenate([preferred, other]))
+        s = self.score(reparameterize(g, np.concatenate([noise_preferred, noise_other])))
+        # s_j - s_i for every triple as [-I | I] @ s: one subtraction per row,
+        # so exact; -log sigmoid(s_i - s_j) == softplus(s_j - s_i)
+        dtype = s.data.dtype
+        flip = np.eye(n, 2 * n, n, dtype=dtype) - np.eye(n, 2 * n, dtype=dtype)
+        diff = ad.linear(Tensor(flip), s, Tensor(np.zeros(1, dtype)))
+        nll = ad.sum_all(ad.softplus(diff))
+        return ad.scale(ad.add(nll, ad.scale(kl_to_standard_normal(g), beta)), 1.0 / n)
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
-        """Score every catalog item through the reserved-user row; the
-        fold-in does not enter. The encoder inputs are ``encode``'s, the
-        reserved row beside every item; only the head's mean is computed,
-        since scoring reads nothing else."""
-        features = self.encoder_stack(self._pair_inputs(
-            np.full(self.n_items, self.unseen_user_row), np.arange(self.n_items)))
-        return self.score(ad.linear(features, *self.head.mu)).data[:, 0]
+        """Score every catalog item through the reserved-user row, off the
+        tape; the fold-in does not enter. This is ``score(encode(...).mu)``
+        split: the first layer is ``items @ W1[d:] + (user @ W1[:d] + b1)``,
+        with the item rows read in place, and the linear head mean and
+        scorer fold into one ``W_mu @ w_s`` vector."""
+        dim = self.config.rvae_embedding_dim
+        table = self.embedding.data
+        (w1, b1), *rest = self.encoder_stack.layers
+        user = table[self.unseen_user_row] @ w1.data[:dim] + b1.data
+        h = table[self.n_users + 1:]
+        for w, b in [(w1.data[dim:], user)] + [(w.data, b.data) for w, b in rest]:
+            h = h @ w
+            h += b
+            np.tanh(h, out=h)
+        (w_mu, b_mu), (w_s, b_s) = self.head.mu, self.scorer
+        return h @ (w_mu.data @ w_s.data)[:, 0] + (b_mu.data @ w_s.data + b_s.data)[0]
 
     def score_batch(self, fold_ins: Sequence[Sequence[int]]) -> np.ndarray:
         """[U, N] scores: the reserved-user row, computed once and broadcast

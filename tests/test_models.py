@@ -165,6 +165,19 @@ def reference_mvae_loss(model, bags, noise, beta):
     return ad.scale(ad.sub(ad.scale(kl, beta), recon), 1.0 / bags.shape[0])
 
 
+def two_pass_pair_loss(model, user_rows, preferred, other, noise_preferred, noise_other,
+                       beta):
+    """rvae's pair loss with each half of the triples encoded on its own:
+    two encoder passes, two scores, a subtraction and two KL terms."""
+    g_i = model.encode(user_rows, preferred)
+    g_j = model.encode(user_rows, other)
+    s_i = model.score(reparameterize(g_i, noise_preferred))
+    s_j = model.score(reparameterize(g_j, noise_other))
+    nll = ad.sum_all(ad.softplus(ad.sub(s_j, s_i)))
+    kl = ad.add(kl_to_standard_normal(g_i), kl_to_standard_normal(g_j))
+    return ad.scale(ad.add(nll, ad.scale(kl, beta)), 1.0 / len(preferred))
+
+
 def loss_and_grads(model, loss_fn, *args):
     """The loss of ``loss_fn(model, *args)`` and every parameter's grad,
     in store order: a copy of the gradient vector."""
@@ -285,13 +298,76 @@ class TestRVAE:
         (7, toy_config()),
         (300, toy_config(rvae_embedding_dim=16, rvae_encoder_widths=(12, 8), latent_dim=6)),
     ], ids=["toy", "wider"])
-    def test_scores_equal_the_tape_path_byte_for_byte(self, n_items, config):
-        model = build_model("rvae", n_items, config, n_users=3)
-        randomize_params(model, seed=8)
-        # oracle: the catalog encoded through the tape ops pair_loss uses
-        rows = [model.unseen_user_row] * n_items
-        want = model.score(model.encode(rows, range(n_items)).mu).data[:, 0]
-        assert model.scores(()).tobytes() == want.tobytes()
+    def test_scores_match_the_tape_path(self, n_items, config):
+        # the split first layer and the folded head round differently from
+        # the [N, 2 d] block, so float64 agrees to 1e-12 and float32 in rank
+        for dtype in (np.float64, np.float32):
+            model = build_model("rvae", n_items, config, n_users=3, dtype=dtype)
+            randomize_params(model, seed=8)
+            # oracle: the catalog encoded through the tape ops pair_loss uses
+            rows = [model.unseen_user_row] * n_items
+            want = model.score(model.encode(rows, range(n_items)).mu).data[:, 0]
+            got = model.scores(())
+            assert got.dtype == dtype
+            if dtype == np.float64:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(rank_items(got, set()), rank_items(want, set()))
+
+    @pytest.mark.parametrize("config", [
+        toy_config(),
+        toy_config(rvae_embedding_dim=16, rvae_encoder_widths=(12, 8), latent_dim=6),
+    ], ids=["toy", "wider"])
+    def test_pair_loss_matches_the_two_pass_oracle(self, config):
+        model = build_model("rvae", 9, config, n_users=4, dtype=np.float64)
+        randomize_params(model, seed=16)
+        rng = np.random.default_rng(2)
+        users, preferred, other = [0, 3, 4, 1, 3], [1, 4, 8, 0, 6], [2, 5, 7, 3, 8]
+        noise_i = rng.standard_normal((5, config.latent_dim))
+        noise_j = rng.standard_normal((5, config.latent_dim))
+        args = (users, preferred, other, noise_i, noise_j, 0.7)
+        want_loss, want_grad = loss_and_grads(model, two_pass_pair_loss, *args)
+        got_loss, got_grad = loss_and_grads(model, type(model).pair_loss, *args)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    def test_pair_loss_looks_the_table_up_once(self):
+        config = toy_config(rvae_embedding_dim=16, rvae_encoder_widths=(12, 8), latent_dim=6)
+        model = build_model("rvae", 9, config, n_users=4)
+        noise = np.zeros((3, config.latent_dim))
+        args = ([0, 1, 3], [2, 4, 6], [1, 5, 8], noise, noise, 0.5)
+        with Tape() as tape:
+            model.pair_loss(*args)
+        with Tape() as two_pass:
+            two_pass_pair_loss(model, *args)
+        assert len(tape._lookups) == 1
+        assert len(tape) < len(two_pass) == 23
+
+    def test_pair_loss_rejects_noise_blocks_of_different_shapes(self):
+        model = build_model("rvae", 6, toy_config(), n_users=3)
+        with pytest.raises(ad.ShapeError, match="noise shapes"):
+            model.pair_loss([0, 1], [2, 3], [4, 5], np.zeros((3, 3)), np.zeros((1, 3)), 0.5)
+
+    def test_scores_read_the_table_without_a_lookup(self, monkeypatch):
+        model = build_model("rvae", 7, toy_config(), n_users=2)
+
+        def refuse(*args):
+            raise AssertionError("scores looked the table up")
+
+        monkeypatch.setattr(ad, "embedding_lookup", refuse)
+        model.scores(())
+        model.score_batch([(1,), ()])
+
+    def test_scores_make_no_pair_block(self):
+        # reference architecture over a 3000-item catalog
+        model = build_model("rvae", 3000, ModelConfig(), n_users=5)
+        block = 3000 * 2 * model.config.rvae_embedding_dim * model.store.dtype.itemsize
+        tracemalloc.start()
+        try:
+            model.scores(())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
 
     def test_deterministic_ranking(self):
         model = build_model("rvae", 7, toy_config(), n_users=2)
