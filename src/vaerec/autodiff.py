@@ -299,12 +299,83 @@ def softplus(t: Tensor) -> Tensor:
     return _trace(out, (t,), backward)
 
 
-def sum_all(t: Tensor) -> Tensor:
-    out = Tensor(np.sum(t.data))
+def _segment_sums(x: np.ndarray, segments: Sequence[int]) -> np.ndarray:
+    """[len(segments)] sums of the runs of ``segments[i]`` consecutive rows
+    of ``x``, which must add up to its rows; each run's is ``np.sum`` of its
+    slice, so a single run rounds as ``np.sum(x)`` does."""
+    ends = np.cumsum(segments)
+    if ends.size == 0 or ends[-1] != x.shape[0] or np.any(np.asarray(segments) < 0):
+        raise ShapeError(f"segments {list(segments)} do not cover the {x.shape[0]} rows")
+    return np.array([np.sum(x[hi - n : hi]) for n, hi in zip(segments, ends)], x.dtype)
+
+
+def _per_row(g: np.ndarray, segments: Sequence[int], ndim: int) -> np.ndarray:
+    """Each segment's entry of ``g`` repeated over its rows, shaped to
+    broadcast against an ``ndim``-dimensional array of those rows."""
+    return np.repeat(g, segments).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def sum_all(t: Tensor, segments: Sequence[int] | None = None) -> Tensor:
+    """The sum of every entry of ``t``; given ``segments``, counts of
+    consecutive rows that add up to ``t``'s first axis, the [len(segments)]
+    sums of those runs of rows, one record either way."""
+    if segments is None:
+        out = Tensor(np.sum(t.data))
+    else:
+        out = Tensor(_segment_sums(t.data, segments))
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
+            if segments is not None:
+                g = _per_row(g, segments, t.data.ndim)
             t.accumulate_grad(np.broadcast_to(g, t.shape).copy())
+
+    return _trace(out, (t,), backward)
+
+
+def weighted_sum(t: Tensor, weights) -> Tensor:
+    """``sum(weights * t)`` over a [B] ``t``, in one record: a batch's mean
+    of per-row losses, each with its own normalizer. ``weights`` is a
+    constant, cast to ``t``'s dtype."""
+    w = np.asarray(weights, dtype=t.data.dtype)
+    if t.data.ndim != 1 or w.shape != t.shape:
+        raise ShapeError(f"weighted_sum expects [B] values and weights, got {t.shape} "
+                         f"and {w.shape}")
+    out = Tensor(np.sum(t.data * w))
+
+    def backward(g: np.ndarray) -> None:
+        if t.requires_grad:
+            t.accumulate_grad(g * w)
+
+    return _trace(out, (t,), backward)
+
+
+def take_rows(t: Tensor, rows) -> Tensor:
+    """``t[rows]`` for distinct row indices ``rows``, in one record; backward
+    places each row's gradient back in a zeroed array of ``t``'s shape."""
+    idx = np.asarray(rows, dtype=np.int64)
+    out = Tensor(t.data[idx])
+
+    def backward(g: np.ndarray) -> None:
+        if t.requires_grad:
+            full = np.zeros_like(t.data)
+            full[idx] = g
+            t.accumulate_grad(full)
+
+    return _trace(out, (t,), backward)
+
+
+def sub_halves(t: Tensor) -> Tensor:
+    """``t[n:] - t[:n]`` for the two n-row halves of ``t``, in one record:
+    one subtraction per row, so exact in the sense of ``sub``."""
+    if t.data.ndim == 0 or t.shape[0] % 2:
+        raise ShapeError(f"sub_halves needs an even number of rows, got shape {t.shape}")
+    n = t.shape[0] // 2
+    out = Tensor(t.data[n:] - t.data[:n])
+
+    def backward(g: np.ndarray) -> None:
+        if t.requires_grad:
+            t.accumulate_grad(np.concatenate([-g, g]))
 
     return _trace(out, (t,), backward)
 
@@ -426,19 +497,24 @@ def reparameterize(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
     return _trace(out, (mu, log_sigma), backward)
 
 
-def kl_standard_normal(mu: Tensor, log_sigma: Tensor) -> Tensor:
+def kl_standard_normal(mu: Tensor, log_sigma: Tensor,
+                       segments: Sequence[int] | None = None) -> Tensor:
     """KL(N(mu, diag sigma^2) || N(0, I)) summed over every coordinate, in
-    one tape record. Forward and backward repeat the arithmetic and order of
-    the chain ``scale(sum_all((exp(2 ls) - 1) + (-2 ls + mu * mu)), 0.5)``:
-    ``mu`` takes ``c * mu`` twice, as ``mu * mu`` gave it, and ``log_sigma``
-    the ``-2 ls`` share before the exponential's."""
+    one tape record; given ``segments`` (see ``sum_all``), the [len(segments)]
+    sums over those runs of rows. Forward and backward repeat the arithmetic
+    and order of the chain ``scale(sum_all((exp(2 ls) - 1) + (-2 ls + mu *
+    mu)), 0.5)``: ``mu`` takes ``c * mu`` twice, as ``mu * mu`` gave it, and
+    ``log_sigma`` the ``-2 ls`` share before the exponential's."""
     if log_sigma.shape != mu.shape:
         raise ShapeError(f"log sigma shape {log_sigma.shape} vs mu shape {mu.shape}")
     var = np.exp(log_sigma.data * 2.0)
-    out = Tensor(np.sum((var + -1.0) + (log_sigma.data * -2.0 + mu.data * mu.data)) * 0.5)
+    terms = (var + -1.0) + (log_sigma.data * -2.0 + mu.data * mu.data)
+    out = Tensor((np.sum(terms) if segments is None else _segment_sums(terms, segments)) * 0.5)
 
     def backward(g: np.ndarray) -> None:
         c = g * 0.5 + 0.0
+        if segments is not None:
+            c = _per_row(c, segments, mu.data.ndim)
         if mu.requires_grad:
             d_mu = c * mu.data
             mu.accumulate_grad(d_mu)

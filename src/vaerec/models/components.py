@@ -127,13 +127,15 @@ def reparameterize(g: GaussianParams, eps: np.ndarray) -> Tensor:
     return ad.reparameterize(g.mu, g.log_sigma, eps)
 
 
-def kl_to_standard_normal(g: GaussianParams) -> Tensor:
-    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), summed over the batch.
+def kl_to_standard_normal(g: GaussianParams, segments: Sequence[int] | None = None) -> Tensor:
+    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), summed over the batch,
+    or given ``segments`` over each run of that many rows (see
+    ``ad.sum_all``).
 
     Per coordinate: (sigma^2 - 1 - log sigma^2 + mu^2) / 2, which is zero
     exactly at (mu, sigma) = (0, 1) and positive everywhere else.
     """
-    return ad.kl_standard_normal(g.mu, g.log_sigma)
+    return ad.kl_standard_normal(g.mu, g.log_sigma, segments)
 
 
 # Held-out users are scored this many at a time, as the rows of one

@@ -93,12 +93,8 @@ class PairwiseRankingVAE:
                                 f"{np.shape(noise_other)} differ")
         g = self.encode(np.tile(user_rows, 2), np.concatenate([preferred, other]))
         s = self.score(reparameterize(g, np.concatenate([noise_preferred, noise_other])))
-        # s_j - s_i for every triple as [-I | I] @ s: one subtraction per row,
-        # so exact; -log sigmoid(s_i - s_j) == softplus(s_j - s_i)
-        dtype = s.data.dtype
-        flip = np.eye(n, 2 * n, n, dtype=dtype) - np.eye(n, 2 * n, dtype=dtype)
-        diff = ad.linear(Tensor(flip), s, Tensor(np.zeros(1, dtype)))
-        nll = ad.sum_all(ad.softplus(diff))
+        # s_j - s_i for every triple; -log sigmoid(s_i - s_j) == softplus(s_j - s_i)
+        nll = ad.sum_all(ad.softplus(ad.sub_halves(s)))
         return ad.scale(ad.add(nll, ad.scale(kl_to_standard_normal(g), beta)), 1.0 / n)
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:

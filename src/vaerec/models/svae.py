@@ -42,7 +42,8 @@ from vaerec.models.config import ModelConfig
 # leaves d floats of headroom a row and step, and cut so that
 # rows x (T_max + 1) x (2 d + 8 H) stays within this many floats (32 MiB),
 # whatever the fold-in lengths; a fold-in that needs more on its own is
-# scored alone, as the one-sequence path would.
+# scored alone, as the one-sequence path would. Training caps a batch's
+# [ΣT, N] catalog head at as many floats (``training._svae_batches``).
 SCORE_FLOATS = 1 << 22
 
 
@@ -68,8 +69,8 @@ def length_blocks(lengths: Sequence[int], step_floats: int) -> list[list[int]]:
 @dataclass
 class StepOutputs:
     """Per-step posterior, sample, and catalog logits (their row-wise log
-    softmax is the step's log-probabilities), stacked over the T steps of
-    one sequence."""
+    softmax is the step's log-probabilities) of B sequences: the ΣT rows of
+    their steps, sequence by sequence."""
 
     gaussian: GaussianParams
     z: Tensor
@@ -124,49 +125,67 @@ class SequentialVAE:
     def logits(self, z: Tensor) -> Tensor:
         return ad.linear(self.decoder_stack(z), *self.output)
 
-    def forward(self, items: Sequence[int], noise: np.ndarray) -> StepOutputs:
-        """One pass over a length-T sequence, yielding T per-step triples."""
-        if len(items) == 0:
+    def forward(self, sequences: Sequence[Sequence[int]], noise: np.ndarray) -> StepOutputs:
+        """One pass over B sequences, yielding the ΣT per-step triples of
+        their T_b steps: rows o_b .. o_b + T_b - 1 are sequence b's, where
+        o_b = T_0 + ... + T_{b-1}. The sequences share one right-padded
+        recurrence; each one's real rows are gathered from it, and the
+        encoder, reparameterization (``noise`` is [ΣT, L]) and decoder run
+        once over all of them."""
+        lengths = [len(items) for items in sequences]
+        if not lengths or 0 in lengths:
             raise ValueError("sequence must not be empty")
-        states = self._states([items[:-1]])
+        n_rows = len(lengths)
+        # sequence b's step t is row t * B + b of the step-major block
+        real = np.concatenate([np.arange(T) * n_rows + b for b, T in enumerate(lengths)])
+        states = ad.take_rows(self._states([items[:-1] for items in sequences]), real)
         g = self._encode_states(states)
         z = reparameterize(g, noise)
         return StepOutputs(gaussian=g, z=z, logits=self.logits(z))
 
-    def loss(self, items: Sequence[int], noise: np.ndarray, beta: float,
+    def loss(self, sequences: Sequence[Sequence[int]], noise: np.ndarray, beta: float,
              k: int | None = None, mode: str | None = None) -> Tensor:
-        """Per-sequence loss, normalized by sequence length.
+        """Mean over the B sequences of each one's loss, normalized by its
+        length: (beta * KL_b - recon_b) / T_b. ``noise`` is the [ΣT, L]
+        noise of their steps, in ``forward``'s row order.
 
         next-k-multiset: each step's reconstruction term is the multinomial
         log-likelihood of the next k items. mixture: each observed item is
         scored against the uniform mixture of the softmaxes from its k most
-        recent latent states.
+        recent latent states. Either way a step reads only its own
+        sequence's items and latent rows: each sequence's positions are
+        offset by its first row, and one ``log_softmax_at`` reads them all.
         """
         k = self.config.k_horizon if k is None else k
         mode = self.config.likelihood_mode if mode is None else mode
-        ids = np.asarray(items, dtype=np.int64)
+        out = self.forward(sequences, noise)
+        lengths = np.array([len(items) for items in sequences], dtype=np.int64)
+        ids = np.concatenate([np.asarray(items, dtype=np.int64) for items in sequences])
         check_ids(ids, self.n_items)
-        out = self.forward(items, noise)
-        T = len(items)
-        # row t, column j: position t + j, the j-th of the next k items
-        ahead = np.arange(T)[:, None] + np.arange(k)
+        starts = np.cumsum(lengths) - lengths  # each sequence's first row, o_b
+        first = np.repeat(starts, lengths)
+        # row t of a sequence, column j: its position t + j, the j-th of the next k items
+        ahead = (np.arange(ids.size) - first)[:, None] + np.arange(k)
         if mode == "next-k-multiset":
-            valid = ahead < T
-            recon = ad.sum_all(
-                ad.log_softmax_at(out.logits, np.nonzero(valid)[0], ids[ahead[valid]]))
+            valid = ahead < np.repeat(lengths, lengths)[:, None]
+            rows = np.nonzero(valid)[0]
+            picked = ad.log_softmax_at(out.logits, rows, ids[first[rows] + ahead[valid]])
+            recon = ad.sum_all(picked, np.add.reduceat(valid.sum(axis=1), starts))
         elif mode == "mixture":
             # row t: latent rows t-k+1 .. t; rows before the first are
             # clamped to 0 and masked out of the log-sum-exp
             back = ahead - (k - 1)
-            window = ad.log_softmax_at(out.logits, np.maximum(back, 0), ids[:, None])
+            window = ad.log_softmax_at(out.logits, first[:, None] + np.maximum(back, 0),
+                                       ids[:, None])
             dtype = self.store.dtype
             masked = ad.add(window, Tensor(np.where(back >= 0, 0.0, -np.inf).astype(dtype)))
             sizes = Tensor(np.log((back >= 0).sum(axis=1)).astype(dtype))
-            recon = ad.sum_all(ad.sub(ad.logsumexp_rows(masked), sizes))
+            recon = ad.sum_all(ad.sub(ad.logsumexp_rows(masked), sizes), lengths)
         else:
             raise ValueError(f"unknown likelihood mode {mode!r}")
-        kl = kl_to_standard_normal(out.gaussian)
-        return ad.scale(ad.sub(ad.scale(kl, beta), recon), 1.0 / T)
+        kl = kl_to_standard_normal(out.gaussian, lengths)
+        weights = 1.0 / (lengths.size * lengths)
+        return ad.weighted_sum(ad.sub(ad.scale(kl, beta), recon), weights)
 
     def scores(self, fold_in: Sequence[int]) -> np.ndarray:
         """Noise-free catalog log-probabilities for the step after the

@@ -1,6 +1,8 @@
 """Epoch-driven training with validation-based model selection.
 
-Training users are shuffled per epoch from the run seed; after every epoch
+Training users are shuffled per epoch from the run seed and taken in
+batches, one Adam step per batch: ``SVAE_BATCH`` whole sequences for svae,
+``config.batch_size`` bags for mvae and triples for rvae. After every epoch
 the model is scored by NDCG@100 on the validation fold users, and the
 parameters of the best validation epoch are the ones returned. The whole
 loop is a deterministic function of (split, config), so two runs with the
@@ -18,8 +20,16 @@ import numpy as np
 from vaerec.autodiff import Tape
 from vaerec.data import DatasetSplit, UserSequence
 from vaerec.evaluation import batch_rank_fn, evaluate
-from vaerec.models import build_model
+from vaerec.models import build_model, svae
 from vaerec.models.config import ModelConfig
+
+# svae users per Adam step, batched as Hidasi et al. batch sessions (ICLR
+# 2016); a step's loss is the mean of its users' losses. At four, the
+# median validation NDCG@100 held on catalog-wide; on svae-long it was level
+# on seeds 511-522 but 13 % lower on seeds 2311-2320, an open question.
+# svae-long beat popularity on every seed at four; at two, one seed fell
+# below popularity, and at eight both workloads' medians fell (README).
+SVAE_BATCH = 4
 
 
 class TrainingError(RuntimeError):
@@ -53,14 +63,38 @@ def _step(model, config: ModelConfig, batch_no: int, loss_fn, *args) -> float:
     return value
 
 
+def _svae_batches(lengths: Sequence[int], n_items: int) -> list[list[int]]:
+    """Positions in ``lengths`` cut, in order, into batches of at most
+    ``SVAE_BATCH``. A batch closes early where one more sequence would take
+    its [ΣT, n_items] catalog head past ``svae.SCORE_FLOATS`` floats, so a
+    sequence that long trains alone."""
+    batches: list[list[int]] = []
+    batch: list[int] = []
+    rows = 0
+    for pos, steps in enumerate(lengths):
+        if batch and (len(batch) == SVAE_BATCH
+                      or (rows + steps) * n_items > svae.SCORE_FLOATS):
+            batches.append(batch)
+            batch, rows = [], 0
+        batch.append(pos)
+        rows += steps
+    if batch:
+        batches.append(batch)
+    return batches
+
+
 def _svae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> float:
-    """One pass over shuffled users, one full-length sequence per step."""
+    """One pass over shuffled users in ``_svae_batches`` of full-length
+    sequences. Each user's noise is drawn as the batch is reached, in the
+    shuffled order, so the generator's stream does not depend on the
+    batching. Returns the mean per-user loss."""
     order = rng.permutation(len(train))
+    sequences = [train[i].items for i in order]
     total = 0.0
-    for batch_no, idx in enumerate(order):
-        items = train[idx].items
-        noise = rng.standard_normal((len(items), config.latent_dim))
-        total += _step(model, config, batch_no, model.loss, items, noise, beta)
+    for batch_no, batch in enumerate(_svae_batches([len(s) for s in sequences], model.n_items)):
+        items = [sequences[pos] for pos in batch]
+        noise = np.concatenate([rng.standard_normal((len(s), config.latent_dim)) for s in items])
+        total += _step(model, config, batch_no, model.loss, items, noise, beta) * len(items)
     return total / max(len(order), 1)
 
 

@@ -96,7 +96,7 @@ def test_criterion_1_gradient_fidelity():
         svae = build_model("svae", 6, toy_config(), dtype=np.float64)
         randomize_params(svae, seed=13)
         errors[f"svae/{mode}"] = gradient_check(
-            lambda: svae.loss(items, noise_s, beta=0.9, k=2, mode=mode),
+            lambda: svae.loss([items], noise_s, beta=0.9, k=2, mode=mode),
             svae.store, epsilon=1e-5,
         )
 
@@ -175,8 +175,8 @@ def test_criterion_4_causality_suite():
         cut = int(rng.integers(1, length))
         suffix = items[cut:]
         permuted = items[:cut] + [suffix[i] for i in rng.permutation(len(suffix))]
-        a = svae.forward(items, noise)
-        b = svae.forward(permuted, noise)
+        a = svae.forward([items], noise)
+        b = svae.forward([permuted], noise)
         np.testing.assert_array_equal(a.gaussian.mu.data[:cut], b.gaussian.mu.data[:cut])
         np.testing.assert_array_equal(
             a.gaussian.log_sigma.data[:cut], b.gaussian.log_sigma.data[:cut]

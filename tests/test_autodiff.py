@@ -1270,3 +1270,99 @@ class TestOneRecordOps:
         log_sigma = store.add("log_sigma", rng.normal(size=(3, 4)))
         err = gradient_check(lambda: ad.scale(ad.kl_standard_normal(mu, log_sigma), 1.3), store)
         assert err < 1e-6
+
+
+class TestBatchReductions:
+    """The ops that let one tape hold a batch of ragged sequences:
+    ``sum_all`` and ``kl_standard_normal`` over runs of rows, the per-row
+    ``weighted_sum`` that takes a batch's mean of per-sequence losses,
+    ``take_rows`` and ``sub_halves``. One run of all rows must keep the
+    unsegmented bytes, so that a batch of one sequence trains as before."""
+
+    segments = [2, 1, 3, 0, 4]
+
+    def test_segment_sums_are_the_sums_of_each_slice(self):
+        rng = np.random.default_rng(0)
+        for shape in [(10,), (10, 3)]:
+            x = rng.normal(size=shape)
+            got = ad.sum_all(Tensor(x), self.segments).data
+            ends = np.cumsum(self.segments)
+            want = [np.sum(x[hi - n : hi]) for n, hi in zip(self.segments, ends)]
+            assert got.tobytes() == np.array(want).tobytes()
+            kl_got = ad.kl_standard_normal(Tensor(x), Tensor(x[::-1].copy()), self.segments).data
+            kl_want = [ad.kl_standard_normal(Tensor(x[hi - n : hi]),
+                                             Tensor(x[::-1][hi - n : hi].copy())).data
+                       for n, hi in zip(self.segments, ends)]
+            np.testing.assert_array_equal(kl_got, kl_want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.lists(st.booleans(), min_size=2, max_size=2),
+           st.integers(0, 2**32 - 1))
+    def test_one_segment_keeps_the_unsegmented_bytes(self, rows, dim, prefilled, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [with_zeros(rng, (rows, dim)) for _ in range(2)]
+        prefill = [with_zeros(rng, (rows, dim)) if p else None for p in prefilled]
+        g = with_zeros(rng, ())
+        for op, segmented in [
+            (lambda x, y: ad.sum_all(x), lambda x, y: ad.sum_all(x, [rows])),
+            (ad.kl_standard_normal, lambda x, y: ad.kl_standard_normal(x, y, [rows])),
+        ]:
+            whole = replay(op, arrays, [True, True], prefill, g)
+            one = replay(segmented, arrays, [True, True], prefill, g[None])
+            assert one == whole
+
+    def test_gradient_checks(self):
+        rng = np.random.default_rng(8)
+        store = ParameterStore(np.float64)
+        x = store.add("x", rng.normal(size=(10, 3)))
+        mu = store.add("mu", rng.normal(size=(10, 2)))
+        log_sigma = store.add("log_sigma", rng.normal(size=(10, 2)))
+        pairs = store.add("pairs", rng.normal(size=(6, 1)))
+        weights = rng.uniform(0.1, 2.0, size=5)
+        rows = [7, 0, 3, 9]
+
+        def loss_fn():
+            per_segment = ad.sub(ad.scale(ad.kl_standard_normal(mu, log_sigma, self.segments), 0.7),
+                                 ad.sum_all(ad.mul(x, x), self.segments))
+            gathered = ad.sum_all(ad.mul(ad.take_rows(x, rows), ad.take_rows(x, rows[::-1])))
+            halves = ad.sum_all(ad.softplus(ad.sub_halves(pairs)))
+            return ad.add(ad.weighted_sum(per_segment, weights), ad.add(gathered, halves))
+
+        _check(loss_fn, store)
+
+    def test_each_records_one_entry(self):
+        t = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        v = Tensor(np.arange(3.0), requires_grad=True)
+        for op in [lambda: ad.sum_all(t, [2, 4]), lambda: ad.weighted_sum(v, [1.0, 2.0, 0.5]),
+                   lambda: ad.take_rows(t, [5, 0]), lambda: ad.sub_halves(t),
+                   lambda: ad.kl_standard_normal(t, t, [6])]:
+            with Tape() as tape:
+                op()
+            assert len(tape) == 1
+
+    def test_values(self):
+        t = Tensor(np.arange(12.0).reshape(6, 2))
+        assert ad.weighted_sum(Tensor([1.0, 2.0, 4.0]), [0.5, 0.25, 2.0]).item() == 9.0
+        np.testing.assert_array_equal(ad.take_rows(t, [5, 0]).data, [[10.0, 11.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(ad.sub_halves(t).data, np.full((3, 2), 6.0))
+
+    def test_sub_halves_matches_the_flip_matrix_product(self):
+        # the [-I | I] @ s form it replaced, with its linear layer's backward
+        rng = np.random.default_rng(4)
+        for n in (1, 3, 8):
+            s = with_zeros(rng, (2 * n, 1))
+            g = with_zeros(rng, (n, 1))
+            flip = np.eye(n, 2 * n, n) - np.eye(n, 2 * n)
+            product = replay(lambda t: linear(Tensor(flip), t, Tensor(np.zeros(1))),
+                             [s], [True], [None], g)
+            assert replay(ad.sub_halves, [s], [True], [None], g) == product
+
+    def test_bad_shapes_are_rejected(self):
+        with pytest.raises(ShapeError, match="segments"):
+            ad.sum_all(Tensor(np.zeros(5)), [2, 2])
+        with pytest.raises(ShapeError, match="segments"):
+            ad.kl_standard_normal(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))), [4, -1])
+        with pytest.raises(ShapeError, match="weighted_sum"):
+            ad.weighted_sum(Tensor(np.zeros(3)), [1.0, 2.0])
+        with pytest.raises(ShapeError, match="even"):
+            ad.sub_halves(Tensor(np.zeros((3, 1))))

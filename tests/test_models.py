@@ -342,6 +342,23 @@ class TestRVAE:
         assert len(tape._lookups) == 1
         assert len(tape) < len(two_pass) == 23
 
+    def test_pair_loss_memory_is_linear_in_the_batch(self):
+        # a [B, 2B] matrix of score differences would take 128 MiB at B = 4096
+        model = build_model("rvae", 9, toy_config(), n_users=4)
+        n = 4096
+        rng = np.random.default_rng(0)
+        users, (preferred, other) = rng.integers(0, 5, n), rng.integers(0, 9, (2, n))
+        noise = rng.standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = model.pair_loss(users, preferred, other, noise, noise, 0.5)
+            tape.backward(loss, model.store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
     def test_pair_loss_rejects_noise_blocks_of_different_shapes(self):
         model = build_model("rvae", 6, toy_config(), n_users=3)
         with pytest.raises(ad.ShapeError, match="noise shapes"):
@@ -399,7 +416,7 @@ class TestSVAEForward:
     def test_single_step(self):
         cfg = toy_config()
         model = build_model("svae", 6, cfg)
-        out = model.forward([4], np.zeros((1, cfg.latent_dim)))
+        out = model.forward([[4]], np.zeros((1, cfg.latent_dim)))
         assert out.logits.shape == (1, 6)
         assert out.gaussian.mu.shape == (1, cfg.latent_dim)
 
@@ -407,8 +424,8 @@ class TestSVAEForward:
         cfg = toy_config()
         model = build_model("svae", 6, cfg)
         noise = np.zeros((4, cfg.latent_dim))
-        a = model.forward([1, 2, 3, 4], noise)
-        b = model.forward([1, 2, 3, 5], noise)
+        a = model.forward([[1, 2, 3, 4]], noise)
+        b = model.forward([[1, 2, 3, 5]], noise)
         np.testing.assert_array_equal(a.gaussian.mu.data[:3], b.gaussian.mu.data[:3])
         np.testing.assert_array_equal(a.logits.data[:3], b.logits.data[:3])
 
@@ -420,8 +437,8 @@ class TestSVAEForward:
         noise = rng.standard_normal((6, cfg.latent_dim))
         cut = 3
         permuted = items[:cut] + items[cut:][::-1]
-        a = model.forward(items, noise)
-        b = model.forward(permuted, noise)
+        a = model.forward([items], noise)
+        b = model.forward([permuted], noise)
         np.testing.assert_array_equal(a.gaussian.mu.data[:cut], b.gaussian.mu.data[:cut])
         np.testing.assert_array_equal(
             a.gaussian.log_sigma.data[:cut], b.gaussian.log_sigma.data[:cut]
@@ -431,7 +448,7 @@ class TestSVAEForward:
     def test_empty_sequence_rejected(self):
         model = build_model("svae", 6, toy_config())
         with pytest.raises(ValueError, match="empty"):
-            model.forward([], np.zeros((0, 3)))
+            model.forward([[]], np.zeros((0, 3)))
 
 
 def reference_svae_loss(model, items, noise, beta, k, mode):
@@ -439,7 +456,7 @@ def reference_svae_loss(model, items, noise, beta, k, mode):
     log-probabilities: counts of the next k items (fewer at the end) and,
     in mixture mode, one gather and log-sum-exp per step, added up left to
     right."""
-    out = model.forward(items, noise)
+    out = model.forward([items], noise)
     log_pi = dense_log_softmax(out.logits)
     T = len(items)
     if mode == "next-k-multiset":
@@ -466,8 +483,8 @@ class TestSVAELoss:
         rng = np.random.default_rng(2)
         items = [0, 3, 5, 1]
         noise = rng.standard_normal((4, cfg.latent_dim))
-        a = model.loss(items, noise, beta=1.0, k=1, mode="next-k-multiset")
-        b = model.loss(items, noise, beta=1.0, k=1, mode="mixture")
+        a = model.loss([items], noise, beta=1.0, k=1, mode="next-k-multiset")
+        b = model.loss([items], noise, beta=1.0, k=1, mode="mixture")
         assert a.item() == b.item()
 
     def test_uniform_decoder_k1_loss_is_log_n(self):
@@ -475,14 +492,14 @@ class TestSVAELoss:
         model = build_model("svae", 6, cfg)
         zero_decoder_output(model)
         items = [0, 1, 2]
-        loss = model.loss(items, np.zeros((3, cfg.latent_dim)), beta=0.0, k=1,
+        loss = model.loss([items], np.zeros((3, cfg.latent_dim)), beta=0.0, k=1,
                           mode="next-k-multiset")
         np.testing.assert_allclose(loss.item(), np.log(6.0), atol=1e-12)
 
     def test_unknown_mode(self):
         model = build_model("svae", 6, toy_config())
         with pytest.raises(ValueError, match="mode"):
-            model.loss([0, 1], np.zeros((2, 3)), beta=1.0, mode="nope")
+            model.loss([[0, 1]], np.zeros((2, 3)), beta=1.0, mode="nope")
 
     def test_tape_length_does_not_grow_with_sequence(self):
         cfg = toy_config()
@@ -492,7 +509,7 @@ class TestSVAELoss:
             for steps in (2, 5, 40):
                 items = [t % 8 for t in range(steps)]
                 with Tape() as tape:
-                    model.loss(items, np.zeros((steps, cfg.latent_dim)), beta=1.0, mode=mode)
+                    model.loss([items], np.zeros((steps, cfg.latent_dim)), beta=1.0, mode=mode)
                 lengths.append(len(tape))
             assert lengths[0] == lengths[1] == lengths[2], mode
 
@@ -501,7 +518,7 @@ class TestSVAELoss:
     def test_out_of_range_item_rejected(self, mode, bad):
         model = build_model("svae", 6, toy_config())
         with pytest.raises(IndexError, match=f"item id {bad} out of range"):
-            model.loss([0, 1, bad], np.zeros((3, 3)), beta=1.0, mode=mode)
+            model.loss([[0, 1, bad]], np.zeros((3, 3)), beta=1.0, mode=mode)
 
     @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
     @pytest.mark.parametrize("k", [1, 2, 4, 9])
@@ -516,7 +533,8 @@ class TestSVAELoss:
         noise = rng.standard_normal((steps, cfg.latent_dim))
         want_loss, want_grad = loss_and_grads(model, reference_svae_loss, items, noise, 0.7,
                                               k, mode)
-        got_loss, got_grad = loss_and_grads(model, type(model).loss, items, noise, 0.7, k, mode)
+        got_loss, got_grad = loss_and_grads(model, type(model).loss, [items], noise, 0.7, k,
+                                            mode)
         assert abs(got_loss - want_loss) <= 1e-12
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
@@ -529,9 +547,112 @@ class TestSVAELoss:
         items = [0, 2, 4, 1]
         noise = rng.standard_normal((4, cfg.latent_dim))
         err = gradient_check(
-            lambda: model.loss(items, noise, beta=0.9, k=2, mode=mode), model.store
+            lambda: model.loss([items], noise, beta=0.9, k=2, mode=mode), model.store
         )
         assert err < 1e-4
+
+
+class TestSVAEBatchedLoss:
+    """One ``loss`` call over B ragged sequences is the mean of their
+    one-sequence losses, in float64."""
+
+    # 1- and 2-item sequences beside longer ones; k = 4 and 9 pass some T
+    SEQUENCES = [[3, 1, 4, 1, 5, 9, 2], [6], [5, 3], [0, 8, 8, 7, 2, 6, 5, 3, 5, 9, 7], [2, 7, 1]]
+
+    def model(self, n_items=10):
+        model = build_model("svae", n_items, toy_config(), dtype=np.float64)
+        randomize_params(model, seed=21)
+        return model
+
+    def noise_of(self, sequences, seed=5):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((len(s), 3)) for s in sequences]
+
+    @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_loss_and_gradients_are_the_mean_of_one_sequence_calls(self, mode, k):
+        model = self.model()
+        noise = self.noise_of(self.SEQUENCES)
+        single = [loss_and_grads(model, type(model).loss, [items], z, 0.7, k, mode)
+                  for items, z in zip(self.SEQUENCES, noise)]
+        got_loss, got_grad = loss_and_grads(model, type(model).loss, self.SEQUENCES,
+                                            np.concatenate(noise), 0.7, k, mode)
+        assert abs(got_loss - np.mean([loss for loss, _ in single])) <= 1e-12
+        np.testing.assert_allclose(got_grad, np.mean([g for _, g in single], axis=0),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
+    def test_gradient_check_on_a_ragged_batch(self, mode):
+        model = self.model(n_items=6)
+        sequences = [[0, 2, 4, 1], [5], [3, 3]]
+        noise = np.concatenate(self.noise_of(sequences, seed=3))
+        err = gradient_check(lambda: model.loss(sequences, noise, beta=0.9, k=2, mode=mode),
+                             model.store)
+        assert err < 1e-4
+
+    def test_another_sequence_leaves_a_sequences_log_probabilities(self):
+        model = self.model()
+        first, *others = self.SEQUENCES
+        noise = self.noise_of(self.SEQUENCES)
+
+        def log_probs(batch):
+            out = model.forward(batch, np.concatenate(noise[: len(batch)]))
+            return ad.log_softmax(out.logits.data)[: len(first)]
+
+        alone = log_probs([first])
+        batch = log_probs([first] + others)
+        # the same lengths, other items: the same shapes throughout
+        swapped = log_probs([first] + [[(i + 3) % 10 for i in s] for s in others])
+        assert swapped.tobytes() == batch.tobytes()
+        np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-12)
+
+    def test_empty_batches_and_sequences_are_rejected(self):
+        model = self.model()
+        for batch in ([], [[1, 2], []]):
+            with pytest.raises(ValueError, match="empty"):
+                model.loss(batch, np.zeros((2, 3)), beta=1.0)
+
+
+class TestSVAEBatches:
+    def test_batches_of_svae_batch_users_in_order(self):
+        assert training.SVAE_BATCH == 4
+        got = training._svae_batches([3] * 10, n_items=8)
+        assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+    def test_a_batch_closes_before_its_catalog_head_passes_the_budget(self, monkeypatch):
+        monkeypatch.setattr(svae_module, "SCORE_FLOATS", 9 * 8)
+        # at most 9 rows of 8 items: 3 + 5 fit, 2 more would not; 12 alone
+        got = training._svae_batches([3, 5, 2, 12, 1, 1, 4, 4], n_items=8)
+        assert got == [[0, 1], [2], [3], [4, 5, 6], [7]]
+
+    def test_a_long_user_trains_alone(self, monkeypatch):
+        split = cycle_split(n_items=8, n_train=12, n_val=4, n_test=4, length=6, seed=3)
+        split.train[5] = UserSequence(split.train[5].user_index, tuple(range(8)) * 3)
+        monkeypatch.setattr(svae_module, "SCORE_FLOATS", 12 * 8)
+        calls = []
+        loss = svae_module.SequentialVAE.loss
+
+        def recording(model, sequences, *args):
+            calls.append([len(s) for s in sequences])
+            return loss(model, sequences, *args)
+
+        monkeypatch.setattr(svae_module.SequentialVAE, "loss", recording)
+        train("svae", split, toy_config(epochs=1))
+        assert [24] in calls
+        assert all(sum(c) <= 12 for c in calls if c != [24])
+        assert sorted(n for c in calls for n in c) == sorted(len(s.items) for s in split.train)
+
+    def test_the_generator_ends_where_the_per_user_schedule_leaves_it(self, monkeypatch):
+        split = cycle_split(n_items=8, n_train=13, n_val=4, n_test=4, length=6, seed=3)
+        cfg = toy_config()
+        states = []
+        for batch in (1, training.SVAE_BATCH):
+            monkeypatch.setattr(training, "SVAE_BATCH", batch)
+            model = build_model("svae", split.n_items, cfg)
+            rng = np.random.default_rng(11)
+            training._svae_epoch(model, split.train, rng, 0.5, cfg)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestPredictions:
@@ -772,8 +893,10 @@ class TestEmbeddingIdRanges:
 
 
 class TestOneUserPerStepTraining:
-    """svae still takes one Adam step per user, through the recurrence's
-    B = 1 form; batching the recurrence must leave its bytes alone."""
+    """With ``SVAE_BATCH`` at 1, svae takes one Adam step per user, through
+    the batched loss's B = 1 form, which must keep the bytes of the
+    one-user-per-step schedule; a second pinned run holds the default
+    batch."""
 
     # sha256 of the trained arena as little-endian float64, and the
     # per-epoch training losses and validation NDCG@100; recorded when Adam
@@ -791,6 +914,20 @@ class TestOneUserPerStepTraining:
             "a2462cf2cc5d1c60e8840a99583746b52cb7f46fc382db764d54963a42e15df5",
             [2.518100537334393, 2.507613080870526],
             [0.663032155260709, 0.6440186536691633],
+        ),
+    }
+    # the same runs at the default SVAE_BATCH of 4, recorded when svae
+    # training went from one user to four per step
+    PINNED_BATCHED = {
+        "next-k-multiset": (
+            "a88fa5b926b7e92a49e1ded3e6c76b88890cb461330e4d4f689c38ee75522b41",
+            [4.8241511548579705, 4.804123367022711],
+            [0.5985566873882854, 0.6541306884192895],
+        ),
+        "mixture": (
+            "13b4862c53ffddfe32b628cb52ffdc586a11c7f5c43a7e26eeee07db946becc0",
+            [2.5243056766040803, 2.5244538608462777],
+            [0.6817343845909828, 0.6817343845909828],
         ),
     }
     # float_kernel_probe() where the pins were recorded (x86-64 with
@@ -814,12 +951,11 @@ class TestOneUserPerStepTraining:
             h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    @pytest.mark.parametrize("mode", sorted(PINNED))
-    def test_two_epochs_match_the_pinned_run(self, mode):
+    def check_pinned_run(self, mode, pinned):
         split = cycle_split(n_items=12, n_train=20, n_val=6, n_test=6, length=9, seed=3)
         model, curve = train("svae", split, toy_config(epochs=2, likelihood_mode=mode),
                              dtype=np.float64)
-        digest, losses, ndcgs = self.PINNED[mode]
+        digest, losses, ndcgs = pinned
         np.testing.assert_allclose([s.train_loss for s in curve], losses, rtol=1e-9)
         if self.float_kernel_probe() != self.PINNED_PROBE:
             pytest.skip("numpy's float kernels round differently here than where the "
@@ -828,6 +964,16 @@ class TestOneUserPerStepTraining:
         assert [s.val_ndcg100 for s in curve] == ndcgs
         blob = np.ascontiguousarray(model.store.values, dtype="<f8").tobytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_two_epochs_match_the_pinned_run(self, mode, monkeypatch):
+        monkeypatch.setattr(training, "SVAE_BATCH", 1)
+        self.check_pinned_run(mode, self.PINNED[mode])
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_BATCHED))
+    def test_two_epochs_at_the_default_batch_match_the_pinned_run(self, mode):
+        assert training.SVAE_BATCH == 4
+        self.check_pinned_run(mode, self.PINNED_BATCHED[mode])
 
 
 class TestFloat32Arena:
@@ -876,7 +1022,7 @@ class TestFloat32Arena:
             other = rng.standard_normal((3, cfg.latent_dim))
             return model, self.step(model, model.pair_loss, [0, 1, 2], [1, 2, 3], [4, 5, 6],
                                     noise, other, 0.5)
-        return model, self.step(model, model.loss, [0, 2, 4], noise, 0.5)
+        return model, self.step(model, model.loss, [[0, 2, 4]], noise, 0.5)
 
     @pytest.mark.parametrize("kind, mode", [("mvae", "next-k-multiset"),
                                             ("rvae", "next-k-multiset"),
@@ -905,18 +1051,40 @@ class TestFloat32Arena:
 
 
 def reference_svae_epoch(model, train, rng, beta, config):
+    """One shuffled user per step: the oracle of ``_svae_epoch`` with
+    ``SVAE_BATCH`` at 1."""
     order = rng.permutation(len(train))
     total = 0.0
     for idx in order:
         items = train[idx].items
         noise = rng.standard_normal((len(items), config.latent_dim))
         with Tape() as tape:
-            loss = model.loss(items, noise, beta)
+            loss = model.loss([items], noise, beta)
         value = loss.item()
         assert np.isfinite(value)
         tape.backward(loss, model.store)
         model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
         total += value
+    return total / max(len(order), 1)
+
+
+def reference_svae_batch_epoch(model, train, rng, beta, config, size):
+    """``size`` shuffled users per step, the last batch ragged; the
+    catalog-head cap of ``training._svae_batches`` never binds on the
+    splits it runs on."""
+    order = rng.permutation(len(train))
+    total = 0.0
+    for lo in range(0, len(order), size):
+        batch = [train[i].items for i in order[lo : lo + size]]
+        noise = np.concatenate([rng.standard_normal((len(items), config.latent_dim))
+                                for items in batch])
+        with Tape() as tape:
+            loss = model.loss(batch, noise, beta)
+        value = loss.item()
+        assert np.isfinite(value)
+        tape.backward(loss, model.store)
+        model.store.adam_step(config.learning_rate, weight_decay=config.weight_decay)
+        total += value * len(batch)
     return total / max(len(order), 1)
 
 
@@ -1066,14 +1234,28 @@ class TestTraining:
 
     @pytest.mark.parametrize("kind, mode", [("mvae", "next-k-multiset"), ("rvae", "next-k-multiset"),
                                             ("svae", "next-k-multiset"), ("svae", "mixture")])
-    def test_epochs_match_the_inline_reference_loop(self, kind, mode):
+    def test_epochs_match_the_inline_reference_loop(self, kind, mode, monkeypatch):
+        # svae against its one-user-per-step oracle; its batches are below
+        monkeypatch.setattr(training, "SVAE_BATCH", 1)
+        self.assert_epochs_match(REFERENCE_EPOCHS[kind], training._EPOCH_FNS[kind],
+                                 kind, mode)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
+    def test_svae_batches_match_the_inline_batched_loop(self, size, mode, monkeypatch):
+        # 12 users: three full batches of 4 (the default), or 5, 5 and 2
+        monkeypatch.setattr(training, "SVAE_BATCH", size)
+        oracle = functools.partial(reference_svae_batch_epoch, size=size)
+        self.assert_epochs_match(oracle, training._EPOCH_FNS["svae"], "svae", mode)
+
+    def assert_epochs_match(self, reference_fn, epoch_fn, kind, mode):
         split = self.small_split()
         cfg = toy_config(batch_size=5, weight_decay=0.01, likelihood_mode=mode)
         runs = []
-        for epoch_fn in (REFERENCE_EPOCHS[kind], training._EPOCH_FNS[kind]):
+        for fn in (reference_fn, epoch_fn):
             model = build_model(kind, split.n_items, cfg, n_users=len(split.train))
             rng = np.random.default_rng(11)
-            losses = [epoch_fn(model, split.train, rng, beta, cfg) for beta in (0.5, 1.0)]
+            losses = [fn(model, split.train, rng, beta, cfg) for beta in (0.5, 1.0)]
             runs.append((losses, model.store.values.tobytes(), rng.random()))
         assert runs[0] == runs[1]
 
@@ -1220,7 +1402,7 @@ class TestLazyEmbeddingTables:
             other = rng.standard_normal((3, cfg.latent_dim))
             args = (model.pair_loss, [0, 1, 2], [1, 2, 3], [4, 5, 6], noise, other, 0.5)
         else:
-            args = (model.loss, [0, 2, 4], noise, 0.5)
+            args = (model.loss, [[0, 2, 4]], noise, 0.5)
         training._step(model, cfg, 0, *args)
         gc.collect()
         gc.disable()
