@@ -81,7 +81,7 @@ class Tape:
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._replayed = False
-        # (output, table, ids) of each recorded embedding lookup
+        # (output, table, rows read) of each embedding lookup and bag layer
         self._lookups: list[tuple[Tensor, Tensor, np.ndarray]] = []
 
     def __enter__(self) -> "Tape":
@@ -105,9 +105,10 @@ class Tape:
         ``loss`` must be scalar. The gradient vector of ``params`` is zeroed
         in one call before the replay, so parameters the loss does not reach
         read zero. The rows of ``params``' tables that the replayed lookups
-        read are handed to it after the replay, for ``adam_step``. A second
-        call raises ``RuntimeError`` before it zeroes anything: it would add
-        to the sums the first left in every intermediate's ``grad``.
+        and bag layers read are handed to it after the replay, for
+        ``adam_step``. A second call raises ``RuntimeError`` before it zeroes
+        anything: it would add to the sums the first left in every
+        intermediate's ``grad``.
         """
         if self._replayed:
             raise RuntimeError("backward already ran on this tape; record a new one")
@@ -122,7 +123,7 @@ class Tape:
             for out, rule in reversed(self._records):
                 if out.grad is not None:
                     rule(out.grad)
-        # a lookup's rule ran when its output got a gradient
+        # a lookup's or bag layer's rule ran when its output got a gradient
         params._read_rows([(table, ids) for out, table, ids in self._lookups
                            if out.grad is not None])
 
@@ -249,6 +250,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
                 w.accumulate_grad(x.data.T @ g)
 
     return _trace(out, (x, w, b), backward)
+
+
+def bag_linear(bags: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
+    """``linear`` on multi-hot ``bags`` with the same bytes and tape record;
+    the tape also keeps the bags' nonzero columns, the only rows of ``w``
+    the product reads, so that a table ``w`` takes Adam steps on those rows
+    alone."""
+    out = linear(bags, w, b, tanh)
+    if out.requires_grad:
+        _active_tape()._lookups.append((out, w, np.flatnonzero(bags.data.any(axis=0))))
+    return out
 
 
 def exp(t: Tensor) -> Tensor:
@@ -706,9 +718,10 @@ class ParameterStore:
     added. Names are unique; the step counter is shared across all
     parameters and increases by one per ``adam_step``.
 
-    A parameter added with ``table=True`` is an embedding table, which Adam
-    updates row by row: only the rows that the last backward's lookups read
-    take a step (see ``adam_step``).
+    A parameter added with ``table=True`` is an embedding table, or a
+    weight that ``bag_linear`` reads, which Adam updates row by row: only
+    the rows that the last backward's lookups and bag layers read take a
+    step (see ``adam_step``).
 
     Models train and serve in float32, the default. A float64 store keeps
     the arithmetic of the float64 core exactly; ``gradient_check`` needs one.
@@ -726,7 +739,9 @@ class ParameterStore:
         self.grads: np.ndarray | None = None
         self._moment1: np.ndarray | None = None
         self._moment2: np.ndarray | None = None
-        self._dense: list[tuple[int, int]] = []  # Adam's slices outside the tables
+        self._spans: dict[str, tuple[int, int]] = {}  # each table's range in the arena
+        # Adam's dense slices, keyed by the names of the tables read in full
+        self._dense: dict[tuple[str, ...], list[tuple[int, int]]] = {}
         # each table's [rows, dim] views of the two moments
         self._table_moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step_count = 0
@@ -802,7 +817,6 @@ class ParameterStore:
         if self._values is not None:
             return
         values = np.zeros(self.n_values(), self.dtype) if arena is None else arena
-        lo = 0  # start of the dense run being built
         for name, shape, offset in self.layout():
             p = self._params[name]
             view = values[offset : offset + p.data.size].reshape(shape)
@@ -810,9 +824,7 @@ class ParameterStore:
                 view[...] = p.data
             p.data = view
             if name in self._tables:
-                self._dense.extend(_slices(lo, offset))
-                lo = offset + p.data.size
-        self._dense.extend(_slices(lo, values.size))
+                self._spans[name] = (offset, offset + p.data.size)
         self._values = values
 
     def _zero_grads(self) -> None:
@@ -851,7 +863,9 @@ class ParameterStore:
         are: a row that the last backward's lookups read takes the full
         update once, however often it was read, and every other row keeps
         its value and both moments. The step count, and so the bias
-        correction, is the one shared by every parameter.
+        correction, is the one shared by every parameter. A table whose rows
+        were all read takes the dense slices, with no gather or scatter:
+        the same operations on each value, so the same bytes.
         """
         if self.grads is None:
             raise ValueError("adam_step before backward: no gradient vector")
@@ -859,21 +873,26 @@ class ParameterStore:
         if self._moment1 is None:
             self._moment1 = np.zeros_like(values)
             self._moment2 = np.zeros_like(values)
-            for name, shape, offset in self.layout():
-                if name in self._tables:
-                    self._table_moments[name] = tuple(
-                        m[offset : offset + math.prod(shape)].reshape(shape)
-                        for m in (self._moment1, self._moment2))
+            for name, (lo, hi) in self._spans.items():
+                self._table_moments[name] = tuple(
+                    m[lo:hi].reshape(self._params[name].shape)
+                    for m in (self._moment1, self._moment2))
         m1, m2 = self._moment1, self._moment2
         self.step_count += 1
         t = self.step_count
         step = (lr, weight_decay, 1.0 - _BETA1**t, 1.0 - _BETA2**t)
         tmp_a = np.empty(min(_ADAM_CHUNK, values.size), values.dtype)
         tmp_b = np.empty_like(tmp_a)
-        for lo, hi in self._dense:
+        full = tuple(name for name, rows in self._tables.items()
+                     if rows.size == self._params[name].shape[0])
+        if full not in self._dense:
+            self._dense[full] = self._dense_slices(full)
+        for lo, hi in self._dense[full]:
             _adam_update(values[lo:hi], grads[lo:hi], m1[lo:hi], m2[lo:hi],
                          tmp_a[: hi - lo], tmp_b[: hi - lo], *step)
         for name, rows in self._tables.items():
+            if name in full:
+                continue
             table = self._params[name]
             x_rows, g_rows = table.data, table.grad
             m_rows, v_rows = self._table_moments[name]
@@ -884,6 +903,16 @@ class ParameterStore:
                 x, g, m, v = x_rows[block], g_rows[block], m_rows[block], v_rows[block]
                 _adam_update(x, g, m, v, np.empty_like(x), g, *step)
                 x_rows[block], m_rows[block], v_rows[block] = x, m, v
+
+    def _dense_slices(self, full: tuple[str, ...]) -> list[tuple[int, int]]:
+        """Adam's slices of the arena outside every table but those in
+        ``full``, which join the dense runs around them."""
+        out, lo = [], 0
+        for name, (start, stop) in self._spans.items():
+            if name not in full:
+                out += _slices(lo, start)
+                lo = stop
+        return out + _slices(lo, self._values.size)
 
     def snapshot(self, out: np.ndarray | None = None) -> np.ndarray:
         """A copy of the arena, written into ``out`` when given (it must have

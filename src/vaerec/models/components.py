@@ -47,8 +47,8 @@ def add_drawn(store: ParameterStore, name: str, draw, rng: np.random.Generator |
 
 
 def add_dense(store: ParameterStore, name: str, fan_in: int, fan_out: int,
-              rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
-    w = add_drawn(store, f"{name}.w", glorot_uniform, rng, fan_in, fan_out)
+              rng: np.random.Generator | None, table: bool = False) -> tuple[Tensor, Tensor]:
+    w = add_drawn(store, f"{name}.w", glorot_uniform, rng, fan_in, fan_out, table=table)
     b = store.add(f"{name}.b", shape=(fan_out,))
     return w, b
 
@@ -92,18 +92,23 @@ def add_gru(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
 
 
 class DenseStack:
-    """Dense layers, each followed by tanh."""
+    """Dense layers, each followed by tanh. With ``bag_input`` the first
+    layer reads multi-hot bags through ``ad.bag_linear`` and its weight is
+    a table, so Adam steps only the rows of items some bag holds."""
 
     def __init__(self, store: ParameterStore, name: str, widths: Sequence[int],
-                 rng: np.random.Generator | None):
+                 rng: np.random.Generator | None, bag_input: bool = False):
         self.layers = [
-            add_dense(store, f"{name}.{i}", widths[i], widths[i + 1], rng)
+            add_dense(store, f"{name}.{i}", widths[i], widths[i + 1], rng,
+                      table=bag_input and i == 0)
             for i in range(len(widths) - 1)
         ]
+        self.bag_input = bag_input
 
     def __call__(self, x: Tensor) -> Tensor:
-        for w, b in self.layers:
-            x = ad.linear(x, w, b, tanh=True)
+        for i, (w, b) in enumerate(self.layers):
+            layer = ad.bag_linear if self.bag_input and i == 0 else ad.linear
+            x = layer(x, w, b, tanh=True)
         return x
 
 

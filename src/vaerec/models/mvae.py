@@ -4,6 +4,12 @@ The encoder reads the multi-hot bag of consumed items, the decoder emits a
 softmax over the catalog, and the loss is KL to the standard normal prior
 minus the multinomial reconstruction log-likelihood. Prediction is
 noise-free: z is the posterior mean.
+
+The encoder's input weight ``encoder.0.w`` is an [N, H] table with a row per
+item: a training step's Adam update moves only the rows of items that some
+bag in its batch holds, as the embedding tables of svae and rvae are
+stepped. The product is the dense ``bags @ W``, so a step's loss and
+gradients are those of an ordinary dense layer.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class MultinomialVAE:
         self.config = config
         self.store = ParameterStore(dtype)
         enc_widths = (n_items,) + config.encoder_widths
-        self.encoder_stack = DenseStack(self.store, "encoder", enc_widths, rng)
+        self.encoder_stack = DenseStack(self.store, "encoder", enc_widths, rng, bag_input=True)
         self.head = GaussianHead(
             self.store, "encoder.head", config.encoder_widths[-1], config.latent_dim, rng
         )
@@ -68,7 +74,9 @@ class MultinomialVAE:
         bags = np.atleast_2d(bags)
         g = self.encode(bags)
         z = reparameterize(g, noise)
-        recon = ad.sum_all(ad.log_softmax_at(self.logits(z), *np.nonzero(bags)))
+        # np.nonzero takes a float array's nonzeros several times slower
+        # than a boolean array's, with the same result
+        recon = ad.sum_all(ad.log_softmax_at(self.logits(z), *np.nonzero(bags != 0)))
         kl = kl_to_standard_normal(g)
         return ad.scale(ad.sub(ad.scale(kl, beta), recon), 1.0 / bags.shape[0])
 

@@ -48,6 +48,38 @@ class TestLinear:
             linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
+class TestBagLinear:
+    """``bag_linear`` is ``linear``, plus the rows of the weight that the
+    bags read, kept on the tape for the store."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_and_record_as_linear(self, dtype):
+        rng = np.random.default_rng(3)
+        bags = (rng.random((4, 9)) < 0.4).astype(dtype)
+        bags[:, [0, 5]] = 0.0
+        w0, b0, probe = rng.normal(size=(9, 6)), rng.normal(size=6), rng.normal(size=(4, 6))
+        runs = []
+        for layer in (linear, ad.bag_linear):
+            store = ParameterStore(dtype)
+            w, b = store.add("w", w0, table=True), store.add("b", b0)
+            with Tape() as tape:
+                out = layer(Tensor(bags), w, b, tanh=True)
+                records = len(tape)
+                loss = ad.sum_all(ad.mul(out, Tensor(probe.astype(dtype))))
+            tape.backward(loss, store)
+            runs.append((out.data.tobytes(), loss.data.tobytes(), store.grads.tobytes(), records))
+        assert runs[0] == runs[1] and runs[0][3] == 1
+        # the rows the store keeps for Adam are the bags' nonzero columns
+        np.testing.assert_array_equal(store._tables["w"], np.flatnonzero(bags.any(axis=0)))
+        assert not {0, 5} & set(store._tables["w"].tolist())
+
+    def test_without_a_tape_it_is_linear(self):
+        rng = np.random.default_rng(4)
+        bags = Tensor((rng.random((3, 5)) < 0.5).astype(float))
+        w, b = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2))
+        assert ad.bag_linear(bags, w, b).data.tobytes() == linear(bags, w, b).data.tobytes()
+
+
 class TestGRUCell:
     def test_zero_params_halve_state(self):
         store = ParameterStore()
@@ -784,6 +816,13 @@ def reference_lazy_adam(params, grads, m1, m2, t, lr, read, weight_decay=0.0):
             d[name][rows] = part[name]
 
 
+def store_moments(store):
+    """Each parameter's two Adam moments as views of its shape, by name."""
+    return {name: (store._moment1[offset : offset + math.prod(shape)].reshape(shape),
+                   store._moment2[offset : offset + math.prod(shape)].reshape(shape))
+            for name, shape, offset in store.layout()}
+
+
 class TestLazyTables:
     """Adam steps only the rows of an embedding table that the step's
     lookups read; float64 stores against the per-tensor reference."""
@@ -812,10 +851,7 @@ class TestLazyTables:
         store.adam_step(lr=1e-2, weight_decay=0.01)
         return grads
 
-    def moments(self, store):
-        return {name: (store._moment1[offset : offset + math.prod(shape)].reshape(shape),
-                       store._moment2[offset : offset + math.prod(shape)].reshape(shape))
-                for name, shape, offset in store.layout()}
+    moments = staticmethod(store_moments)
 
     def oracle_state(self, store):
         params = {name: p.data.copy() for name, p in store.items()}
@@ -906,6 +942,36 @@ class TestLazyTables:
         assert store.step_count == 2
         for old, new in zip(before, self.table_state(store)):
             assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reading_every_row_gives_the_gathered_bytes(self, dtype):
+        """A table whose rows were all read is stepped in the dense slices;
+        the same table with an eighth row, never read, is stepped row by
+        row through the gather, and its first seven rows take the same
+        values and moments byte for byte."""
+        rng = np.random.default_rng(9)
+        w0, rows0 = rng.normal(size=(3, 2)), rng.normal(size=(8, 3))
+        stores = []
+        for n_rows in (7, 8):
+            store = ParameterStore(dtype)
+            store.add("w", w0)
+            store.add("table", rows0[:n_rows], table=True)
+            stores.append(store)
+        for _ in range(3):
+            ids = rng.permutation(7)
+            g_rows, g_w = rng.normal(size=(7, 3)), rng.normal(size=(3, 2))
+            for store in stores:
+                with Tape() as tape:
+                    rows = ad.sum_all(ad.mul(ad.embedding_lookup(store["table"], ids),
+                                             Tensor(g_rows.astype(dtype))))
+                    loss = ad.add(rows, ad.sum_all(ad.mul(store["w"], Tensor(g_w.astype(dtype)))))
+                tape.backward(loss, store)
+                store.adam_step(lr=1e-2, weight_decay=0.01)
+        full, gathered = (self.table_state(store) for store in stores)
+        for a, b in zip(full, gathered):
+            assert a.tobytes() == b[:7].tobytes()
+        assert gathered[0][7].tobytes() == rows0[7].astype(dtype).tobytes()
+        assert stores[0]["w"].data.tobytes() == stores[1]["w"].data.tobytes()
 
     def test_a_table_is_two_dimensional(self):
         store = ParameterStore()

@@ -34,6 +34,7 @@ from vaerec.models.training import TrainingError, _rvae_triples, train
 from vaerec.synthetic import burst_split, cycle_split
 
 from conftest import toy_config
+from test_autodiff import reference_lazy_adam, store_moments
 
 
 def gaussian(mu, log_sigma):
@@ -240,6 +241,56 @@ class TestMVAE:
         got_loss, got_grad = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
         assert abs(got_loss - want_loss) <= 1e-12
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradients_are_those_of_a_dense_input_layer(self, monkeypatch, dtype):
+        """The input layer records ``linear``'s one tape entry: a step's loss
+        and whole gradient vector keep their bytes when it is ``linear``."""
+        cfg = toy_config()
+        model = build_model("mvae", 40, cfg, dtype=dtype)
+        randomize_params(model, seed=21)
+        rng = np.random.default_rng(21)
+        bags = np.stack([model.bag_vector(rng.choice(30, size=rng.integers(1, 8)))
+                         for _ in range(5)])
+        noise = rng.standard_normal((5, cfg.latent_dim))
+        got = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
+        monkeypatch.setattr(ad, "bag_linear", ad.linear)
+        want = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_step_moves_only_the_input_rows_of_items_in_the_bags(self, dtype):
+        """The rows of ``encoder.0.w`` of items that no bag in the batch
+        holds keep their value and both moments; every other value takes
+        the per-tensor reference step, byte for byte."""
+        cfg = toy_config(weight_decay=0.01)
+        model = build_model("mvae", 12, cfg, dtype=dtype)
+        store = model.store
+        params = {name: p.data.copy() for name, p in store.items()}
+        m1, m2 = ({name: np.zeros_like(p) for name, p in params.items()} for _ in "mv")
+        rng = np.random.default_rng(2)
+        for t, batch in enumerate([[[0, 3], [3, 7, 9]], [[1, 3, 11], [2]], [[9]]], start=1):
+            bags = np.stack([model.bag_vector(items) for items in batch])
+            held = np.flatnonzero(bags.any(axis=0))
+            with Tape() as tape:
+                loss = model.loss(bags, rng.standard_normal((len(batch), cfg.latent_dim)), 0.5)
+            tape.backward(loss, store)
+            grads = {name: p.grad.copy() for name, p in store.items()}
+            store.adam_step(cfg.learning_rate, weight_decay=cfg.weight_decay)
+            reference_lazy_adam(params, grads, m1, m2, t, cfg.learning_rate,
+                                {"encoder.0.w": held}, weight_decay=cfg.weight_decay)
+        moments = store_moments(store)
+        for name, p in store.items():
+            assert p.data.tobytes() == params[name].tobytes(), name
+            assert moments[name][0].tobytes() == m1[name].tobytes(), name
+            assert moments[name][1].tobytes() == m2[name].tobytes(), name
+        # items 4, 5, 6, 8 and 10 were in no bag: initial rows, zero moments
+        never = [4, 5, 6, 8, 10]
+        fresh = build_model("mvae", 12, cfg, dtype=dtype).store["encoder.0.w"].data
+        assert store["encoder.0.w"].data[never].tobytes() == fresh[never].tobytes()
+        assert not moments["encoder.0.w"][0][never].any()
+        assert not moments["encoder.0.w"][1][never].any()
 
     def test_bag_invariance(self):
         model = build_model("mvae", 8, toy_config())
@@ -1373,6 +1424,19 @@ class TestLazyEmbeddingTables:
         assert (model.embedding.data[:reserved].tobytes()
                 != fresh.embedding.data[:reserved].tobytes())
 
+    def test_mvae_keeps_the_input_row_of_an_item_no_training_user_consumed(self):
+        split = cycle_split(n_items=10, n_train=12, n_val=3, n_test=3, length=6, seed=5)
+        unseen = 4
+        split.train = [UserSequence(s.user_index, tuple(i for i in s.items if i != unseen))
+                       for s in split.train]
+        cfg = toy_config(epochs=2, weight_decay=0.01, batch_size=4)
+        model, _ = train("mvae", split, cfg)
+        fresh = build_model("mvae", split.n_items, cfg)
+        rows, initial = model.store["encoder.0.w"].data, fresh.store["encoder.0.w"].data
+        assert rows[unseen].tobytes() == initial[unseen].tobytes()
+        for row in set(range(split.n_items)) - {unseen}:
+            assert rows[row].tobytes() != initial[row].tobytes(), row
+
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_same_seed_same_bytes_with_weight_decay(self, kind):
         split = cycle_split(n_items=10, n_train=12, n_val=3, n_test=3, length=6, seed=5)
@@ -1531,6 +1595,30 @@ class TestCheckpoint:
         self.edit_tensors(base, two_tables)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(base)
+
+    # the checkpoint of build_model("mvae", 6, toy_config(), n_users=3) as
+    # written while encoder.0.w was a dense weight: each tensor's name, shape
+    # and offset, the blob's sha256, and the loaded model's rankings of
+    # fold-ins [1, 4] (excluded) and [0]
+    MVAE_DENSE_LAYOUT = [
+        ("encoder.0.w", [6, 5], 0), ("encoder.0.b", [5], 30), ("encoder.head.mu.w", [5, 3], 35),
+        ("encoder.head.mu.b", [3], 50), ("encoder.head.log_sigma.w", [5, 3], 53),
+        ("encoder.head.log_sigma.b", [3], 68), ("decoder.0.w", [3, 5], 71),
+        ("decoder.0.b", [5], 86), ("decoder.out.0.w", [5, 6], 91), ("decoder.out.0.b", [6], 121)]
+    MVAE_DENSE_BLOB = "01af9be02a0f7683b30baa14b7db646591109a962937213c5136ff5199f4ef36"
+
+    def test_mvae_with_a_table_input_keeps_the_dense_checkpoint(self, tmp_path):
+        model, base = self.saved(tmp_path, "mvae")
+        assert model.store.tables == ("encoder.0.w",)
+        manifest = json.loads(base.with_suffix(".json").read_text())
+        assert ([(t["name"], t["shape"], t["offset"]) for t in manifest["tensors"]]
+                == self.MVAE_DENSE_LAYOUT)
+        blob = base.with_suffix(".params").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.MVAE_DENSE_BLOB
+        loaded, _ = load_checkpoint(base)
+        assert loaded.store.tables == ("encoder.0.w",)
+        assert loaded.rank([1, 4], {1, 4}).tolist() == [5, 3, 0, 2]
+        assert loaded.rank([0], set()).tolist() == [5, 3, 1, 4, 2, 0]
 
     def test_missing_last_tensor_rejected(self, tmp_path):
         _, base = self.saved(tmp_path)
