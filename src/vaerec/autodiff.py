@@ -591,7 +591,10 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUParams) -> Tensor:
     input projection of all T * B rows, biases included, is one matmul
     against ``w``; a step adds ``h @ u_gates``, one ``(r*h) @ u_cand`` and
     elementwise work, with ``h`` a [B, H] matrix (with B = 1 this rounds
-    exactly as the one-row product does). Backward is hand-written backprop
+    exactly as the one-row product does), in 12 numpy calls that write into
+    the step's slices of the saved buffers: the reset and update gates
+    come from one tanh, as sigmoid(z) = tanh(z / 2) / 2 + 1 / 2, and the
+    state is h' = c + u (h - c). Backward is hand-written backprop
     through time: the reverse loop carries only the [B, H] state gradient
     and fills a [T, B, 3H] array of gate pre-activation gradients, from
     which the weight, bias, input and ``h0`` gradients come in a few
@@ -623,14 +626,28 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUParams) -> Tensor:
     # per-gate views, so that each step indexes only its first axis
     pre_gates, pre_cand = pre[..., : 2 * hid], pre[..., 2 * hid :]
     r_all, u_all = gates[..., :hid], gates[..., hid:]
+    # sigmoid(z) = tanh(z / 2) / 2 + 1 / 2: both halvings are exact, so the
+    # tanh reads exactly z / 2, and it saturates at +-1 without overflow
+    pre_gates *= 0.5
+    half_u_gates = u_gates * 0.5
     h = h0.data
     for t in range(n_steps):
-        gates[t] = _sigmoid(pre_gates[t] + h @ u_gates)
-        r, u = r_all[t], u_all[t]
-        np.multiply(r, h, out=reset_h[t])
-        np.tanh(pre_cand[t] + reset_h[t] @ u_cand, out=cand[t])
-        np.add(u * h, (1.0 - u) * cand[t], out=states[t])
-        h = states[t]
+        g = gates[t]
+        np.dot(h, half_u_gates, out=g)
+        g += pre_gates[t]
+        np.tanh(g, out=g)
+        g *= 0.5
+        g += 0.5
+        rh, c, h_next = reset_h[t], cand[t], states[t]
+        np.multiply(r_all[t], h, out=rh)
+        np.dot(rh, u_cand, out=c)
+        c += pre_cand[t]
+        np.tanh(c, out=c)
+        # h' = u h + (1 - u) c = c + u (h - c)
+        np.subtract(h, c, out=h_next)
+        h_next *= u_all[t]
+        h_next += c
+        h = h_next
     out = Tensor(states.reshape(n_steps * n_rows, hid))
 
     def backward(g: np.ndarray) -> None:
@@ -651,9 +668,9 @@ def gru_sequence(x_rows: Tensor, h0: Tensor, p: GRUParams) -> Tensor:
         for t in range(n_steps - 1, -1, -1):
             dh += g[t]
             np.multiply(dh[:, None], uc_factor[t], out=d_uc[t])
-            d_rh = d_cand[t] @ u_cand_t
+            d_rh = np.dot(d_cand[t], u_cand_t)
             np.multiply(d_rh, r_factor[t], out=d_reset[t])
-            dh = dh * u[t] + d_rh * r[t] + d_gates[t] @ u_gates_t
+            dh = dh * u[t] + d_rh * r[t] + np.dot(d_gates[t], u_gates_t)
         d_pre = d_pre.reshape(n_steps * n_rows, 3 * hid)
         if x_rows.requires_grad:
             x_rows.accumulate_grad(d_pre @ w.T)

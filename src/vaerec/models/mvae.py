@@ -14,6 +14,7 @@ gradients are those of an ordinary dense layer.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from vaerec.models.components import (
     GaussianHead,
     GaussianParams,
     add_dense,
+    check_ids,
     kl_to_standard_normal,
     rank_items,
     reparameterize,
@@ -51,13 +53,17 @@ class MultinomialVAE:
         self.output = add_dense(
             self.store, "decoder.out.0", config.decoder_widths[-1], n_items, rng)
 
-    def bag_vector(self, items: Sequence[int]) -> np.ndarray:
-        bag = np.zeros(self.n_items, self.store.dtype)
-        for i in items:
-            if not 0 <= i < self.n_items:
-                raise IndexError(f"item id {i} out of range [0, {self.n_items})")
-            bag[i] = 1.0
-        return bag
+    def bag_matrix(self, item_lists: Sequence[Sequence[int]]) -> np.ndarray:
+        """The [B, N] multi-hot bags of ``item_lists``, one row per list,
+        built with one range check and one index assignment over all their
+        ids; an id outside the catalog is an ``IndexError`` naming the first
+        such id."""
+        sizes = [len(items) for items in item_lists]
+        ids = np.fromiter(itertools.chain.from_iterable(item_lists), np.int64, sum(sizes))
+        check_ids(ids, self.n_items)
+        bags = np.zeros((len(sizes), self.n_items), self.store.dtype)
+        bags[np.repeat(np.arange(len(sizes)), sizes), ids] = 1.0
+        return bags
 
     def encode(self, bags: np.ndarray) -> GaussianParams:
         bags = np.atleast_2d(np.asarray(bags, dtype=self.store.dtype))
@@ -68,7 +74,7 @@ class MultinomialVAE:
 
     def loss(self, bags: np.ndarray, noise: np.ndarray, beta: float) -> Tensor:
         """Mean over the batch of beta * KL - reconstruction, single noise
-        sample per user. ``bags`` are multi-hot, as ``bag_vector`` builds
+        sample per user. ``bags`` are multi-hot, as ``bag_matrix`` builds
         them, so the reconstruction sums the log-probabilities at each
         row's consumed items."""
         bags = np.atleast_2d(bags)
@@ -89,7 +95,7 @@ class MultinomialVAE:
         time are encoded and decoded as one matrix."""
         out = np.empty((len(fold_ins), self.n_items), self.store.dtype)
         for lo in range(0, len(fold_ins), SCORE_BLOCK):
-            bags = np.stack([self.bag_vector(f) for f in fold_ins[lo : lo + SCORE_BLOCK]])
+            bags = self.bag_matrix(fold_ins[lo : lo + SCORE_BLOCK])
             out[lo : lo + len(bags)] = ad.log_softmax(self.logits(self.encode(bags).mu).data)
         return out
 

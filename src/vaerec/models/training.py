@@ -27,8 +27,10 @@ from vaerec.models.config import ModelConfig
 # 2016); a step's loss is the mean of its users' losses. At four, the
 # median validation NDCG@100 held on catalog-wide; on svae-long it was level
 # on seeds 511-522 but 13 % lower on seeds 2311-2320, an open question.
-# svae-long beat popularity on every seed at four; at two, one seed fell
-# below popularity, and at eight both workloads' medians fell (README).
+# At four, svae-long beat popularity on seeds 1-12 and 511-522 and on 398 of
+# seeds 2521-2620 and 3001-3300 (not 3020 or 3045); at two, one of seeds
+# 1-12 and 511-522 fell below it, and at eight both workloads' medians fell
+# (README).
 SVAE_BATCH = 4
 
 
@@ -104,8 +106,7 @@ def _mvae_epoch(model, train: Sequence[UserSequence], rng, beta, config) -> floa
     order = rng.permutation(len(train))
     total = 0.0
     for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
-        batch = np.stack([model.bag_vector(train[i].items)
-                          for i in order[lo : lo + config.batch_size]])
+        batch = model.bag_matrix([train[i].items for i in order[lo : lo + config.batch_size]])
         noise = rng.standard_normal((batch.shape[0], config.latent_dim))
         total += _step(model, config, batch_no, model.loss, batch, noise, beta) * batch.shape[0]
     return total / max(len(order), 1)

@@ -203,6 +203,35 @@ class TestGRUSequence:
         with pytest.raises(ShapeError, match="h0"):
             gru_sequence(Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 5))), p)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_raise_no_floating_point_error(self, dtype):
+        # pre-activations of +-1e4 (w is the identity and b zero, so they
+        # are the inputs): the gates saturate at exactly 0 or 1, with no
+        # overflow or underflow on the way, forward or backward
+        rng = np.random.default_rng(5)
+        steps, rows, hid = 4, 3, 5
+        store = ParameterStore(dtype)
+        p = make_gru_params(store, 3 * hid, hid, rng=rng)
+        p.w.data[...] = np.eye(3 * hid)
+        p.b.data[...] = 0.0
+        signs = rng.choice([-1.0, 1.0], size=(steps * rows, 3 * hid))
+        x = Tensor((1e4 * signs).astype(dtype), requires_grad=True)
+        h0 = Tensor(rng.uniform(-1, 1, size=(rows, hid)).astype(dtype), requires_grad=True)
+        with np.errstate(all="raise"), Tape() as tape:
+            out = gru_sequence(x, h0, p)
+            loss = ad.sum_all(out)
+            tape.backward(loss, store)
+        # the forward's saved buffers, read from the backward closure
+        backward = tape._records[0][1]
+        saved = dict(zip(backward.__code__.co_freevars,
+                         (cell.cell_contents for cell in backward.__closure__)))
+        gates = saved["gates"].reshape(steps * rows, 2 * hid)
+        assert ((gates >= 0) & (gates <= 1)).all()
+        np.testing.assert_array_equal(gates, signs[:, : 2 * hid] > 0)
+        assert np.isfinite(out.data).all()
+        for grad in (x.grad, h0.grad, store.grads):
+            assert np.isfinite(grad).all()
+
     @pytest.mark.parametrize("rows, h0_rows", [(5, 2), (4, 0)], ids=["not_a_multiple", "empty"])
     def test_h0_rows_must_divide_the_input_rows(self, rows, h0_rows):
         store = ParameterStore()

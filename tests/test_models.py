@@ -194,7 +194,44 @@ def zero_decoder_output(model):
     model.store["decoder.out.0.b"].data[...] = 0.0
 
 
+def loop_bag_vector(n_items, dtype, items):
+    """A multi-hot bag built one item at a time: the oracle of each row of
+    ``bag_matrix``."""
+    bag = np.zeros(n_items, dtype)
+    for i in items:
+        if not 0 <= i < n_items:
+            raise IndexError(f"item id {i} out of range [0, {n_items})")
+        bag[i] = 1.0
+    return bag
+
+
 class TestMVAE:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bags_match_the_per_item_loop(self, dtype):
+        model = build_model("mvae", 30, toy_config(), dtype=dtype)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            # 1 to 6 bags of repeated ids, sometimes none, as lists, tuples
+            # or arrays
+            lists = [rng.integers(0, 30, size=rng.integers(0, 40))
+                     for _ in range(rng.integers(1, 7))]
+            for convert in (np.ndarray.tolist, lambda a: tuple(a.tolist()), np.asarray):
+                bags = [convert(items) for items in lists]
+                want = np.stack([loop_bag_vector(30, dtype, items) for items in bags])
+                got = model.bag_matrix(bags)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert model.bag_matrix([]).shape == (0, 30)
+        for bad in (30, -1, 31):
+            # the first id out of range, in list order, is the one named
+            bags = [[4, 0], [], [3, 3, 7, bad, 2, 45, -8], [99]]
+            with pytest.raises(IndexError) as want:
+                for items in bags:
+                    loop_bag_vector(30, dtype, items)
+            with pytest.raises(IndexError) as got:
+                model.bag_matrix(bags)
+            assert str(got.value) == str(want.value) == f"item id {bad} out of range [0, 30)"
+
     def test_uniform_decoder_reconstruction_only(self):
         cfg = toy_config()
         model = build_model("mvae", 5, cfg)
@@ -234,8 +271,8 @@ class TestMVAE:
         model = build_model("mvae", n_items, cfg)
         randomize_params(model, seed=17)
         rng = np.random.default_rng(n_items + rows)
-        bags = np.stack([model.bag_vector(rng.choice(n_items, size=rng.integers(1, 6)))
-                         for _ in range(rows)])
+        bags = model.bag_matrix([rng.choice(n_items, size=rng.integers(1, 6))
+                                 for _ in range(rows)])
         noise = rng.standard_normal((rows, cfg.latent_dim))
         want_loss, want_grad = loss_and_grads(model, reference_mvae_loss, bags, noise, 0.7)
         got_loss, got_grad = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
@@ -250,8 +287,7 @@ class TestMVAE:
         model = build_model("mvae", 40, cfg, dtype=dtype)
         randomize_params(model, seed=21)
         rng = np.random.default_rng(21)
-        bags = np.stack([model.bag_vector(rng.choice(30, size=rng.integers(1, 8)))
-                         for _ in range(5)])
+        bags = model.bag_matrix([rng.choice(30, size=rng.integers(1, 8)) for _ in range(5)])
         noise = rng.standard_normal((5, cfg.latent_dim))
         got = loss_and_grads(model, type(model).loss, bags, noise, 0.7)
         monkeypatch.setattr(ad, "bag_linear", ad.linear)
@@ -271,7 +307,7 @@ class TestMVAE:
         m1, m2 = ({name: np.zeros_like(p) for name, p in params.items()} for _ in "mv")
         rng = np.random.default_rng(2)
         for t, batch in enumerate([[[0, 3], [3, 7, 9]], [[1, 3, 11], [2]], [[9]]], start=1):
-            bags = np.stack([model.bag_vector(items) for items in batch])
+            bags = model.bag_matrix(batch)
             held = np.flatnonzero(bags.any(axis=0))
             with Tape() as tape:
                 loss = model.loss(bags, rng.standard_normal((len(batch), cfg.latent_dim)), 0.5)
@@ -954,30 +990,34 @@ class TestOneUserPerStepTraining:
     # became lazy on the item embedding table, which moved every one. The
     # digests were re-recorded when the GRU went from nine tensors to four:
     # that arena, reordered into the nine-tensor layout, still hashes to
-    # a63520aa... (next-k-multiset) and 2197a08b... (mixture)
+    # a63520aa... (next-k-multiset) and 2197a08b... (mixture). They were
+    # re-recorded again when the GRU's gates became tanh(z / 2) / 2 + 1 / 2
+    # (b317a1e3... and a2462cf2... before); the losses and NDCGs held
     PINNED = {
         "next-k-multiset": (
-            "b317a1e31d27743472c81ceaab097d87176477bac60312193617e29424c605cf",
+            "86833ffe850e31b5bb993fa7997c1e4a170ac4e7b3749924e2844923dae6b3c0",
             [4.792113267544854, 4.732063155366269],
             [0.649652286785407, 0.651047562877841],
         ),
         "mixture": (
-            "a2462cf2cc5d1c60e8840a99583746b52cb7f46fc382db764d54963a42e15df5",
+            "2e370bc073688df556fc8223c430dacb85591bb9854ab192286417475debeb65",
             [2.518100537334393, 2.507613080870526],
             [0.663032155260709, 0.6440186536691633],
         ),
     }
     # the same runs at the default SVAE_BATCH of 4, recorded when svae
-    # training went from one user to four per step
+    # training went from one user to four per step, and re-recorded with the
+    # tanh gates (a88fa5b9... and 13b4862c... before; the mixture run's
+    # second loss moved in its last bit, from ...62777)
     PINNED_BATCHED = {
         "next-k-multiset": (
-            "a88fa5b926b7e92a49e1ded3e6c76b88890cb461330e4d4f689c38ee75522b41",
+            "5d894fd7a70429749c87b262ac88c29407f3b1bacde6d9f63e2272e13e819d5d",
             [4.8241511548579705, 4.804123367022711],
             [0.5985566873882854, 0.6541306884192895],
         ),
         "mixture": (
-            "13b4862c53ffddfe32b628cb52ffdc586a11c7f5c43a7e26eeee07db946becc0",
-            [2.5243056766040803, 2.5244538608462777],
+            "0a658919f226fe9737daff305059bd5115f6f1d2167bb1f213ef8ba4fa0f29db",
+            [2.5243056766040803, 2.524453860846278],
             [0.6817343845909828, 0.6817343845909828],
         ),
     }
@@ -1067,7 +1107,7 @@ class TestFloat32Arena:
         rng = np.random.default_rng(0)
         noise = rng.standard_normal((3, cfg.latent_dim))
         if kind == "mvae":
-            bags = np.stack([model.bag_vector(f) for f in ([0, 2], [1, 5, 7], [3])])
+            bags = model.bag_matrix([[0, 2], [1, 5, 7], [3]])
             return model, self.step(model, model.loss, bags, noise, 0.5)
         if kind == "rvae":
             other = rng.standard_normal((3, cfg.latent_dim))
@@ -1095,7 +1135,7 @@ class TestFloat32Arena:
 
     def test_float64_bags_are_cast_to_the_store_dtype(self):
         model = build_model("mvae", 8, toy_config())
-        bags = np.stack([model.bag_vector(f) for f in ([0, 2], [1, 5, 7])])
+        bags = model.bag_matrix([[0, 2], [1, 5, 7]])
         as64 = bags.astype(np.float64)
         assert model.encode(as64).mu.data.dtype == np.float32
         np.testing.assert_array_equal(model.encode(as64).mu.data, model.encode(bags).mu.data)
@@ -1141,7 +1181,8 @@ def reference_svae_batch_epoch(model, train, rng, beta, config, size):
 
 def reference_mvae_epoch(model, train, rng, beta, config):
     order = rng.permutation(len(train))
-    bags = np.stack([model.bag_vector(train[i].items) for i in order])
+    bags = np.stack([loop_bag_vector(model.n_items, model.store.dtype, train[i].items)
+                     for i in order])
     total = 0.0
     for lo in range(0, len(order), config.batch_size):
         batch = bags[lo : lo + config.batch_size]
@@ -1291,16 +1332,26 @@ class TestTraining:
         self.assert_epochs_match(REFERENCE_EPOCHS[kind], training._EPOCH_FNS[kind],
                                  kind, mode)
 
+    def ragged_split(self):
+        """``small_split``'s shape with 26 training users of 1 to 9 items."""
+        split = cycle_split(n_items=8, n_train=26, n_val=4, n_test=4, length=9, seed=3)
+        split.train = [UserSequence(s.user_index, s.items[: 1 + (5 * u) % 9])
+                       for u, s in enumerate(split.train)]
+        return split
+
     @pytest.mark.parametrize("size", [4, 5])
     @pytest.mark.parametrize("mode", ["next-k-multiset", "mixture"])
     def test_svae_batches_match_the_inline_batched_loop(self, size, mode, monkeypatch):
-        # 12 users: three full batches of 4 (the default), or 5, 5 and 2
+        # 26 users of 1 to 9 items, so that each batch's recurrence is
+        # padded: six full batches of 4 (the default) and one of 2, or five
+        # of 5 and one of 1
         monkeypatch.setattr(training, "SVAE_BATCH", size)
         oracle = functools.partial(reference_svae_batch_epoch, size=size)
-        self.assert_epochs_match(oracle, training._EPOCH_FNS["svae"], "svae", mode)
+        self.assert_epochs_match(oracle, training._EPOCH_FNS["svae"], "svae", mode,
+                                 self.ragged_split())
 
-    def assert_epochs_match(self, reference_fn, epoch_fn, kind, mode):
-        split = self.small_split()
+    def assert_epochs_match(self, reference_fn, epoch_fn, kind, mode, split=None):
+        split = self.small_split() if split is None else split
         cfg = toy_config(batch_size=5, weight_decay=0.01, likelihood_mode=mode)
         runs = []
         for fn in (reference_fn, epoch_fn):
@@ -1379,7 +1430,7 @@ class TestTraining:
         split = cycle_split(n_items=10, n_train=20, n_val=4, n_test=4, length=8, seed=9)
         cfg = toy_config(epochs=0, learning_rate=5e-3, batch_size=4)
         model = build_model("mvae", split.n_items, cfg)
-        bags = np.stack([model.bag_vector(s.items) for s in split.train])
+        bags = model.bag_matrix([s.items for s in split.train])
         losses = []
         for _ in range(5):
             epoch_total = 0.0
@@ -1460,7 +1511,7 @@ class TestLazyEmbeddingTables:
         rng = np.random.default_rng(0)
         noise = rng.standard_normal((3, cfg.latent_dim))
         if kind == "mvae":
-            bags = np.stack([model.bag_vector(f) for f in ([0, 2], [1, 5, 7], [3])])
+            bags = model.bag_matrix([[0, 2], [1, 5, 7], [3]])
             args = (model.loss, bags, noise, 0.5)
         elif kind == "rvae":
             other = rng.standard_normal((3, cfg.latent_dim))
