@@ -738,7 +738,9 @@ class ParameterStore:
     A parameter added with ``table=True`` is an embedding table, or a
     weight that ``bag_linear`` reads, which Adam updates row by row: only
     the rows that the last backward's lookups and bag layers read take a
-    step (see ``adam_step``).
+    step. Laying out the arena also cuts it into segments: each table is
+    one, and the parameters between two tables form one dense segment.
+    ``adam_step`` walks them once a step.
 
     Models train and serve in float32, the default. A float64 store keeps
     the arithmetic of the float64 core exactly; ``gradient_check`` needs one.
@@ -756,11 +758,8 @@ class ParameterStore:
         self.grads: np.ndarray | None = None
         self._moment1: np.ndarray | None = None
         self._moment2: np.ndarray | None = None
-        self._spans: dict[str, tuple[int, int]] = {}  # each table's range in the arena
-        # Adam's dense slices, keyed by the names of the tables read in full
-        self._dense: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-        # each table's [rows, dim] views of the two moments
-        self._table_moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # the arena's segments in order, as (lo, hi, table name or None)
+        self._segments: list[tuple[int, int, str | None]] = []
         self.step_count = 0
 
     def add(self, name: str, values=None, shape: tuple[int, ...] | None = None,
@@ -816,8 +815,9 @@ class ParameterStore:
 
     def lay_out(self, arena: np.ndarray | None = None) -> None:
         """Gather the parameters into the arena and rebind each one's
-        ``data`` to its view. ``values`` and a backward pass do this on
-        first use; after it, ``add`` raises.
+        ``data`` to its view, and record the arena's segments, which
+        ``adam_step`` walks. ``values`` and a backward pass do this on first
+        use; after it, ``add`` raises.
 
         Given ``arena``, a vector of ``n_values()`` entries of the store's
         dtype, the parameters become views into it as it is, with no
@@ -840,8 +840,10 @@ class ParameterStore:
             if name not in self._unset:
                 view[...] = p.data
             p.data = view
-            if name in self._tables:
-                self._spans[name] = (offset, offset + p.data.size)
+            lo, hi, table = offset, offset + view.size, name if name in self._tables else None
+            if table is None and self._segments and self._segments[-1][2] is None:
+                lo = self._segments.pop()[0]
+            self._segments.append((lo, hi, table))
         self._values = values
 
     def _zero_grads(self) -> None:
@@ -880,9 +882,12 @@ class ParameterStore:
         are: a row that the last backward's lookups read takes the full
         update once, however often it was read, and every other row keeps
         its value and both moments. The step count, and so the bias
-        correction, is the one shared by every parameter. A table whose rows
-        were all read takes the dense slices, with no gather or scatter:
-        the same operations on each value, so the same bytes.
+        correction, is the one shared by every parameter.
+
+        It walks the arena's segments once: dense segments, and tables whose
+        rows were all read, join one whole-update run, stepped in slices of
+        ``_ADAM_CHUNK`` values; any other table ends the run and steps its
+        read rows in gathered blocks. Both give a value the same operations.
         """
         if self.grads is None:
             raise ValueError("adam_step before backward: no gradient vector")
@@ -890,46 +895,39 @@ class ParameterStore:
         if self._moment1 is None:
             self._moment1 = np.zeros_like(values)
             self._moment2 = np.zeros_like(values)
-            for name, (lo, hi) in self._spans.items():
-                self._table_moments[name] = tuple(
-                    m[lo:hi].reshape(self._params[name].shape)
-                    for m in (self._moment1, self._moment2))
         m1, m2 = self._moment1, self._moment2
         self.step_count += 1
         t = self.step_count
         step = (lr, weight_decay, 1.0 - _BETA1**t, 1.0 - _BETA2**t)
         tmp_a = np.empty(min(_ADAM_CHUNK, values.size), values.dtype)
         tmp_b = np.empty_like(tmp_a)
-        full = tuple(name for name, rows in self._tables.items()
-                     if rows.size == self._params[name].shape[0])
-        if full not in self._dense:
-            self._dense[full] = self._dense_slices(full)
-        for lo, hi in self._dense[full]:
-            _adam_update(values[lo:hi], grads[lo:hi], m1[lo:hi], m2[lo:hi],
-                         tmp_a[: hi - lo], tmp_b[: hi - lo], *step)
-        for name, rows in self._tables.items():
-            if name in full:
+
+        def whole(lo: int, hi: int) -> None:
+            for s in range(lo, hi, _ADAM_CHUNK):
+                e = s + _ADAM_CHUNK if s + _ADAM_CHUNK < hi else hi
+                _adam_update(values[s:e], grads[s:e], m1[s:e], m2[s:e],
+                             tmp_a[: e - s], tmp_b[: e - s], *step)
+
+        run = 0  # where the whole-update run that the next partly read table ends starts
+        for lo, hi, name in self._segments:
+            if name is None:
                 continue
-            table = self._params[name]
+            table, rows = self._params[name], self._tables[name]
+            shape = table.shape
+            if rows.size == shape[0]:
+                continue
+            whole(run, lo)
+            run = hi
             x_rows, g_rows = table.data, table.grad
-            m_rows, v_rows = self._table_moments[name]
-            per_block = max(1, _ADAM_CHUNK // max(table.shape[1], 1))
-            for lo in range(0, rows.size, per_block):
-                block = rows[lo : lo + per_block]
+            m_rows, v_rows = m1[lo:hi].reshape(shape), m2[lo:hi].reshape(shape)
+            per_block = max(1, _ADAM_CHUNK // max(shape[1], 1))
+            for first in range(0, rows.size, per_block):
+                block = rows[first : first + per_block]
                 # the gathered gradient is a copy, so it serves as a temporary
                 x, g, m, v = x_rows[block], g_rows[block], m_rows[block], v_rows[block]
                 _adam_update(x, g, m, v, np.empty_like(x), g, *step)
                 x_rows[block], m_rows[block], v_rows[block] = x, m, v
-
-    def _dense_slices(self, full: tuple[str, ...]) -> list[tuple[int, int]]:
-        """Adam's slices of the arena outside every table but those in
-        ``full``, which join the dense runs around them."""
-        out, lo = [], 0
-        for name, (start, stop) in self._spans.items():
-            if name not in full:
-                out += _slices(lo, start)
-                lo = stop
-        return out + _slices(lo, self._values.size)
+        whole(run, values.size)
 
     def snapshot(self, out: np.ndarray | None = None) -> np.ndarray:
         """A copy of the arena, written into ``out`` when given (it must have
@@ -945,11 +943,6 @@ class ParameterStore:
 
     def restore(self, snap: np.ndarray) -> None:
         self.values[...] = snap
-
-
-def _slices(lo: int, hi: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into Adam's slices of at most ``_ADAM_CHUNK`` values."""
-    return [(start, min(start + _ADAM_CHUNK, hi)) for start in range(lo, hi, _ADAM_CHUNK)]
 
 
 def gradient_check(

@@ -105,16 +105,19 @@ class SequentialVAE:
         over each one's start token and then its items, right-padded to the
         longest (T items): the [(T + 1) * B, H] step-major rows, where row
         t * B + b has seen the start token and consumed[b][:t]. The inputs
-        are one lookup of a [T + 1, B] id block whose first row is the start
-        token. Padding reads item 0; the recurrence is causal, so no state up
-        to a row's last real step sees it."""
-        n_rows = len(consumed)
-        ids = np.zeros((max(map(len, consumed), default=0) + 1, n_rows), dtype=np.int64)
+        are one lookup of a [T + 1, B] id block whose first row, and every
+        padded cell, is the start token. Every step reads that row, so the
+        padding adds no row to the ones Adam steps; the recurrence is causal,
+        so no state up to a row's last real step sees the padding."""
+        lengths = np.array([len(items) for items in consumed], dtype=np.int64)
+        n_rows = lengths.size
+        ids = np.zeros((lengths.max(initial=0) + 1, n_rows), dtype=np.int64)
         for b, items in enumerate(consumed):
             ids[1 : len(items) + 1, b] = items
         # an item id of n_items would read the start token
         check_ids(ids[1:], self.n_items)
-        ids[0] = self.n_items
+        steps = np.arange(len(ids))[:, None]
+        ids[(steps == 0) | (steps > lengths)] = self.n_items
         x = ad.embedding_lookup(self.item_embedding, ids.reshape(-1))
         h0 = Tensor(np.zeros((n_rows, self.config.gru_hidden), self.store.dtype))
         return ad.gru_sequence(x, h0, self.gru)

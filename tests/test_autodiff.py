@@ -852,33 +852,60 @@ def store_moments(store):
             for name, shape, offset in store.layout()}
 
 
+# arena layouts for the lazy-table tests: (name, is a table) in arena order.
+# "table" is the table a test reads in part or in full; "full" is a table
+# every step reads in full.
+LAYOUTS = {
+    "dense-table-dense": (("w", False), ("table", True), ("b", False)),
+    "table-first": (("table", True), ("w", False), ("b", False)),
+    "table-last": (("w", False), ("b", False), ("table", True)),
+    "adjacent-tables": (("w", False), ("table", True), ("full", True), ("b", False)),
+    "no-table": (("w", False), ("table", False), ("b", False)),
+}
+LAZY_LAYOUTS = [name for name, layout in LAYOUTS.items() if ("table", True) in layout]
+
+
 class TestLazyTables:
     """Adam steps only the rows of an embedding table that the step's
-    lookups read; float64 stores against the per-tensor reference."""
+    lookups read; float64 stores against the per-tensor reference, on
+    each of ``LAYOUTS``."""
 
-    def make_store(self):
+    def make_store(self, layout="dense-table-dense", rows=7, dtype=np.float64):
+        """The parameters of ``layout``, with ``rows`` rows of "table"; a
+        parameter's first values do not depend on the layout."""
         rng = np.random.default_rng(8)
-        store = ParameterStore(np.float64)
-        store.add("w", rng.normal(size=(3, 2)))
-        store.add("table", rng.normal(size=(7, 3)), table=True)
-        store.add("b", rng.normal(size=4))
+        initial = {name: rng.normal(size=shape)
+                   for name, shape in (("w", (3, 2)), ("table", (8, 3)), ("full", (5, 2)),
+                                       ("b", (3,)))}
+        store = ParameterStore(dtype)
+        for name, table in LAYOUTS[layout]:
+            store.add(name, initial[name][:rows] if name == "table" else initial[name],
+                      table=table)
         return store
 
     def lookup_step(self, store, ids, seed):
-        """Backward through a lookup of ``ids`` plus every dense parameter
-        and an Adam step; returns the gradients it read, by name."""
+        """Backward through a lookup of ``ids`` in "table", of every row of
+        "full" and of each other parameter as it is, then an Adam step;
+        returns the gradients it read, by name."""
         rng = np.random.default_rng(seed)
-        table = store["table"]
+        reads = {"table": ids, "full": rng.permutation(5)}
         with Tape() as tape:
-            rows = ad.embedding_lookup(table, ids)
-            terms = [ad.sum_all(ad.mul(rows, Tensor(rng.normal(size=rows.shape))))]
-            terms += [ad.sum_all(ad.mul(store[name], Tensor(rng.normal(size=store[name].shape))))
-                      for name in ("w", "b")]
+            terms = []
+            for name, p in store.items():
+                out = ad.embedding_lookup(p, reads[name]) if name in reads else p
+                g = rng.normal(size=out.shape).astype(store.dtype)
+                terms.append(ad.sum_all(ad.mul(out, Tensor(g))))
             loss = functools.reduce(ad.add, terms)
         tape.backward(loss, store)
         grads = {name: p.grad.copy() for name, p in store.items()}
         store.adam_step(lr=1e-2, weight_decay=0.01)
         return grads
+
+    @staticmethod
+    def lazy_rows(store, ids):
+        """The rows ``lookup_step`` reads of each of the store's tables."""
+        return {name: np.asarray(ids) if name == "table" else np.arange(5)
+                for name in store.tables}
 
     moments = staticmethod(store_moments)
 
@@ -886,18 +913,22 @@ class TestLazyTables:
         params = {name: p.data.copy() for name, p in store.items()}
         return params, *({name: np.zeros_like(p) for name, p in params.items()} for _ in "mv")
 
-    def test_reading_every_row_matches_the_reference(self):
-        store = self.make_store()
-        params, m1, m2 = self.oracle_state(store)
-        for t, ids in enumerate([[6, 0, 5, 1, 4, 2, 3], [[3, 3], [0, 1], [2, 4], [5, 6]],
-                                 np.arange(7)[::-1]], start=1):
-            grads = self.lookup_step(store, ids, seed=t)
-            reference_adam(params, grads, m1, m2, t, lr=1e-2, weight_decay=0.01)
+    def assert_oracle_state(self, store, params, m1, m2, layout):
         moments = self.moments(store)
         for name, p in store.items():
-            assert p.data.tobytes() == params[name].tobytes(), name
-            assert moments[name][0].tobytes() == m1[name].tobytes(), name
-            assert moments[name][1].tobytes() == m2[name].tobytes(), name
+            assert p.data.tobytes() == params[name].tobytes(), (layout, name)
+            assert moments[name][0].tobytes() == m1[name].tobytes(), (layout, name)
+            assert moments[name][1].tobytes() == m2[name].tobytes(), (layout, name)
+
+    def test_reading_every_row_matches_the_reference(self):
+        for layout in LAYOUTS:
+            store = self.make_store(layout)
+            params, m1, m2 = self.oracle_state(store)
+            for t, ids in enumerate([[6, 0, 5, 1, 4, 2, 3], [[3, 3], [0, 1], [2, 4], [5, 6]],
+                                     np.arange(7)[::-1]], start=1):
+                grads = self.lookup_step(store, ids, seed=t)
+                reference_adam(params, grads, m1, m2, t, lr=1e-2, weight_decay=0.01)
+            self.assert_oracle_state(store, params, m1, m2, layout)
 
     def table_state(self, store):
         """The table's values and both moments, copied; zero moments before
@@ -908,26 +939,23 @@ class TestLazyTables:
         return table.copy(), *(m.copy() for m in self.moments(store)["table"])
 
     def test_rows_no_lookup_read_keep_value_and_moments(self):
-        store = self.make_store()
-        params, m1, m2 = self.oracle_state(store)
-        initial = self.table_state(store)
-        for t, ids in enumerate([[1, 4], [4, 2, 2], [0], [2, 1, 4]], start=1):
-            before = self.table_state(store)
-            grads = self.lookup_step(store, ids, seed=10 + t)
-            reference_lazy_adam(params, grads, m1, m2, t, 1e-2, {"table": np.asarray(ids)},
-                                weight_decay=0.01)
-            unread = np.setdiff1d(np.arange(7), ids)
-            for old, new in zip(before, self.table_state(store)):
-                assert new[unread].tobytes() == old[unread].tobytes()
-        moments = self.moments(store)
-        for name, p in store.items():
-            assert p.data.tobytes() == params[name].tobytes(), name
-            assert moments[name][0].tobytes() == m1[name].tobytes(), name
-            assert moments[name][1].tobytes() == m2[name].tobytes(), name
-        # rows 3, 5 and 6 were never read: initial values, zero moments
-        never = [3, 5, 6]
-        for old, new in zip(initial, self.table_state(store)):
-            assert new[never].tobytes() == old[never].tobytes()
+        for layout in LAZY_LAYOUTS:
+            store = self.make_store(layout)
+            params, m1, m2 = self.oracle_state(store)
+            initial = self.table_state(store)
+            for t, ids in enumerate([[1, 4], [4, 2, 2], [0], [2, 1, 4]], start=1):
+                before = self.table_state(store)
+                grads = self.lookup_step(store, ids, seed=10 + t)
+                reference_lazy_adam(params, grads, m1, m2, t, 1e-2, self.lazy_rows(store, ids),
+                                    weight_decay=0.01)
+                unread = np.setdiff1d(np.arange(7), ids)
+                for old, new in zip(before, self.table_state(store)):
+                    assert new[unread].tobytes() == old[unread].tobytes(), layout
+            self.assert_oracle_state(store, params, m1, m2, layout)
+            # rows 3, 5 and 6 were never read: initial values, zero moments
+            never = [3, 5, 6]
+            for old, new in zip(initial, self.table_state(store)):
+                assert new[never].tobytes() == old[never].tobytes(), layout
 
     def test_a_row_read_twice_is_updated_once(self):
         twice, once = self.make_store(), self.make_store()
@@ -974,33 +1002,75 @@ class TestLazyTables:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_reading_every_row_gives_the_gathered_bytes(self, dtype):
-        """A table whose rows were all read is stepped in the dense slices;
-        the same table with an eighth row, never read, is stepped row by
-        row through the gather, and its first seven rows take the same
-        values and moments byte for byte."""
-        rng = np.random.default_rng(9)
-        w0, rows0 = rng.normal(size=(3, 2)), rng.normal(size=(8, 3))
-        stores = []
-        for n_rows in (7, 8):
-            store = ParameterStore(dtype)
-            store.add("w", w0)
-            store.add("table", rows0[:n_rows], table=True)
-            stores.append(store)
-        for _ in range(3):
-            ids = rng.permutation(7)
-            g_rows, g_w = rng.normal(size=(7, 3)), rng.normal(size=(3, 2))
-            for store in stores:
-                with Tape() as tape:
-                    rows = ad.sum_all(ad.mul(ad.embedding_lookup(store["table"], ids),
-                                             Tensor(g_rows.astype(dtype))))
-                    loss = ad.add(rows, ad.sum_all(ad.mul(store["w"], Tensor(g_w.astype(dtype)))))
-                tape.backward(loss, store)
-                store.adam_step(lr=1e-2, weight_decay=0.01)
-        full, gathered = (self.table_state(store) for store in stores)
-        for a, b in zip(full, gathered):
-            assert a.tobytes() == b[:7].tobytes()
-        assert gathered[0][7].tobytes() == rows0[7].astype(dtype).tobytes()
-        assert stores[0]["w"].data.tobytes() == stores[1]["w"].data.tobytes()
+        """A table whose rows were all read is stepped in the whole-update
+        run; the same table with an eighth row, never read, is stepped row
+        by row through the gather, and its first seven rows take the same
+        values and moments byte for byte, as does every other parameter."""
+        initial = self.make_store(rows=8, dtype=dtype)["table"].data
+        for layout in LAZY_LAYOUTS:
+            stores = [self.make_store(layout, rows, dtype) for rows in (7, 8)]
+            for seed in range(3):
+                ids = np.random.default_rng(seed).permutation(7)
+                for store in stores:
+                    self.lookup_step(store, ids, seed)
+            full, gathered = (self.table_state(store) for store in stores)
+            for a, b in zip(full, gathered):
+                assert a.tobytes() == b[:7].tobytes(), layout
+            assert gathered[0][7].tobytes() == initial[7].tobytes(), layout
+            for name, p in stores[0].items():
+                if name != "table":
+                    assert p.data.tobytes() == stores[1][name].data.tobytes(), (layout, name)
+
+    @pytest.mark.parametrize("layout, names", [
+        ("dense-table-dense", [None, "table", None]),
+        ("table-first", ["table", None]),
+        ("table-last", [None, "table"]),
+        ("adjacent-tables", [None, "table", "full", None]),
+        ("no-table", [None]),
+    ])
+    def test_segments_cut_the_arena_at_each_table(self, layout, names):
+        store = self.make_store(layout)
+        store.lay_out()
+        assert [name for _, _, name in store._segments] == names
+        bounds = [bound for lo, hi, _ in store._segments for bound in (lo, hi)]
+        assert bounds[0] == 0 and bounds[-1] == store.n_values()
+        assert bounds[1:-1:2] == bounds[2::2]  # each starts where the last ended
+        for lo, hi, name in store._segments:
+            if name is not None:
+                assert store.values[lo:hi].tobytes() == store[name].data.tobytes()
+
+    # _adam_update calls on a step that reads rows 1, 4 and 5 of "table" and
+    # on one that reads all of them, at 4 values a slice: each whole-update
+    # run takes ceil(size / 4) calls and each partly read table (3 wide)
+    # one call a row read. w has 6 values, "table" 21, "full" 10 and b 3.
+    ADAM_CALLS = {
+        "dense-table-dense": (2 + 3 + 1, 8),
+        "table-first": (3 + 3, 8),
+        "table-last": (3 + 3, 8),
+        "adjacent-tables": (2 + 3 + 4, 10),
+        "no-table": (8, 8),
+    }
+
+    @pytest.mark.parametrize("layout", ADAM_CALLS)
+    def test_adam_update_calls_per_step(self, monkeypatch, layout):
+        """Dense runs and fully read tables merge into whole-update runs,
+        updated a slice at a time, slices crossing parameters; a partly
+        read table is updated a block of rows at a time. The bytes are the
+        per-tensor oracle's."""
+        monkeypatch.setattr(ad, "_ADAM_CHUNK", 4)
+        shapes, update = [], ad._adam_update
+        monkeypatch.setattr(ad, "_adam_update",
+                            lambda x, *rest: (shapes.append(x.shape), update(x, *rest)))
+        store = self.make_store(layout)
+        params, m1, m2 = self.oracle_state(store)
+        steps = zip(([1, 4, 4, 5], np.arange(7)), self.ADAM_CALLS[layout])
+        for t, (ids, expected) in enumerate(steps, start=1):
+            shapes.clear()
+            grads = self.lookup_step(store, ids, seed=t)
+            assert len(shapes) == expected, shapes
+            reference_lazy_adam(params, grads, m1, m2, t, 1e-2, self.lazy_rows(store, ids),
+                                weight_decay=0.01)
+        self.assert_oracle_state(store, params, m1, m2, layout)
 
     def test_a_table_is_two_dimensional(self):
         store = ParameterStore()

@@ -1488,6 +1488,41 @@ class TestLazyEmbeddingTables:
         for row in set(range(split.n_items)) - {unseen}:
             assert rows[row].tobytes() != initial[row].tobytes(), row
 
+    def test_svae_padding_steps_no_item_row(self):
+        """One step on a padded batch moves only the rows of the items its
+        recurrence consumed (each sequence's last item is a target only)
+        and the start token, row 8: the padding reads no item's row."""
+        cfg = toy_config(weight_decay=0.01)
+        model = build_model("svae", 8, cfg)
+        initial = model.item_embedding.data.copy()
+        noise = np.random.default_rng(0).standard_normal((6, cfg.latent_dim))
+        training._step(model, cfg, 0, model.loss, [[3, 4, 5, 6], [2, 7]], noise, 0.5)
+        moved = (model.item_embedding.data != initial).any(axis=1)
+        assert np.flatnonzero(moved).tolist() == [2, 3, 4, 5, 8]
+
+    @pytest.mark.parametrize("kind, table", [("svae", "item_embedding"),
+                                             ("mvae", "encoder.0.w"), ("rvae", "embedding")])
+    def test_train_keeps_the_row_of_an_item_only_held_out_users_consumed(self, kind, table):
+        """Item 0 occurs only in held-out users, and the training users are
+        ragged, so svae's batches are padded: after two epochs item 0's row
+        (rvae: its reserved user row) keeps its initial bytes."""
+        train_items = [(1, 2, 3, 4, 5, 6, 7, 1, 2), (3, 5), (7, 6, 5, 4, 3, 2), (2, 4, 6),
+                       (1, 3, 5, 7, 2, 4, 6), (6, 1)]
+        held_out = [(0, 3, 4, 0, 5), (5, 0, 7, 1, 0), (2, 0, 6, 0, 3)]
+        split = DatasetSplit(
+            [UserSequence(u, items) for u, items in enumerate(train_items)],
+            [make_heldout(UserSequence(6 + u, items)) for u, items in enumerate(held_out[:2])],
+            [make_heldout(UserSequence(8, held_out[2]))],
+            Vocabulary([f"i{i}" for i in range(8)]),
+        )
+        cfg = toy_config(epochs=2, weight_decay=0.01, batch_size=4)
+        model, _ = train(kind, split, cfg)
+        fresh = build_model(kind, split.n_items, cfg, n_users=len(split.train))
+        row = model.unseen_user_row if kind == "rvae" else 0
+        trained, initial = model.store[table].data, fresh.store[table].data
+        assert trained[row].tobytes() == initial[row].tobytes()
+        assert trained.tobytes() != initial.tobytes()
+
     @pytest.mark.parametrize("kind", ["mvae", "rvae", "svae"])
     def test_same_seed_same_bytes_with_weight_decay(self, kind):
         split = cycle_split(n_items=10, n_train=12, n_val=3, n_test=3, length=6, seed=5)
