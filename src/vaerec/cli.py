@@ -17,6 +17,8 @@ import os
 import shutil
 import sys
 
+import numpy as np
+
 from vaerec import data as dp
 from vaerec.evaluation import PopularityRanker, batch_rank_fn, evaluate
 from vaerec.models import MODEL_KINDS, ModelConfig, components
@@ -119,6 +121,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         "split_dir": str(args.split_dir),
         "vocabulary_digest": split.vocabulary.digest(),
         "split_manifest_seed": split_manifest.get("seed"),
+        # a BLAS call on more threads gives other bytes, so these belong with the run
+        "numpy_version": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     run_config["config_digest"] = config_digest(run_config["config"])
     dp.write_json(os.path.join(args.out, "run.json"), run_config)

@@ -16,6 +16,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
 
@@ -80,18 +81,49 @@ def _vocabulary_text(raw_ids: Sequence[str]) -> str:
     return "".join(f"{raw}\t{i}\n" for i, raw in enumerate(raw_ids))
 
 
+def _vocabulary_raw_ids(text: str) -> list[str]:
+    """The raw ids of ``vocabulary.tsv`` text, one a line, up to each tab."""
+    return [line.partition("\t")[0] for line in text.split("\n")[:-1]]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class Vocabulary:
-    """Bijection between raw item ids and dense indices."""
+    """Bijection between raw item ids and dense indices. One built from raw
+    ids indexes them at once; one read from a split by its digest
+    (``_of_text``) parses and indexes them on first use."""
 
     def __init__(self, raw_ids: Sequence[str]):
         self._raw = list(raw_ids)
-        self._index = {raw: i for i, raw in enumerate(self._raw)}
-        if len(self._index) != len(self._raw):
-            raise ValueError("duplicate raw ids in vocabulary")
+        self._len = len(self._raw)
         self._digest: str | None = None
+        self._index  # built now, so that duplicate raw ids fail here
+
+    @classmethod
+    def _of_text(cls, text: str, digest: str) -> Vocabulary:
+        """The vocabulary of ``vocabulary.tsv`` text in the form
+        ``save_split`` writes, whose sha256 is ``digest``. Its length is the
+        text's line count; the raw ids and the index are parsed from the
+        text on first use."""
+        vocab = cls.__new__(cls)
+        vocab._text, vocab._len, vocab._digest = text, text.count("\n"), digest
+        return vocab
+
+    @cached_property
+    def _raw(self) -> list[str]:
+        return _vocabulary_raw_ids(self._text)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        index = {raw: i for i, raw in enumerate(self._raw)}
+        if len(index) != self._len:
+            raise ValueError("duplicate raw ids in vocabulary")
+        return index
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return self._len
 
     def __contains__(self, raw_id: object) -> bool:
         return raw_id in self._index
@@ -108,7 +140,7 @@ class Vocabulary:
     def digest(self) -> str:
         """sha256 of the vocabulary's ``vocabulary.tsv`` text, computed once."""
         if self._digest is None:
-            self._digest = hashlib.sha256(_vocabulary_text(self._raw).encode()).hexdigest()
+            self._digest = _sha256(_vocabulary_text(self._raw))
         return self._digest
 
 
@@ -527,15 +559,17 @@ def save_split(split: DatasetSplit, out_dir: str | os.PathLike, config: dict, se
             os.path.join(out, name),
             _sequence_lines((u.user_index, u.fold_in + u.fold_out) for u in users),
         )
-    write_atomic(os.path.join(out, "vocabulary.tsv"),
-                 _vocabulary_text(split.vocabulary.raw_ids()))
+    # the digest is the hash of the very text written, so a reader whose
+    # hash of the file matches it holds save_split's bytes
+    vocabulary_text = _vocabulary_text(split.vocabulary.raw_ids())
+    write_atomic(os.path.join(out, "vocabulary.tsv"), vocabulary_text)
     manifest = {
         "format": SPLIT_FORMAT,
         "seed": seed,
         "config": config,
         "fold_ratio": split.fold_ratio,
         "counts": split_counts(split),
-        "vocabulary_digest": split.vocabulary.digest(),
+        "vocabulary_digest": _sha256(vocabulary_text),
         "source_digest": source_digest,
     }
     write_json(os.path.join(out, "manifest.json"), manifest)
@@ -558,18 +592,28 @@ def _read_manifest(split_dir: str | os.PathLike) -> dict:
     return manifest
 
 
-def _read_vocabulary(split_dir: str | os.PathLike) -> Vocabulary:
+def _read_vocabulary(split_dir: str | os.PathLike, recorded_digest: object) -> Vocabulary:
     """``raw id<TAB>index`` lines, indices counting up from 0, exactly as
-    ``save_split`` writes them. The text is read once: the raw ids are taken
-    from it and its sha256 is the vocabulary's digest."""
+    ``save_split`` writes them. The text is read once and hashed first.
+
+    When its sha256 is ``recorded_digest`` (the manifest's
+    ``vocabulary_digest``), the text is what ``save_split`` wrote and hashed,
+    so its form is not checked again: the vocabulary is backed by the text
+    and parses its raw ids only when they are read. Otherwise every line is
+    checked, and a line not as ``save_split`` writes it raises ParseError; a
+    text that passes still disagrees with the manifest, which
+    ``_check_manifest`` reports."""
     path = os.path.join(str(split_dir), "vocabulary.tsv")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    raw_ids = [line.partition("\t")[0] for line in text.split("\n")[:-1]]
+    digest = _sha256(text)
+    if digest == recorded_digest:
+        return Vocabulary._of_text(text, digest)
+    raw_ids = _vocabulary_raw_ids(text)
     if text != _vocabulary_text(raw_ids):
         _check_vocabulary_lines(text, path)
     vocab = Vocabulary(raw_ids)
-    vocab._digest = hashlib.sha256(text.encode()).hexdigest()
+    vocab._digest = digest
     return vocab
 
 
@@ -650,10 +694,11 @@ def _check_manifest(split_dir: str, manifest: dict, vocab: Vocabulary, folds: di
 
 def _read_folds(split_dir: str | os.PathLike, folds: Sequence[str]):
     """(manifest, vocabulary, fold name -> rows) of the named folds. Every
-    line is checked before the manifest is compared with what was read."""
+    line is checked before the manifest is compared with what was read; a
+    vocabulary whose hash is the manifest's digest is checked by that hash."""
     d = str(split_dir)
     manifest = _read_manifest(d)
-    vocab = _read_vocabulary(d)
+    vocab = _read_vocabulary(d, manifest.get("vocabulary_digest"))
     rows = {fold: _read_sequences(os.path.join(d, f"{fold}.tsv"), len(vocab),
                                   2 if fold in HELDOUT_FOLDS else 0)
             for fold in folds}

@@ -701,3 +701,80 @@ class TestSplitManifest:
         vocab = Vocabulary(["x", "y\x00"])
         assert vocab.digest() == vocab.digest() == hashlib.sha256(b"x\t0\ny\x00\t1\n").hexdigest()
         assert len(calls) == 1
+
+    def test_save_split_renders_the_vocabulary_once_and_hashes_what_it_wrote(
+            self, tmp_path, monkeypatch):
+        p = tmp_path / "ratings.csv"
+        synthetic_ratings(p, n_users=30, seed=7)
+        cfg = PipelineConfig(seed=3)
+        split = run_pipeline(p, cfg)
+        calls = []
+        text = data._vocabulary_text
+        monkeypatch.setattr(data, "_vocabulary_text", lambda raw: calls.append(raw) or text(raw))
+        out = tmp_path / "split"
+        save_split(split, out, cfg.to_dict(), cfg.seed)
+        assert len(calls) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = (out / "vocabulary.tsv").read_bytes()
+        assert manifest["vocabulary_digest"] == hashlib.sha256(written).hexdigest()
+
+    @pytest.mark.parametrize("read", [
+        lambda out: load_split(out)[0].vocabulary,
+        lambda out: load_heldout(out, "validation")[1],
+        lambda out: load_heldout(out, "test")[1],
+    ], ids=["load_split", "load_heldout-validation", "load_heldout-test"])
+    def test_saved_vocabulary_is_checked_by_its_digest(self, tmp_path, monkeypatch, read):
+        out = self.saved_split(tmp_path)
+        raw_ids = [line.split("\t")[0]
+                   for line in (out / "vocabulary.tsv").read_text().splitlines()]
+
+        def line_check(*args):
+            raise AssertionError("a saved vocabulary was checked line by line")
+
+        monkeypatch.setattr(data, "_vocabulary_text", line_check)
+        monkeypatch.setattr(data, "_check_vocabulary_lines", line_check)
+        vocab = read(out)
+        got = (len(vocab), vocab.digest(), vocab.raw_ids(),
+               [vocab.to_index(raw) for raw in raw_ids],
+               [vocab.to_raw(i) for i in range(len(raw_ids))],
+               [raw in vocab for raw in raw_ids + ["not an item"]])
+        monkeypatch.undo()
+        want = Vocabulary(raw_ids)
+        assert got == (len(want), want.digest(), want.raw_ids(),
+                       [want.to_index(raw) for raw in raw_ids],
+                       [want.to_raw(i) for i in range(len(raw_ids))],
+                       [raw in want for raw in raw_ids + ["not an item"]])
+
+    @pytest.mark.parametrize("rehash", [True, False], ids=["digest-matches", "vocabulary-only"])
+    def test_duplicate_raw_ids_fail(self, tmp_path, rehash):
+        out = self.saved_split(tmp_path)
+        path = out / "vocabulary.tsv"
+        first = path.read_text().split("\t")[0]
+        self.edit_line(path, 2, lambda line: f"{first}\t1")
+        if rehash:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            edit_manifest(out, lambda manifest: manifest.update(vocabulary_digest=digest))
+            vocab = load_split(out)[0].vocabulary
+            # the index is built, and the duplicate found, on first lookup
+            for _ in range(2):
+                with pytest.raises(ValueError, match="duplicate raw ids"):
+                    vocab.to_index(first)
+        else:
+            # an edit to vocabulary.tsv alone fails as the file is read
+            with pytest.raises(ValueError, match="duplicate raw ids"):
+                load_split(out)
+
+    def test_vocabulary_edited_with_its_digest_is_read_by_that_digest(self, tmp_path):
+        # the manifest's digest vouches for the text: a form no writer
+        # produces loads once the manifest carries its hash
+        out = self.saved_split(tmp_path)
+        path = out / "vocabulary.tsv"
+        text = path.read_text()
+        path.write_text(text.replace("\t1\n", "\t01\n", 1))
+        with pytest.raises(ParseError, match=r"vocabulary\.tsv: line 2: expected "):
+            load_split(out)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        edit_manifest(out, lambda manifest: manifest.update(vocabulary_digest=digest))
+        vocab = load_split(out)[0].vocabulary
+        assert vocab.digest() == digest
+        assert vocab.raw_ids() == [line.split("\t")[0] for line in text.splitlines()]
